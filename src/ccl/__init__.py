@@ -8,7 +8,7 @@ angle identities with exact integer right-hand sides.
 
 __version__ = "0.1.0"
 
-from .angles import AngleEstimate, AngleMethod, McConfig, kernel_backend, measure, mc_fraction
+from .angles import AngleEstimate, AngleMethod, McConfig, measure, mc_fraction
 from .cones import (Membership, SimplicialCone, chamber, direct_sum, dual, face,
                     image_cone, map_cone, membership, quotient, quotient_dual)
 from .errors import (CacheError, CclError, DegenerateConeError,

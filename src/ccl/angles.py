@@ -5,16 +5,11 @@ fall back to seeded Monte Carlo over Gaussian directions inside the cone's
 span.  MC work is split into fixed-size chunks, chunk j drawing from a
 child seed derived from (seed, j), so results are bit-identical for any
 worker count.
-
-Two counting backends exist: a compiled Cython kernel and a pure-numpy
-fallback with identical arithmetic.  Selection happens at import time and
-can be forced to the fallback with CCL_PURE_PYTHON=1.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -22,27 +17,25 @@ from enum import Enum
 
 import numpy as np
 
-from . import _angle_kernel_py
 from .errors import InvalidArgumentError
 from .cones import SimplicialCone
 from .linalg import DEFAULT_TOL, ToleranceConfig
 
 __all__ = ["AngleMethod", "AngleEstimate", "McConfig", "measure",
-           "mc_fraction", "kernel_backend"]
+           "mc_fraction", "count_nonnegative"]
 
-_FORCE_PY = os.environ.get("CCL_PURE_PYTHON", "").strip() not in ("", "0")
-if not _FORCE_PY:
-    try:
-        from . import _angle_kernel as _kernel  # compiled extension
-    except ImportError:
-        _kernel = _angle_kernel_py
-else:
-    _kernel = _angle_kernel_py
+# Samples per chunk.  Part of the sample stream's definition: changing it
+# changes every Monte Carlo estimate for a fixed seed.
+CHUNK_SIZE = 65_536
 
 
-def kernel_backend() -> str:
-    """Name of the active counting backend: "cython" or "python"."""
-    return _kernel.BACKEND
+def count_nonnegative(points: np.ndarray, facet_coords: np.ndarray,
+                      eps: float) -> int:
+    """Number of rows of ``points`` whose inner product with every row of
+    ``facet_coords`` is >= -eps."""
+    # (k, d) @ (d, m) then reduce over axis 0: several times faster than
+    # (m, d) @ (d, k) reduced over axis 1 for the tall point arrays used here.
+    return int(np.count_nonzero((facet_coords @ points.T >= -eps).all(axis=0)))
 
 
 class AngleMethod(Enum):
@@ -81,14 +74,13 @@ class McConfig:
 
     samples: int = 1_000_000
     seed: int = 42
-    chunk_size: int = 65_536
     workers: int = 1
 
     def __post_init__(self):
         if self.samples < 1_000:
             raise InvalidArgumentError("samples must be >= 1000")
-        if self.chunk_size < 1 or self.workers < 1:
-            raise InvalidArgumentError("chunk_size and workers must be >= 1")
+        if self.workers < 1:
+            raise InvalidArgumentError("workers must be >= 1")
         if not 0 <= self.seed < 2 ** 64:
             raise InvalidArgumentError("seed must fit in 64 bits")
 
@@ -101,20 +93,19 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _chunk_sizes(samples: int, chunk_size: int) -> list[int]:
-    full, rem = divmod(samples, chunk_size)
-    return [chunk_size] * full + ([rem] if rem else [])
+def _chunk_sizes(samples: int) -> list[int]:
+    full, rem = divmod(samples, CHUNK_SIZE)
+    return [CHUNK_SIZE] * full + ([rem] if rem else [])
 
 
 def _draw_chunk(j: int, dim: int, mc: McConfig) -> np.ndarray:
-    sizes = _chunk_sizes(mc.samples, mc.chunk_size)
-    return np.ascontiguousarray(
-        _chunk_rng(mc.seed, j).standard_normal((sizes[j], dim)))
+    sizes = _chunk_sizes(mc.samples)
+    return _chunk_rng(mc.seed, j).standard_normal((sizes[j], dim))
 
 
 # One-slot cache of the full sample stream.  Verifier suites measure many
 # cones of the same dimension under one McConfig; the stream depends only on
-# (seed, samples, chunk_size, dim), so reuse is free and changes no result.
+# (seed, samples, dim), so reuse is free and changes no result.
 _CACHE_BYTE_LIMIT = 256 * 2 ** 20
 _sample_cache_lock = threading.Lock()
 _sample_cache: tuple | None = None
@@ -124,12 +115,12 @@ def _chunk_stream(dim: int, mc: McConfig) -> list[np.ndarray] | None:
     global _sample_cache
     if mc.samples * dim * 8 > _CACHE_BYTE_LIMIT:
         return None
-    key = (mc.seed, mc.samples, mc.chunk_size, dim)
+    key = (mc.seed, mc.samples, dim)
     with _sample_cache_lock:
         if _sample_cache is not None and _sample_cache[0] == key:
             return _sample_cache[1]
     arrays = [_draw_chunk(j, dim, mc)
-              for j in range(len(_chunk_sizes(mc.samples, mc.chunk_size)))]
+              for j in range(len(_chunk_sizes(mc.samples)))]
     with _sample_cache_lock:
         _sample_cache = (key, arrays)
     return arrays
@@ -138,7 +129,7 @@ def _chunk_stream(dim: int, mc: McConfig) -> list[np.ndarray] | None:
 def _chunked_count(count_fn, dim: int, mc: McConfig) -> int:
     """Sum count_fn(points) over deterministic per-chunk Gaussian draws."""
     stream = _chunk_stream(dim, mc)
-    n_chunks = len(_chunk_sizes(mc.samples, mc.chunk_size))
+    n_chunks = len(_chunk_sizes(mc.samples))
 
     def one(j: int) -> int:
         pts = stream[j] if stream is not None else _draw_chunk(j, dim, mc)
@@ -162,13 +153,9 @@ def mc_fraction(indicator, dim: int, mc: McConfig = DEFAULT_MC) -> tuple[float, 
 
 def _measure_mc(c: SimplicialCone, mc: McConfig, eps: float) -> AngleEstimate:
     B = c.span.orthonormal_basis           # (k, n)
-    facet_coords = np.ascontiguousarray(c.dual_basis @ B.T)  # dual basis in span coords
-    k = c.dim
-
-    def count_fn(pts: np.ndarray) -> int:
-        return _kernel.count_nonnegative(np.ascontiguousarray(pts), facet_coords, eps)
-
-    total = _chunked_count(count_fn, k, mc)
+    facet_coords = c.dual_basis @ B.T      # dual basis in span coords
+    total = _chunked_count(
+        lambda pts: count_nonnegative(pts, facet_coords, eps), c.dim, mc)
     p = total / mc.samples
     return AngleEstimate(p, math.sqrt(p * (1.0 - p) / mc.samples),
                          AngleMethod.MONTE_CARLO, mc.samples)

@@ -3,8 +3,10 @@
 Subcommands: build (enumerate and cache), counts (fixed-dimension table
 plus the exponent product check), verify <identity>, and report (the full
 suite as a JSON array).  Exit codes: 0 all passed, 1 a verification
-failed, 2 usage or configuration error.  Reports go to stdout; diagnostics
-go to stderr.
+failed, 2 usage error (argparse errors, UnsupportedGroupError,
+FeatureDisabledError, InvalidArgumentError), 3 any other CclError raised
+while running (for example GenericityError when no generic point is
+found).  Reports go to stdout; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -17,13 +19,15 @@ from pathlib import Path
 from . import __version__
 from .angles import McConfig
 from .cache import cache_path_for, load_or_enumerate, save_group
-from .errors import CclError, FeatureDisabledError, UnsupportedGroupError
+from .errors import (CclError, FeatureDisabledError, InvalidArgumentError,
+                     UnsupportedGroupError)
 from .groups import enumerate_group, solomon_check
 from .linalg import ToleranceConfig
 from .roots import SUPPORTED_TYPES, GroupType, build
 from .verify import SUITE_IDENTITIES, run_suite
 
 USAGE_ERROR = 2
+RUNTIME_ERROR = 3
 
 
 def _add_common(p: argparse.ArgumentParser, need_group: bool = True):
@@ -34,7 +38,6 @@ def _add_common(p: argparse.ArgumentParser, need_group: bool = True):
                    help="Monte Carlo samples per measured cone")
     p.add_argument("--trials", type=int, default=100,
                    help="generic-point trials per counting check")
-    p.add_argument("--chunk-size", type=int, default=65_536)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--k", type=int, default=None,
                    help="restrict k-indexed identities to one k")
@@ -160,8 +163,7 @@ def _cmd_counts(args, tol) -> int:
 
 def _cmd_verify(args, tol) -> int:
     rs, g = _get_group(args, tol, args.group)
-    mc = McConfig(samples=args.samples, seed=args.seed,
-                  chunk_size=args.chunk_size, workers=args.workers)
+    mc = McConfig(samples=args.samples, seed=args.seed, workers=args.workers)
     names = SUITE_IDENTITIES if args.identity == "all" else (args.identity,)
     reports = run_suite(rs, g, names, k=args.k, mc=mc, trials=args.trials,
                         seed=args.seed, tol=tol)
@@ -177,8 +179,7 @@ def _cmd_report(args, tol) -> int:
         specs = [args.group]
     else:
         raise UnsupportedGroupError("report needs --group or --all-groups")
-    mc = McConfig(samples=args.samples, seed=args.seed,
-                  chunk_size=args.chunk_size, workers=args.workers)
+    mc = McConfig(samples=args.samples, seed=args.seed, workers=args.workers)
     docs = []
     all_ok = True
     for spec in specs:
@@ -214,12 +215,13 @@ def main(argv=None) -> int:
         if args.command == "report":
             return _cmd_report(args, tol)
         raise UnsupportedGroupError(f"unknown command {args.command}")
-    except (UnsupportedGroupError, FeatureDisabledError) as exc:
+    except (UnsupportedGroupError, FeatureDisabledError,
+            InvalidArgumentError) as exc:
         print(f"ccl: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except CclError as exc:
         print(f"ccl: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return RUNTIME_ERROR
 
 
 if __name__ == "__main__":

@@ -109,6 +109,19 @@ def _off_hyperplanes(v: np.ndarray, roots: np.ndarray, margin: float) -> bool:
     return np.abs(roots @ v).min() > margin * np.linalg.norm(v)
 
 
+def _count_inside(coords: np.ndarray, band) -> int | None:
+    """Number of cones containing a point, from its facet coordinates.
+
+    ``coords`` holds one row per cone: the point's inner products with that
+    cone's inward facet normals.  A row counts when every entry exceeds
+    ``band``.  Returns None (resample) when any entry lies within ``band``
+    of zero.  ``band`` is a scalar or a column with one value per row.
+    """
+    if (np.abs(coords) <= band).any():
+        return None
+    return int(np.count_nonzero((coords > band).all(axis=1)))
+
+
 def _pass_rule(abs_error: float, stderr: float) -> tuple[bool, str]:
     if stderr == 0.0:
         return abs_error <= EXACT_TOL, f"exact: |lhs - rhs| <= {EXACT_TOL:g}"
@@ -272,11 +285,8 @@ def verify_waldspurger_partition(rs: RootSystem, g: Group,
         resid = np.abs(np.einsum("mij,mj->mi", one_minus, x) - v).max()
         if resid > 1e-8 * np.linalg.norm(v):
             raise InvalidArgumentError("linear solve residual too large")
-        coords = x @ alpha.T
-        bands = margin * np.linalg.norm(x, axis=1, keepdims=True)
-        if (np.abs(coords) <= bands).any():
-            return None
-        return int(np.count_nonzero((coords > bands).all(axis=1)))
+        return _count_inside(x @ alpha.T,
+                             margin * np.linalg.norm(x, axis=1, keepdims=True))
 
     counts = [sampler.sample(draw, classify) for _ in range(trials)]
     return _count_report(
@@ -305,11 +315,7 @@ def verify_covering_count(rs: RootSystem, g: Group,
         if not _off_hyperplanes(v, rs.all_roots, margin):
             return None
         x = np.einsum("i,mij->mj", v, stack)       # rows w^{-1} v
-        coords = x @ omega_hat.T
-        band = margin * np.linalg.norm(v)
-        if (np.abs(coords) <= band).any():
-            return None
-        return int(np.count_nonzero((coords > band).all(axis=1)))
+        return _count_inside(x @ omega_hat.T, margin * np.linalg.norm(v))
 
     counts = [sampler.sample(draw, classify) for _ in range(trials)]
     return _count_report(
@@ -366,11 +372,7 @@ def verify_face_oplus_covering(rs: RootSystem, g: Group, I,
     def classify(v):
         if not _off_hyperplanes(v, rs.all_roots, margin):
             return None
-        coords = duals @ v
-        band = margin * np.linalg.norm(v)
-        if (np.abs(coords) <= band).any():
-            return None
-        return int(np.count_nonzero((coords > band).all(axis=1)))
+        return _count_inside(duals @ v, margin * np.linalg.norm(v))
 
     counts = [sampler.sample(draw, classify) for _ in range(trials)]
     return _count_report(
@@ -436,11 +438,7 @@ def verify_face_decomposition(rs: RootSystem, g: Group, I,
         return rng.standard_normal(k) @ B
 
     def classify(v):
-        coords = duals @ v
-        band = margin * np.linalg.norm(v)
-        if (np.abs(coords) <= band).any():
-            return None
-        return int(np.count_nonzero((coords > band).all(axis=1)))
+        return _count_inside(duals @ v, margin * np.linalg.norm(v))
 
     containments = [sampler.sample(draw, classify) for _ in range(trials)]
     bad = sum(1 for c in containments if c != 1)
@@ -481,11 +479,7 @@ def verify_parabolic_quotient(rs: RootSystem, g: Group, I,
             return rng.standard_normal(d) @ B
 
         def classify(v):
-            coords = duals @ v
-            band = margin * np.linalg.norm(v)
-            if (np.abs(coords) <= band).any():
-                return None
-            return int(np.count_nonzero((coords > band).all(axis=1)))
+            return _count_inside(duals @ v, margin * np.linalg.norm(v))
 
         containments = [sampler.sample(draw, classify) for _ in range(trials)]
         bad = sum(1 for c in containments if c != 1)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import ccl
-from ccl.angles import (AngleEstimate, AngleMethod, McConfig, measure,
-                        mc_fraction)
+from ccl.angles import (CHUNK_SIZE, AngleEstimate, AngleMethod, McConfig,
+                        count_nonnegative, measure, mc_fraction)
 from ccl.cones import SimplicialCone, chamber, dual, face, image_cone
 
 MC = McConfig(samples=200_000, seed=42)
@@ -135,6 +135,34 @@ def test_orthant_4d_fraction():
     assert abs(p - 1 / 16) <= 4 * se
 
 
+def test_count_nonnegative_orthant():
+    rng = np.random.default_rng(5)
+    pts = rng.standard_normal((100_000, 2))
+    n = count_nonnegative(pts, np.eye(2), 1e-9)
+    assert abs(n / 100_000 - 0.25) < 0.01
+
+
+def test_count_nonnegative_dimension_mismatch():
+    with pytest.raises(ValueError):
+        count_nonnegative(np.zeros((4, 3)), np.eye(2), 1e-9)
+
+
+def test_count_nonnegative_boundary():
+    eps = 1e-9
+    pts = np.array([[-eps, 1.0], [1.0, -eps], [-2 * eps, 1.0], [1.0, -2 * eps],
+                    [0.0, 0.0]])
+    assert count_nonnegative(pts, np.eye(2), eps) == 3
+
+
+@pytest.mark.parametrize("spec,hits", [("F4", 184), ("A5", 297), ("B4", 560)])
+def test_mc_pinned_counts(spec, hits, built):
+    # Pins the sample stream and the hit test together: any change to either
+    # moves these counts, and with them every Monte Carlo report.
+    rs, _ = built(spec)
+    est = measure(chamber(rs), MC)
+    assert est.value == hits / MC.samples
+
+
 def test_mc_deterministic_same_seed():
     c = SimplicialCone.from_generators(np.eye(4))
     a = measure(c, McConfig(samples=100_000, seed=5))
@@ -157,9 +185,10 @@ def test_mc_worker_count_does_not_change_result():
 
 
 def test_mc_partial_final_chunk():
-    # samples deliberately not a multiple of chunk_size
+    # samples deliberately not a multiple of CHUNK_SIZE
+    assert 100_001 % CHUNK_SIZE != 0
     c = SimplicialCone.from_generators(np.eye(4))
-    est = measure(c, McConfig(samples=100_001, seed=3, chunk_size=4096))
+    est = measure(c, McConfig(samples=100_001, seed=3))
     assert est.samples == 100_001
     assert abs(est.value - 1 / 16) <= 6 * est.stderr
 
@@ -168,7 +197,7 @@ def test_mc_config_validation():
     with pytest.raises(ccl.InvalidArgumentError):
         McConfig(samples=10)
     with pytest.raises(ccl.InvalidArgumentError):
-        McConfig(chunk_size=0)
+        McConfig(workers=0)
     with pytest.raises(ccl.InvalidArgumentError):
         McConfig(seed=-1)
 

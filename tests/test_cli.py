@@ -138,6 +138,28 @@ def test_exit_one_when_a_check_fails(tmp_path, capsys, monkeypatch):
     assert out.startswith("FAIL")
 
 
+def test_runtime_error_exit_three(tmp_path, capsys, monkeypatch):
+    import ccl.cli as cli_mod
+
+    def exhausted_suite(*args, **kwargs):
+        raise ccl.GenericityError("no generic point found within 100 resamples")
+
+    monkeypatch.setenv("CCL_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(cli_mod, "run_suite", exhausted_suite)
+    rc = main(["verify", "covering", "--group", "A2"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert "generic point" in captured.err
+
+
+def test_invalid_argument_exit_two(tmp_path):
+    out = run_cli(["verify", "curious", "--group", "A2", "--samples", "10"],
+                  tmp_path)
+    assert out.returncode == 2
+    assert "samples" in out.stderr
+
+
 # ---------------------------------------------------------------------------
 # cache layer
 
