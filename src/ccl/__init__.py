@@ -14,7 +14,7 @@ from .cones import (Membership, SimplicialCone, chamber, direct_sum, dual, face,
 from .errors import (CacheError, CclError, DegenerateConeError,
                      FeatureDisabledError, GenericityError,
                      GroupTooLargeError, InvalidArgumentError,
-                     NonFiniteSystemError, SingularMatrixError,
+                     NonFiniteSystemError, NumericalError, SingularMatrixError,
                      UnsupportedGroupError)
 from .groups import (Group, GroupElement, Subgroup, enumerate_group,
                      fixed_space_dim, group_from_perm_stack,

@@ -2,31 +2,59 @@
 
 Dimensions 0-3 are exact (conventions/arc/Girard); dimension 4 and above
 fall back to seeded Monte Carlo over Gaussian directions inside the cone's
-span.  MC work is split into fixed-size chunks, chunk j drawing from a
-child seed derived from (seed, j), so results are bit-identical for any
-worker count.
+span.
+
+A cone's measure depends only on its congruence class, which the Gram
+matrix of its unit generators determines.  ``congruence_key`` rounds that
+matrix and minimizes it over generator orderings; Monte Carlo measures the
+canonical cone the key describes (generators: the rows of the Cholesky
+factor of the key's Gram matrix), so congruent cones get one estimate.
+Each class draws its own sample stream: chunk j comes from the child seed
+SeedSequence(entropy=seed, spawn_key=(*key words, j)), whose mixing hashes
+every bit of the key, so estimates of distinct classes are independent
+while all cones of one class share one estimate and its error.  Results
+are memoized by (key, seed, samples, eps); they are pure functions of
+those, so the memo never makes a result depend on call order, and they are
+bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import DegenerateConeError, InvalidArgumentError
 from .cones import SimplicialCone
 from .linalg import DEFAULT_TOL, ToleranceConfig
 
 __all__ = ["AngleMethod", "AngleEstimate", "McConfig", "measure",
-           "mc_fraction", "count_nonnegative"]
+           "mc_fraction", "count_nonnegative", "congruence_key"]
 
 # Samples per chunk.  Part of the sample stream's definition: changing it
 # changes every Monte Carlo estimate for a fixed seed.
 CHUNK_SIZE = 65_536
+
+# Decimals kept of each unit-generator Gram entry in a congruence key.  Gram
+# entries computed for congruent cones agree to about 1e-15, so congruent
+# cones share a key; cones whose entries differ by less than 1e-9 have
+# measures that differ by far less than any Monte Carlo stderr.  Rounding
+# only decides which cones share an estimate: a class split in two gets two
+# independent estimates, whose variances the verifiers add, so no choice
+# here can make a verdict dishonest.
+GRAM_DECIMALS = 9
+
+# Distinct (class, seed, samples, eps) estimates kept by the memo.  A
+# verifier suite measures at most a few hundred classes.
+MEMO_SIZE = 4096
+
+# Multiplier of the verifiers' Monte Carlo pass rule |lhs - rhs| <= 4 sigma.
+MC_SIGMAS = 4.0
 
 
 def count_nonnegative(points: np.ndarray, facet_coords: np.ndarray,
@@ -48,12 +76,18 @@ class AngleMethod(Enum):
 
 @dataclass(frozen=True)
 class AngleEstimate:
-    """A relative angle measure; stderr is 0 exactly for exact methods."""
+    """A relative angle measure; stderr is 0 exactly for exact methods.
+
+    ``key`` is the congruence key of the measured class for Monte Carlo
+    estimates and None for exact ones: estimates with one key are one
+    draw, so their errors are identical.
+    """
 
     value: float
     stderr: float
     method: AngleMethod
     samples: int = 0
+    key: bytes | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0:
@@ -62,6 +96,8 @@ class AngleEstimate:
             raise InvalidArgumentError("stderr must be >= 0")
         if self.method is not AngleMethod.MONTE_CARLO and self.stderr != 0.0:
             raise InvalidArgumentError("exact methods must report stderr 0")
+        if self.method is not AngleMethod.MONTE_CARLO and self.key is not None:
+            raise InvalidArgumentError("exact methods carry no congruence key")
 
 
 @dataclass(frozen=True)
@@ -69,12 +105,13 @@ class McConfig:
     """Monte Carlo sampling configuration.
 
     ``workers`` only parallelizes chunk evaluation; results do not depend
-    on it.
+    on it, so it is left out of equality and hashing and memoized
+    estimates are shared across worker counts.
     """
 
     samples: int = 1_000_000
     seed: int = 42
-    workers: int = 1
+    workers: int = field(default=1, compare=False)
 
     def __post_init__(self):
         if self.samples < 1_000:
@@ -88,77 +125,92 @@ class McConfig:
 DEFAULT_MC = McConfig()
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
-    return np.random.Generator(np.random.PCG64(ss))
-
-
 def _chunk_sizes(samples: int) -> list[int]:
     full, rem = divmod(samples, CHUNK_SIZE)
     return [CHUNK_SIZE] * full + ([rem] if rem else [])
 
 
-def _draw_chunk(j: int, dim: int, mc: McConfig) -> np.ndarray:
+def _chunked_count(count_fn, dim: int, mc: McConfig,
+                   stream: tuple[int, ...] = ()) -> int:
+    """Sum count_fn(points) over deterministic per-chunk Gaussian draws;
+    chunk j draws from the child seed (mc.seed, *stream, j)."""
     sizes = _chunk_sizes(mc.samples)
-    return _chunk_rng(mc.seed, j).standard_normal((sizes[j], dim))
-
-
-# One-slot cache of the full sample stream.  Verifier suites measure many
-# cones of the same dimension under one McConfig; the stream depends only on
-# (seed, samples, dim), so reuse is free and changes no result.
-_CACHE_BYTE_LIMIT = 256 * 2 ** 20
-_sample_cache_lock = threading.Lock()
-_sample_cache: tuple | None = None
-
-
-def _chunk_stream(dim: int, mc: McConfig) -> list[np.ndarray] | None:
-    global _sample_cache
-    if mc.samples * dim * 8 > _CACHE_BYTE_LIMIT:
-        return None
-    key = (mc.seed, mc.samples, dim)
-    with _sample_cache_lock:
-        if _sample_cache is not None and _sample_cache[0] == key:
-            return _sample_cache[1]
-    arrays = [_draw_chunk(j, dim, mc)
-              for j in range(len(_chunk_sizes(mc.samples)))]
-    with _sample_cache_lock:
-        _sample_cache = (key, arrays)
-    return arrays
-
-
-def _chunked_count(count_fn, dim: int, mc: McConfig) -> int:
-    """Sum count_fn(points) over deterministic per-chunk Gaussian draws."""
-    stream = _chunk_stream(dim, mc)
-    n_chunks = len(_chunk_sizes(mc.samples))
 
     def one(j: int) -> int:
-        pts = stream[j] if stream is not None else _draw_chunk(j, dim, mc)
-        return count_fn(pts)
+        ss = np.random.SeedSequence(entropy=mc.seed, spawn_key=(*stream, j))
+        rng = np.random.Generator(np.random.PCG64(ss))
+        return count_fn(rng.standard_normal((sizes[j], dim)))
 
-    if mc.workers == 1 or n_chunks == 1:
-        return sum(one(j) for j in range(n_chunks))
+    if mc.workers == 1 or len(sizes) == 1:
+        return sum(one(j) for j in range(len(sizes)))
     with ThreadPoolExecutor(max_workers=mc.workers) as pool:
-        return sum(pool.map(one, range(n_chunks)))
+        return sum(pool.map(one, range(len(sizes))))
+
+
+def _binomial_stderr(hits: int, samples: int) -> float:
+    """Standard error of the hit fraction hits / samples.
+
+    With no hits (or no misses) the plug-in p(1 - p) / N is 0, which would
+    claim an exact result.  There the stderr is z / (N + z^2) with
+    z = MC_SIGMAS instead: the Wilson score interval at z is then
+    [0, z^2 / (N + z^2)] (or its mirror), and the pass rule's z-sigma
+    range reaches exactly its far end.
+    """
+    if 0 < hits < samples:
+        p = hits / samples
+        return math.sqrt(p * (1.0 - p) / samples)
+    return MC_SIGMAS / (samples + MC_SIGMAS ** 2)
 
 
 def mc_fraction(indicator, dim: int, mc: McConfig = DEFAULT_MC) -> tuple[float, float]:
     """Fraction of Gaussian directions in R^dim satisfying a vectorized
-    indicator (an (m, dim) array -> boolean mask), with its standard error."""
+    indicator (an (m, dim) array -> boolean mask), with its standard error.
+
+    Chunk j draws from the child seed (seed, j).
+    """
     if dim < 1:
         raise InvalidArgumentError("mc_fraction requires dim >= 1")
     total = _chunked_count(lambda pts: int(np.count_nonzero(indicator(pts))), dim, mc)
-    p = total / mc.samples
-    return p, math.sqrt(p * (1.0 - p) / mc.samples)
+    return total / mc.samples, _binomial_stderr(total, mc.samples)
+
+
+@functools.cache
+def _permutations(k: int) -> np.ndarray:
+    return np.array(list(itertools.permutations(range(k))))
+
+
+def congruence_key(c: SimplicialCone) -> bytes:
+    """Key of the cone's congruence class: the Gram matrix of its unit
+    generators, rounded to GRAM_DECIMALS and minimized lexicographically
+    (row-major) over generator orderings, as float64 bytes."""
+    unit = c.generators / np.linalg.norm(c.generators, axis=1, keepdims=True)
+    gram = unit @ unit.T
+    perms = _permutations(c.dim)
+    cands = np.round(gram[perms[:, :, None], perms[:, None, :]], GRAM_DECIMALS)
+    cands = cands.reshape(len(perms), -1) + 0.0      # one key for -0.0 and 0.0
+    return cands[np.lexsort(cands.T[::-1])[0]].tobytes()
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _measure_class(key: bytes, k: int, mc: McConfig, eps: float) -> AngleEstimate:
+    """Monte Carlo measure of the canonical cone of a congruence class."""
+    gram = np.frombuffer(key).reshape(k, k)
+    try:
+        gens = np.linalg.cholesky(gram)              # rows realize the Gram matrix
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateConeError(
+            "rounded generator Gram matrix is not positive definite") from exc
+    facet_coords = np.linalg.inv(gens).T             # (g_i, d_j) = delta_ij
+    # the key as 32-bit words: SeedSequence hashes them with the chunk index
+    stream = tuple(np.frombuffer(key, dtype=np.uint32).tolist())
+    hits = _chunked_count(
+        lambda pts: count_nonnegative(pts, facet_coords, eps), k, mc, stream)
+    return AngleEstimate(hits / mc.samples, _binomial_stderr(hits, mc.samples),
+                         AngleMethod.MONTE_CARLO, mc.samples, key)
 
 
 def _measure_mc(c: SimplicialCone, mc: McConfig, eps: float) -> AngleEstimate:
-    B = c.span.orthonormal_basis           # (k, n)
-    facet_coords = c.dual_basis @ B.T      # dual basis in span coords
-    total = _chunked_count(
-        lambda pts: count_nonnegative(pts, facet_coords, eps), c.dim, mc)
-    p = total / mc.samples
-    return AngleEstimate(p, math.sqrt(p * (1.0 - p) / mc.samples),
-                         AngleMethod.MONTE_CARLO, mc.samples)
+    return _measure_class(congruence_key(c), c.dim, mc, eps)
 
 
 def _measure_arc(c: SimplicialCone) -> float:
@@ -187,8 +239,9 @@ def measure(c: SimplicialCone, mc: McConfig = DEFAULT_MC,
     The zero cone has measure 1 by convention (it occupies all of its
     zero-dimensional span); rays are exactly 1/2; dimensions 2 and 3 use
     the arc and spherical-excess formulas; higher dimensions are estimated
-    by Monte Carlo.  ``force_monte_carlo`` routes low-dimensional cones
-    through the MC path (used by the cross-method consistency checks).
+    by Monte Carlo on the cone's congruence class.  ``force_monte_carlo``
+    routes low-dimensional cones through the MC path (used by the
+    cross-method consistency checks).
     """
     k = c.dim
     if force_monte_carlo and k >= 1:

@@ -6,7 +6,7 @@ suite as a JSON array).  Exit codes: 0 all passed, 1 a verification
 failed, 2 usage error (argparse errors, UnsupportedGroupError,
 FeatureDisabledError, InvalidArgumentError), 3 any other CclError raised
 while running (for example GenericityError when no generic point is
-found).  Reports go to stdout; diagnostics go to stderr.
+found, or NumericalError when an internal numerical check fails).  Reports go to stdout; diagnostics go to stderr.
 """
 
 from __future__ import annotations

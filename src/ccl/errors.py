@@ -33,6 +33,11 @@ class DegenerateConeError(CclError):
     """Cone construction produced linearly dependent generators."""
 
 
+class NumericalError(CclError):
+    """An internal numerical consistency check failed (a runtime fault, not
+    a usage error)."""
+
+
 class GenericityError(CclError):
     """Generic point sampler exhausted its resample budget."""
 

@@ -19,6 +19,7 @@ from .errors import (
     FeatureDisabledError,
     InvalidArgumentError,
     NonFiniteSystemError,
+    NumericalError,
     UnsupportedGroupError,
 )
 from .linalg import DEFAULT_TOL, ToleranceConfig
@@ -290,7 +291,7 @@ def build(t: GroupType, tol: ToleranceConfig = DEFAULT_TOL,
     simple = L  # rows are unit simple roots realizing the Gram matrix
 
     if np.abs(simple @ simple.T - G).max() > 1e-9:
-        raise InvalidArgumentError("Cholesky construction failed the Gram check")
+        raise NumericalError("Cholesky construction failed the Gram check")
 
     all_roots = generate_roots(simple, tol)
     expected = _ROOT_COUNT[t.family](t.rank, t.m)
@@ -302,7 +303,7 @@ def build(t: GroupType, tol: ToleranceConfig = DEFAULT_TOL,
     # weights must lie in the closed fundamental chamber
     prods = weights @ simple.T  # (i, j) -> (omega_i, alpha_j)
     if prods.min() < -1e-9:
-        raise InvalidArgumentError("fundamental weights fell outside the chamber")
+        raise NumericalError("fundamental weights fell outside the chamber")
 
     simple = simple.copy()
     simple.setflags(write=False)

@@ -3,8 +3,12 @@
 Measure-valued identities compare a floating-point left-hand side against
 an exact integer fraction; the pass rule is |lhs - rhs| <= 1e-9 when every
 cone involved was measured exactly, and 4 * combined standard error when
-Monte Carlo was involved.  Count-valued identities must hit their expected
-integer on every generic trial, with no tolerance.
+Monte Carlo was involved.  The combined standard error follows how the
+estimates were sampled: estimates of one congruence class are one draw, so
+their coefficients add before their stderr is applied, and only distinct
+classes, which draw independent streams, add variances.  Count-valued
+identities must hit their expected integer on every generic trial, with no
+tolerance.
 
 Genericity is enforced by margin-and-resample: a trial point that lands
 within the configured relative margin of any reflection hyperplane or any
@@ -20,9 +24,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .angles import DEFAULT_MC, McConfig, measure
+from .angles import DEFAULT_MC, MC_SIGMAS, AngleEstimate, McConfig, measure
 from .cones import SimplicialCone, chamber, dual, face, quotient, quotient_dual
-from .errors import GenericityError, InvalidArgumentError
+from .errors import GenericityError, InvalidArgumentError, NumericalError
 from .groups import (Group, normalizer_of_span, parabolic_subgroup,
                      regular_count, subspace_orbits)
 from .linalg import DEFAULT_TOL, Subspace, ToleranceConfig
@@ -122,10 +126,28 @@ def _count_inside(coords: np.ndarray, band) -> int | None:
     return int(np.count_nonzero((coords > band).all(axis=1)))
 
 
-def _pass_rule(abs_error: float, stderr: float) -> tuple[bool, str]:
-    if stderr == 0.0:
+def _pass_rule(abs_error: float, stderr: float,
+               monte_carlo: bool) -> tuple[bool, str]:
+    if not monte_carlo:
         return abs_error <= EXACT_TOL, f"exact: |lhs - rhs| <= {EXACT_TOL:g}"
-    return abs_error <= 4.0 * stderr, "mc: |lhs - rhs| <= 4 * combined_stderr"
+    return (abs_error <= MC_SIGMAS * stderr,
+            f"mc: |lhs - rhs| <= {MC_SIGMAS:g} * combined_stderr")
+
+
+def _combined_stderr(terms) -> float:
+    """Stderr of sum(coefficient * estimate) over (coefficient, estimate)
+    pairs.
+
+    Estimates sharing a congruence key are one draw with one error, so
+    their coefficients add before multiplying that class's stderr; distinct
+    classes are independent, so their variances add.  Exact estimates
+    contribute nothing.
+    """
+    by_class: dict[bytes, list[float]] = {}
+    for coefficient, est in terms:
+        if est.key is not None:
+            by_class.setdefault(est.key, [0.0, est.stderr])[0] += coefficient
+    return math.sqrt(sum((c * s) ** 2 for c, s in by_class.values()))
 
 
 def _measure_report(name: str, rs: RootSystem, k: int | None, lhs: float,
@@ -134,7 +156,7 @@ def _measure_report(name: str, rs: RootSystem, k: int | None, lhs: float,
                     rule_suffix: str = "") -> VerificationReport:
     num, den = rhs  # kept unreduced so reports show the raw counts
     abs_error = abs(lhs - num / den)
-    ok, rule = _pass_rule(abs_error, stderr)
+    ok, rule = _pass_rule(abs_error, stderr, monte_carlo=samples > 0)
     return VerificationReport(
         identity_name=name, group=str(rs.group_type), k=k, lhs=lhs,
         rhs_numerator=num, rhs_denominator=den,
@@ -187,19 +209,21 @@ def verify_main(rs: RootSystem, g: Group, k: int, mc: McConfig = DEFAULT_MC,
     if not 0 <= k <= n:
         raise InvalidArgumentError(f"k must be in 0..{n}")
     ch = chamber(rs)
-    lhs, var, samples = 0.0, 0.0, 0
+    lhs, samples = 0.0, 0
+    terms: list[tuple[float, AngleEstimate]] = []
     breakdown = []
     for I in itertools.combinations(range(n), k):
         a = measure(face(ch, I, tol), mc, tol)
         b = measure(quotient_dual(ch, I, tol), mc, tol)
         term = a.value * b.value
+        # linearized: d(ab) = b da + a db
+        terms += [(b.value, a), (a.value, b)]
         s = math.sqrt((a.value * b.stderr) ** 2 + (b.value * a.stderr) ** 2)
         lhs += term
-        var += s * s
         samples = max(samples, a.samples, b.samples)
         breakdown.append((f"I={_fmt_subset(I)}", term, s))
     rhs = (g.counts_by_fixed_dim[k], g.order)
-    return _measure_report("main", rs, k, lhs, rhs, math.sqrt(var),
+    return _measure_report("main", rs, k, lhs, rhs, _combined_stderr(terms),
                            mc.seed, samples, breakdown)
 
 
@@ -209,21 +233,19 @@ def verify_equiv_measure(rs: RootSystem, g: Group, cls, mc: McConfig = DEFAULT_M
     |W_F| / |N_F| for the class representative."""
     cls = sorted(tuple(sorted(int(i) for i in J)) for J in cls)
     ch = chamber(rs)
-    lhs, var, samples = 0.0, 0.0, 0
-    breakdown = []
-    for J in cls:
-        est = measure(face(ch, J, tol), mc, tol)
-        lhs += est.value
-        var += est.stderr ** 2
-        samples = max(samples, est.samples)
-        breakdown.append((f"sigma(F_{_fmt_subset(J)})", est.value, est.stderr))
+    ests = [measure(face(ch, J, tol), mc, tol) for J in cls]
+    lhs = sum(est.value for est in ests)
+    samples = max(est.samples for est in ests)
+    breakdown = [(f"sigma(F_{_fmt_subset(J)})", est.value, est.stderr)
+                 for J, est in zip(cls, ests)]
     rep = cls[0]
     w_f = parabolic_subgroup(g, rep)
     span = Subspace.from_spanning(rs.fundamental_weights[list(rep)], ambient_dim=rs.n)
     n_f = normalizer_of_span(g, span)
     rhs = (len(w_f), len(n_f))
     return _measure_report("equiv-measure", rs, len(rep), lhs, rhs,
-                           math.sqrt(var), mc.seed, samples, breakdown)
+                           _combined_stderr((1.0, est) for est in ests),
+                           mc.seed, samples, breakdown)
 
 
 def verify_class_sum(rs: RootSystem, g: Group, k: int,
@@ -284,7 +306,7 @@ def verify_waldspurger_partition(rs: RootSystem, g: Group,
         x = np.linalg.solve(one_minus, v)          # (m, n), one row per regular w
         resid = np.abs(np.einsum("mij,mj->mi", one_minus, x) - v).max()
         if resid > 1e-8 * np.linalg.norm(v):
-            raise InvalidArgumentError("linear solve residual too large")
+            raise NumericalError("linear solve residual too large")
         return _count_inside(x @ alpha.T,
                              margin * np.linalg.norm(x, axis=1, keepdims=True))
 
@@ -420,14 +442,12 @@ def verify_face_decomposition(rs: RootSystem, g: Group, I,
 
     gen_mats = _collect_faces_in_span(rs, g, I, tol)
     cones = [SimplicialCone.from_generators(gm, tol=tol) for gm in gen_mats]
-    lhs, var, samples = 0.0, 0.0, 0
+    ests = [measure(c, mc, tol) for c in cones]
+    lhs = sum(est.value for est in ests)
+    samples = max(est.samples for est in ests)
     breakdown = [(f"I={_fmt_subset(I)}", float(len(I)), 0.0)]
-    for i, c in enumerate(cones):
-        est = measure(c, mc, tol)
-        lhs += est.value
-        var += est.stderr ** 2
-        samples = max(samples, est.samples)
-        breakdown.append((f"piece {i}", est.value, est.stderr))
+    breakdown += [(f"piece {i}", est.value, est.stderr)
+                  for i, est in enumerate(ests)]
 
     U = Subspace.from_spanning(rs.fundamental_weights[list(I)], ambient_dim=n)
     B = U.orthonormal_basis
@@ -445,7 +465,8 @@ def verify_face_decomposition(rs: RootSystem, g: Group, I,
     breakdown.append(("containment_failures", float(bad), 0.0))
     breakdown.append(("num_pieces", float(len(cones)), 0.0))
     return _measure_report(
-        "decomposition", rs, k, lhs, (1, 1), math.sqrt(var),
+        "decomposition", rs, k, lhs, (1, 1),
+        _combined_stderr((1.0, est) for est in ests),
         sampler.seed, samples, breakdown, extra_ok=(bad == 0),
         rule_suffix="; and every generic point of U in exactly one piece")
 

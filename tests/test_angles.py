@@ -5,7 +5,8 @@ import pytest
 
 import ccl
 from ccl.angles import (CHUNK_SIZE, AngleEstimate, AngleMethod, McConfig,
-                        count_nonnegative, measure, mc_fraction)
+                        _measure_class, congruence_key, count_nonnegative,
+                        measure, mc_fraction)
 from ccl.cones import SimplicialCone, chamber, dual, face, image_cone
 
 MC = McConfig(samples=200_000, seed=42)
@@ -154,10 +155,12 @@ def test_count_nonnegative_boundary():
     assert count_nonnegative(pts, np.eye(2), eps) == 3
 
 
-@pytest.mark.parametrize("spec,hits", [("F4", 184), ("A5", 297), ("B4", 560)])
+@pytest.mark.parametrize("spec,hits", [("F4", 180), ("A5", 265), ("B4", 501)],
+                         ids=["F4", "A5", "B4"])
 def test_mc_pinned_counts(spec, hits, built):
-    # Pins the sample stream and the hit test together: any change to either
-    # moves these counts, and with them every Monte Carlo report.
+    # Pins the per-class sample stream, the canonical cone and the hit test
+    # together: any change to one moves these counts, and with them every
+    # Monte Carlo report.
     rs, _ = built(spec)
     est = measure(chamber(rs), MC)
     assert est.value == hits / MC.samples
@@ -179,9 +182,59 @@ def test_mc_changes_with_seed():
 
 def test_mc_worker_count_does_not_change_result():
     c = SimplicialCone.from_generators(np.eye(4) + 0.1)
-    vals = {measure(c, McConfig(samples=300_000, seed=9, workers=w)).value
-            for w in (1, 2, 4, 7)}
+    vals = set()
+    for w in (1, 2, 4, 7):
+        _measure_class.cache_clear()      # measure afresh through the pool
+        vals.add(measure(c, McConfig(samples=300_000, seed=9, workers=w)).value)
+        assert _measure_class.cache_info().misses == 1
     assert len(vals) == 1
+
+
+def test_mc_congruent_cones_share_one_estimate(built):
+    rs, g = built("F4")
+    d = dual(chamber(rs))
+    base = measure(d, MC)
+    for i in (1, 17, 500, 1151):
+        assert measure(image_cone(g.elements[i], d), MC) == base
+
+
+def test_mc_permuted_generators_share_one_estimate():
+    gens = np.eye(4) + 0.3 * np.tri(4)
+    base = measure(SimplicialCone.from_generators(gens), MC)
+    for perm in ((3, 2, 1, 0), (1, 0, 3, 2), (2, 3, 0, 1)):
+        c = SimplicialCone.from_generators(gens[list(perm)])
+        assert congruence_key(c) == base.key
+        assert measure(c, MC) == base
+    # scaling a generator changes neither the cone nor its key
+    scaled = SimplicialCone.from_generators(gens * np.array([[2.0], [1], [5], [1]]))
+    assert measure(scaled, MC) == base
+    # a cone of another class gets another key
+    assert congruence_key(SimplicialCone.from_generators(np.eye(4))) != base.key
+
+
+def test_mc_memo_is_order_independent():
+    cones = [SimplicialCone.from_generators(np.eye(4) + t) for t in (0.0, 0.1, 0.2)]
+    mc = McConfig(samples=50_000, seed=11)
+    _measure_class.cache_clear()
+    forward = [measure(c, mc) for c in cones]
+    _measure_class.cache_clear()
+    backward = [measure(c, mc) for c in reversed(cones)][::-1]
+    assert forward == backward
+
+
+def test_mc_no_hits_has_nonzero_stderr(built):
+    # an F4 chamber holds 1/1152 of the directions: 1 000 samples see none
+    rs, _ = built("F4")
+    est = measure(chamber(rs), McConfig(samples=1_000, seed=42))
+    assert est.value == 0.0
+    assert est.stderr == 4.0 / (1_000 + 16.0)
+    assert est.value + 4 * est.stderr >= 1 / 1152
+
+
+def test_mc_all_hits_has_nonzero_stderr():
+    p, se = mc_fraction(lambda z: np.ones(len(z), dtype=bool), 4,
+                        McConfig(samples=1_000))
+    assert p == 1.0 and se == 4.0 / (1_000 + 16.0)
 
 
 def test_mc_partial_final_chunk():

@@ -153,6 +153,32 @@ def test_runtime_error_exit_three(tmp_path, capsys, monkeypatch):
     assert "generic point" in captured.err
 
 
+def test_numerical_error_exit_three(tmp_path, capsys, monkeypatch):
+    # a failed internal numerical check is a runtime fault, not a usage error
+    cholesky = np.linalg.cholesky
+    monkeypatch.setenv("CCL_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(np.linalg, "cholesky", lambda G: 1.01 * cholesky(G))
+    rc = main(["counts", "--group", "A2"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert "Gram check" in captured.err
+
+
+def test_verify_matches_report_verdicts(tmp_path):
+    # estimates are pure functions of the cone's class, so a verdict does
+    # not depend on what else the process measured before it
+    common = ["--group", "A5", "--format", "json", "--samples", "20000",
+              "--trials", "20", "--no-cache"]
+    one = run_cli(["verify", "decomposition", "--k", "4"] + common, tmp_path)
+    full = run_cli(["report"] + common, tmp_path)
+    assert one.returncode == 0 and full.returncode == 0
+    docs = [d for d in json.loads(full.stdout)
+            if d["identity"] == "decomposition" and d["k"] == 4]
+    assert len(docs) == 5
+    assert json.loads(one.stdout) == docs
+
+
 def test_invalid_argument_exit_two(tmp_path):
     out = run_cli(["verify", "curious", "--group", "A2", "--samples", "10"],
                   tmp_path)

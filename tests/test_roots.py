@@ -159,3 +159,18 @@ def test_deterministic_construction():
     b = build(GroupType.parse("F4"))
     assert np.array_equal(a.all_roots, b.all_roots)
     assert np.array_equal(a.simple_roots, b.simple_roots)
+
+
+def test_failed_gram_check_is_numerical_error(monkeypatch):
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda G: 1.01 * cholesky(G))
+    with pytest.raises(ccl.NumericalError):
+        build(GroupType.parse("A2"))
+
+
+def test_weights_outside_chamber_is_numerical_error(monkeypatch):
+    import ccl.roots
+    weights = ccl.roots.fundamental_weights
+    monkeypatch.setattr(ccl.roots, "fundamental_weights", lambda s: -weights(s))
+    with pytest.raises(ccl.NumericalError):
+        build(GroupType.parse("A2"))

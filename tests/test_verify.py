@@ -1,10 +1,11 @@
+import statistics
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import ccl
-from ccl.angles import McConfig
+from ccl.angles import McConfig, _measure_class
 from ccl.cones import chamber, membership
 from ccl.verify import (GenericPointSampler, run_suite, verify_class_sum,
                         verify_covering_count, verify_curious,
@@ -85,6 +86,17 @@ def test_main_rejects_bad_k(built):
         verify_main(rs, g, 5)
 
 
+def test_main_mc_with_no_hits_is_judged_by_the_mc_rule(built):
+    # at 1 000 samples no direction lands in the H4 chamber (1/14400 of
+    # them): the estimate is 0 with a non-zero stderr and the 4-sigma rule
+    rs, g = built("H4")
+    r = verify_main(rs, g, 4, McConfig(samples=1_000))
+    assert r.lhs == 0.0 and r.samples == 1_000
+    assert r.combined_stderr > 0.0
+    assert r.tolerance_rule.startswith("mc:")
+    assert r.passed
+
+
 # ---------------------------------------------------------------------------
 # waldspurger partition
 
@@ -115,6 +127,13 @@ def test_waldspurger_trials(spec, built):
     assert r.passed
     assert r.lhs == 0.0
     assert (r.rhs_numerator, r.rhs_denominator) == (1, 1)
+
+
+def test_waldspurger_solve_failure_is_numerical_error(built, monkeypatch):
+    rs, g = built("A2")
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.zeros(np.shape(a)[:2]))
+    with pytest.raises(ccl.NumericalError):
+        verify_waldspurger_partition(rs, g, sampler(), trials=5)
 
 
 @pytest.mark.parametrize("spec", ["A2", "B2", "I2(6)", "I2(9)", "A3", "B3", "H3"])
@@ -293,6 +312,37 @@ def test_run_suite_covers_everything(built):
     assert all(r.passed for r in reports)
     mains = [r for r in reports if r.identity_name == "main"]
     assert sorted(r.k for r in mains) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("spec,runs", [("F4", 2), ("A5", 8)])
+def test_run_suite_distinct_mc_runs(spec, runs, built):
+    # one Monte Carlo run per congruence class of measured cones: F4 measures
+    # only its chamber and dual chamber classes, however many copies
+    rs, g = built(spec)
+    _measure_class.cache_clear()
+    reports = run_suite(rs, g, mc=McConfig(samples=20_000), trials=20)
+    assert _measure_class.cache_info().misses == runs
+    assert all(r.passed for r in reports)
+
+
+def test_calibration_seed_sweep(built):
+    # err/stderr over seeds must look like a unit normal: estimates of one
+    # congruence class share an error, so a stderr that added their
+    # variances as if independent would be too small and this would fail
+    rs, g = built("A5")
+    ratios = []
+    for seed in range(20):
+        mc = McConfig(samples=20_000, seed=seed)
+        reports = [verify_face_decomposition(rs, g, (0, 1, 2, 3), mc,
+                                             sampler(seed)),
+                   verify_main(rs, g, 1, mc), verify_main(rs, g, 4, mc)]
+        reports += [verify_equiv_measure(rs, g, cls, mc)
+                    for cls in ccl.subspace_orbits(g, 4)]
+        for r in reports:
+            assert r.passed, (seed, r.identity_name, r.k)
+            err = r.lhs - r.rhs_numerator / r.rhs_denominator
+            ratios.append(err / r.combined_stderr)
+    assert 0.5 <= statistics.pstdev(ratios) <= 1.6
 
 
 def test_run_suite_restricted_k(built):
