@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateConeError, InvalidArgumentError
+from .errors import DegenerateConeError, InvalidArgumentError, NumericalError
 from .linalg import DEFAULT_TOL, Subspace, ToleranceConfig
 from .roots import RootSystem
 
@@ -112,7 +112,7 @@ def face(c: SimplicialCone, I, tol: ToleranceConfig = DEFAULT_TOL) -> Simplicial
     rest = [j for j in range(n) if j not in I]
     normals = Subspace.from_spanning(c.dual_basis[rest], ambient_dim=n, tol=tol)
     if np.abs(f.span.projector() - normals.complement().projector()).max() > 1e-9:
-        raise InvalidArgumentError("face span does not match facet intersection")
+        raise NumericalError("face span does not match facet intersection")
     return f
 
 
@@ -143,11 +143,11 @@ def quotient_dual(c: SimplicialCone, I,
     qd = SimplicialCone.from_generators(c.dual_basis[rest], ambient_dim=n, tol=tol)
     q = quotient(c, I, tol)
     if q.dim != qd.dim:
-        raise InvalidArgumentError("quotient/quotient-dual dimension mismatch")
+        raise NumericalError("quotient/quotient-dual dimension mismatch")
     if q.dim:
         # dual of the quotient within its span is the cone on q.dual_basis
         if _direction_mismatch(q.dual_basis, qd.generators) > 1e-8:
-            raise InvalidArgumentError(
+            raise NumericalError(
                 "quotient dual disagrees with dual-of-quotient within the span")
     return qd
 

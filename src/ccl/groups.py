@@ -5,16 +5,21 @@ exact even though the matrices are floating point.  Enumeration is a
 breadth-first closure of the simple reflections with a fixed generator
 order and lexicographic tie-breaking inside each word-length layer, so
 element indices are stable across runs.
+
+A Group holds its elements as stacked arrays (permutations, matrices, word
+lengths, fixed-space dimensions).  The per-element ``Group.elements`` list
+is built from those arrays on first access only.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import GroupTooLargeError, InvalidArgumentError
+from .errors import GroupTooLargeError, InvalidArgumentError, NumericalError
 from .linalg import DEFAULT_TOL, Subspace, ToleranceConfig, kernel_dimension
 from .roots import RootSystem
 
@@ -43,21 +48,28 @@ class GroupElement:
 
 @dataclass
 class Group:
-    """The enumerated reflection group together with cached batch data."""
+    """The enumerated reflection group, held as stacked per-element arrays."""
 
     root_system: RootSystem
-    elements: list[GroupElement]
     order: int
     counts_by_fixed_dim: tuple[int, ...]
     simple_reflection_ids: tuple[int, ...]
     fixed_dims: np.ndarray = field(repr=False)        # (order,)
-    matrix_stack: np.ndarray = field(repr=False)      # (order, n, n)
+    matrix_stack: np.ndarray = field(repr=False)      # (order, n, n) read-only
     perm_stack: np.ndarray = field(repr=False)        # (order, num_roots) int32
+    word_lengths: np.ndarray = field(repr=False)      # (order,)
     _index: dict[bytes, int] = field(repr=False, default_factory=dict)
 
     @property
     def n(self) -> int:
         return self.root_system.n
+
+    @cached_property
+    def elements(self) -> list[GroupElement]:
+        """One GroupElement per index, built from the stacks on first access."""
+        return [GroupElement(tuple(p), m, w) for p, m, w in
+                zip(self.perm_stack.tolist(), self.matrix_stack,
+                    self.word_lengths.tolist())]
 
     def index_of(self, perm) -> int:
         key = np.asarray(perm, dtype=np.int32).tobytes()
@@ -206,29 +218,25 @@ def _assemble_group(rs: RootSystem, perm_stack: np.ndarray,
     eye = np.eye(n)
     ortho_err = np.abs(np.einsum("kij,kil->kjl", mats, mats) - eye).max()
     if ortho_err > 1e-9:
-        raise InvalidArgumentError(
+        raise NumericalError(
             f"reconstructed matrices not orthogonal (err {ortho_err:.2e})")
+    mats.setflags(write=False)
 
-    fixed = np.array([kernel_dimension(eye - mats[k], tol) for k in range(order)])
-    counts = tuple(int(np.sum(fixed == k)) for k in range(n + 1))
-
-    elements = [
-        GroupElement(tuple(int(v) for v in perm_stack[k]), mats[k], word_lengths[k])
-        for k in range(order)
-    ]
-    for el in elements:
-        el.matrix.setflags(write=False)
+    # dim ker(1 - w) for every w at once, by the rule of kernel_dimension
+    sv = np.linalg.svd(eye - mats, compute_uv=False)
+    fixed = (sv < tol.eps_rank).sum(axis=1)
+    counts = tuple(int(c) for c in np.bincount(fixed, minlength=n + 1))
 
     sid = tuple(index[gen_perms[j].tobytes()] for j in range(n))
     return Group(
         root_system=rs,
-        elements=elements,
         order=order,
         counts_by_fixed_dim=counts,
         simple_reflection_ids=sid,
         fixed_dims=fixed,
         matrix_stack=mats,
         perm_stack=perm_stack,
+        word_lengths=np.asarray(word_lengths, dtype=np.int32),
         _index=index,
     )
 
@@ -285,7 +293,7 @@ def parabolic_subgroup(g: Group, I) -> Subgroup:
     else:
         fixator = tuple(range(g.order))
     if fixator != indices:
-        raise InvalidArgumentError(
+        raise NumericalError(
             "parabolic subgroup does not match the pointwise fixator")
     return Subgroup(g, indices)
 

@@ -1,3 +1,4 @@
+import base64
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import ccl
-from ccl.cache import cache_path_for, load_group, save_group
+from ccl.cache import PERM_DTYPE, cache_path_for, load_group, save_group
 from ccl.cli import main
 
 
@@ -165,6 +166,18 @@ def test_numerical_error_exit_three(tmp_path, capsys, monkeypatch):
     assert "Gram check" in captured.err
 
 
+def test_consistency_check_exit_three(tmp_path, capsys, monkeypatch):
+    # a failed internal consistency check exits 3 like any numerical fault
+    inv = np.linalg.inv
+    monkeypatch.setenv("CCL_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(np.linalg, "inv", lambda M: 1.01 * inv(M))
+    rc = main(["counts", "--group", "A2", "--no-cache"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert "not orthogonal" in captured.err
+
+
 def test_verify_matches_report_verdicts(tmp_path):
     # estimates are pure functions of the cone's class, so a verdict does
     # not depend on what else the process measured before it
@@ -188,6 +201,15 @@ def test_invalid_argument_exit_two(tmp_path):
 
 # ---------------------------------------------------------------------------
 # cache layer
+
+def _decode_table(doc) -> np.ndarray:
+    raw = base64.b64decode(doc["permutations"])
+    return np.frombuffer(raw, dtype=PERM_DTYPE).reshape(doc["perm_shape"]).copy()
+
+
+def _encode_table(perms: np.ndarray) -> str:
+    return base64.b64encode(perms.astype(PERM_DTYPE).tobytes()).decode("ascii")
+
 
 def test_cache_save_load_identical(tmp_path):
     rs = ccl.build(ccl.GroupType.parse("B3"))
@@ -229,8 +251,9 @@ def test_cache_rejects_tampered_perms(tmp_path):
     path = tmp_path / "a2.json"
     save_group(g, path)
     doc = json.loads(path.read_text())
-    doc["permutations"][1], doc["permutations"][2] = (
-        doc["permutations"][2], doc["permutations"][1])
+    perms = _decode_table(doc)
+    perms[[1, 2]] = perms[[2, 1]]
+    doc["permutations"] = _encode_table(perms)
     # swapping two layer-1 elements breaks the documented BFS tie-break
     # order but still forms the same set; counts stay valid, so loading
     # succeeds only if the stored order is reproduced exactly
@@ -249,6 +272,93 @@ def test_cache_rejects_corrupt_counts(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ccl.CacheError):
         load_group(rs, path)
+
+
+def test_cache_round_trip_h4(tmp_path):
+    rs = ccl.build(ccl.GroupType.parse("H4"), enable_h4=True)
+    g = ccl.enumerate_group(rs)
+    path = tmp_path / "h4.json"
+    save_group(g, path)
+    assert "elements" not in vars(g)      # saved from the stacks alone
+    g2 = load_group(rs, path)
+    assert g2.perm_stack.dtype == g.perm_stack.dtype
+    assert np.array_equal(g2.perm_stack, g.perm_stack)
+    assert np.array_equal(g2.word_lengths, g.word_lengths)
+    assert np.array_equal(g2.matrix_stack, g.matrix_stack)
+    assert g2.counts_by_fixed_dim == g.counts_by_fixed_dim
+
+
+def _truncate(doc):
+    doc["permutations"] = doc["permutations"][:-3]
+
+
+def _wrong_shape(doc):
+    doc["perm_shape"] = [doc["perm_shape"][0] - 1, doc["perm_shape"][1]]
+
+
+def _out_of_range(doc):
+    perms = _decode_table(doc)
+    perms[3, 0] = perms.shape[1]
+    doc["permutations"] = _encode_table(perms)
+
+
+def _no_roots(doc):
+    del doc["roots"]
+
+
+def _schema_one(doc):
+    doc["schema_version"] = 1
+    doc["permutations"] = _decode_table(doc).tolist()
+    del doc["perm_shape"]
+
+
+@pytest.mark.parametrize("tamper", [_truncate, _wrong_shape, _out_of_range,
+                                    _no_roots, _schema_one],
+                         ids=["truncated", "wrong-shape", "out-of-range",
+                              "no-roots", "schema-1"])
+def test_cache_rejects_malformed_table(tmp_path, tamper):
+    rs = ccl.build(ccl.GroupType.parse("B3"))
+    path = tmp_path / "b3.json"
+    save_group(ccl.enumerate_group(rs), path)
+    doc = json.loads(path.read_text())
+    tamper(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ccl.CacheError):
+        load_group(rs, path)
+
+
+def test_cache_rejects_non_object(tmp_path):
+    rs = ccl.build(ccl.GroupType.parse("A2"))
+    path = tmp_path / "a2.json"
+    path.write_text("[]")
+    with pytest.raises(ccl.CacheError):
+        load_group(rs, path)
+
+
+def test_rejected_cache_is_named_on_stderr(tmp_path):
+    rs = ccl.build(ccl.GroupType.parse("B3"))
+    path = cache_path_for(rs.group_type, tmp_path / "cache")
+    save_group(ccl.enumerate_group(rs), path)
+    doc = json.loads(path.read_text())
+    _schema_one(doc)
+    path.write_text(json.dumps(doc))
+    args = ["verify", "curious", "--group", "B3", "--format", "json"]
+    stale = run_cli(args, tmp_path)
+    fresh = run_cli(args + ["--no-cache"], tmp_path)
+    assert stale.returncode == 0 and fresh.returncode == 0
+    assert stale.stdout == fresh.stdout
+    assert str(path) in stale.stderr and "ccl build" in stale.stderr
+    assert fresh.stderr == ""
+
+
+def test_cache_hit_report_identical(tmp_path):
+    args = ["report", "--group", "F4", "--samples", "20000", "--format", "json"]
+    assert run_cli(["build", "--group", "F4"], tmp_path).returncode == 0
+    hit = run_cli(args, tmp_path)
+    fresh = run_cli(args + ["--no-cache"], tmp_path)
+    assert hit.returncode == 0 and fresh.returncode == 0
+    assert hit.stderr == ""
+    assert hit.stdout == fresh.stdout
 
 
 def test_cache_path_uses_env(tmp_path, monkeypatch):

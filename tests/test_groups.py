@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -9,7 +10,8 @@ from ccl.groups import (enumerate_group, fixed_space_dim,
                         group_from_perm_stack, normalizer_of_span,
                         parabolic_subgroup, regular_count, solomon_check,
                         subspace_orbits)
-from ccl.linalg import Subspace
+from ccl.linalg import Subspace, kernel_dimension
+from ccl.roots import SUPPORTED_TYPES
 
 ORDERS = {
     "A1": 2, "A2": 6, "A3": 24, "A4": 120, "A5": 720,
@@ -206,6 +208,28 @@ def test_fixed_space_dim_coxeter_element_a2(built):
     assert abs(tr - 2 * math.cos(2 * math.pi / 3)) <= 1e-9
 
 
+@pytest.mark.parametrize("spec", [str(t) for t in SUPPORTED_TYPES])
+def test_batched_fixed_dims_match_kernel_dimension(spec, built):
+    rs, g = built(spec)
+    eye = np.eye(rs.n)
+    per_element = [kernel_dimension(eye - m, rs.tol) for m in g.matrix_stack]
+    assert g.fixed_dims.tolist() == per_element
+
+
+def test_matrix_stack_read_only_and_elements_lazy(built):
+    rs, _ = built("B3")
+    g = enumerate_group(rs)
+    assert not g.matrix_stack.flags.writeable
+    with pytest.raises(ValueError):
+        g.matrix_stack[0, 0, 0] = 2.0
+    assert "elements" not in vars(g)
+    els = g.elements
+    assert g.elements is els
+    assert [e.perm for e in els] == [tuple(p) for p in g.perm_stack.tolist()]
+    assert [e.word_length for e in els] == g.word_lengths.tolist()
+    assert not els[1].matrix.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # Solomon formula
 
@@ -239,6 +263,16 @@ def test_parabolic_extremes(built):
     rs, g = built("B3")
     assert len(parabolic_subgroup(g, range(rs.n))) == 1
     assert len(parabolic_subgroup(g, ())) == g.order
+
+
+def test_parabolic_fixator_mismatch_is_numerical_error(built):
+    # generators listed out of order no longer generate the fixator of the
+    # face span: an internal fault, not a usage error
+    _, g = built("B3")
+    wrong = dataclasses.replace(
+        g, simple_reflection_ids=g.simple_reflection_ids[::-1])
+    with pytest.raises(ccl.NumericalError):
+        parabolic_subgroup(wrong, {0})
 
 
 def test_parabolic_a2_single_index(built):
