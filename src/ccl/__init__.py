@@ -8,20 +8,18 @@ angle identities with exact integer right-hand sides.
 
 __version__ = "0.1.0"
 
-from .angles import AngleEstimate, AngleMethod, McConfig, measure, mc_fraction
-from .cones import (Membership, SimplicialCone, chamber, direct_sum, dual, face,
-                    image_cone, map_cone, membership, quotient, quotient_dual)
+from .angles import AngleEstimate, AngleMethod, McConfig, measure
+from .cones import (SimplicialCone, chamber, dual, face, quotient,
+                    quotient_dual)
 from .errors import (CacheError, CclError, DegenerateConeError,
-                     FeatureDisabledError, GenericityError,
-                     GroupTooLargeError, InvalidArgumentError,
-                     NonFiniteSystemError, NumericalError, SingularMatrixError,
-                     UnsupportedGroupError)
-from .groups import (Group, GroupElement, Subgroup, enumerate_group,
-                     fixed_space_dim, group_from_perm_stack,
+                     GenericityError, GroupTooLargeError,
+                     InvalidArgumentError, NonFiniteSystemError,
+                     NumericalError, UnsupportedGroupError)
+from .groups import (Group, Subgroup, enumerate_group, group_from_perm_stack,
                      normalizer_of_span, parabolic_subgroup, regular_count,
                      solomon_check, subspace_orbits)
 from .linalg import (DEFAULT_TOL, Subspace, ToleranceConfig, kernel_dimension,
-                     orthogonal_projector, solve_linear)
+                     orthogonal_projector)
 from .roots import (SUPPORTED_TYPES, GroupType, RootSystem, build,
                     fundamental_weights, generate_roots)
 from .verify import (SUITE_IDENTITIES, GenericPointSampler,

@@ -34,7 +34,7 @@ from .cones import SimplicialCone
 from .linalg import DEFAULT_TOL, ToleranceConfig
 
 __all__ = ["AngleMethod", "AngleEstimate", "McConfig", "measure",
-           "mc_fraction", "count_nonnegative", "congruence_key"]
+           "count_nonnegative", "congruence_key"]
 
 # Samples per chunk.  Part of the sample stream's definition: changing it
 # changes every Monte Carlo estimate for a fixed seed.
@@ -131,7 +131,7 @@ def _chunk_sizes(samples: int) -> list[int]:
 
 
 def _chunked_count(count_fn, dim: int, mc: McConfig,
-                   stream: tuple[int, ...] = ()) -> int:
+                   stream: tuple[int, ...]) -> int:
     """Sum count_fn(points) over deterministic per-chunk Gaussian draws;
     chunk j draws from the child seed (mc.seed, *stream, j)."""
     sizes = _chunk_sizes(mc.samples)
@@ -160,18 +160,6 @@ def _binomial_stderr(hits: int, samples: int) -> float:
         p = hits / samples
         return math.sqrt(p * (1.0 - p) / samples)
     return MC_SIGMAS / (samples + MC_SIGMAS ** 2)
-
-
-def mc_fraction(indicator, dim: int, mc: McConfig = DEFAULT_MC) -> tuple[float, float]:
-    """Fraction of Gaussian directions in R^dim satisfying a vectorized
-    indicator (an (m, dim) array -> boolean mask), with its standard error.
-
-    Chunk j draws from the child seed (seed, j).
-    """
-    if dim < 1:
-        raise InvalidArgumentError("mc_fraction requires dim >= 1")
-    total = _chunked_count(lambda pts: int(np.count_nonzero(indicator(pts))), dim, mc)
-    return total / mc.samples, _binomial_stderr(total, mc.samples)
 
 
 @functools.cache

@@ -4,9 +4,9 @@ Schema 2 keeps ``schema_version``, ``group``, ``roots``,
 ``counts_by_fixed_dim`` and ``metadata`` readable.  The permutation stack
 is one base64 string of little-endian uint16 root indices (``PERM_DTYPE``)
 of shape ``perm_shape``.  Reloading reproduces the enumerated group
-permutation-for-permutation; matrices and word lengths are recomputed
-deterministically from the stored roots and permutations, and every stored
-fact is checked against them.  A file of another schema version (schema 1
+permutation-for-permutation; matrices and fixed-space dimensions are
+recomputed deterministically from the stored roots and permutations, and
+every stored fact is checked against them.  A file of another schema version (schema 1
 stored the permutations as nested integer lists) or any malformed payload
 raises CacheError; ``load_or_enumerate`` then says on stderr why the file
 was ignored and enumerates instead.

@@ -4,9 +4,10 @@ Subcommands: build (enumerate and cache), counts (fixed-dimension table
 plus the exponent product check), verify <identity>, and report (the full
 suite as a JSON array).  Exit codes: 0 all passed, 1 a verification
 failed, 2 usage error (argparse errors, UnsupportedGroupError,
-FeatureDisabledError, InvalidArgumentError), 3 any other CclError raised
-while running (for example GenericityError when no generic point is
-found, or NumericalError when an internal numerical check fails).  Reports go to stdout; diagnostics go to stderr.
+InvalidArgumentError such as --trials below 1 or --k outside 0..n), 3 any
+other CclError raised while running (for example GenericityError when no
+generic point is found, or NumericalError when an internal numerical
+check fails).  Reports go to stdout; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from pathlib import Path
 from . import __version__
 from .angles import McConfig
 from .cache import cache_path_for, load_or_enumerate, save_group
-from .errors import (CclError, FeatureDisabledError, InvalidArgumentError,
-                     UnsupportedGroupError)
+from .errors import CclError, InvalidArgumentError, UnsupportedGroupError
 from .groups import enumerate_group, solomon_check
 from .linalg import ToleranceConfig
 from .roots import SUPPORTED_TYPES, GroupType, build
@@ -46,7 +46,8 @@ def _add_common(p: argparse.ArgumentParser, need_group: bool = True):
     p.add_argument("--no-cache", action="store_true",
                    help="always enumerate in memory")
     p.add_argument("--enable-h4", action="store_true",
-                   help="allow the 14400-element H4 group")
+                   help="accepted and ignored; H4 is supported like every "
+                        "other group")
     p.add_argument("--eps-membership", type=float, default=None)
     p.add_argument("--eps-rank", type=float, default=None)
     p.add_argument("--eps-root-match", type=float, default=None)
@@ -92,7 +93,7 @@ def _tolerances(args) -> ToleranceConfig:
 
 def _get_group(args, tol: ToleranceConfig, spec: str):
     t = GroupType.parse(spec)
-    rs = build(t, tol, enable_h4=args.enable_h4)
+    rs = build(t, tol)
     if args.no_cache:
         return rs, enumerate_group(rs)
     path = args.cache_path or cache_path_for(t)
@@ -128,7 +129,7 @@ def _emit(reports, fmt: str, out) -> None:
 
 def _cmd_build(args, tol) -> int:
     t = GroupType.parse(args.group)
-    rs = build(t, tol, enable_h4=args.enable_h4)
+    rs = build(t, tol)
     g = enumerate_group(rs)
     path = args.cache_path or cache_path_for(t)
     save_group(g, path)
@@ -173,8 +174,7 @@ def _cmd_verify(args, tol) -> int:
 
 def _cmd_report(args, tol) -> int:
     if args.all_groups:
-        specs = [str(t) for t in SUPPORTED_TYPES
-                 if t.family != "H4" or args.enable_h4]
+        specs = [str(t) for t in SUPPORTED_TYPES]
     elif args.group:
         specs = [args.group]
     else:
@@ -215,8 +215,7 @@ def main(argv=None) -> int:
         if args.command == "report":
             return _cmd_report(args, tol)
         raise UnsupportedGroupError(f"unknown command {args.command}")
-    except (UnsupportedGroupError, FeatureDisabledError,
-            InvalidArgumentError) as exc:
+    except (UnsupportedGroupError, InvalidArgumentError) as exc:
         print(f"ccl: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except CclError as exc:

@@ -1,15 +1,14 @@
-"""Simplicial cone algebra: faces, duals, quotients, direct sums, membership.
+"""Simplicial cone algebra: chambers, faces, duals and quotients.
 
 A simplicial cone is stored as its generator rows together with the dual
-(facet-normal) basis inside its own span, so membership reduces to the
-signs of the dual coordinates.  The zero cone (no generators) is a valid
-cone of dimension 0.
+(facet-normal) basis inside its own span, so whether a point of the span
+lies in the cone is read off the signs of its dual coordinates.  The zero
+cone (no generators) is a valid cone of dimension 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -17,15 +16,8 @@ from .errors import DegenerateConeError, InvalidArgumentError, NumericalError
 from .linalg import DEFAULT_TOL, Subspace, ToleranceConfig
 from .roots import RootSystem
 
-__all__ = ["Membership", "SimplicialCone", "chamber", "dual", "face",
-           "quotient", "quotient_dual", "membership", "image_cone",
-           "map_cone", "direct_sum"]
-
-
-class Membership(Enum):
-    INSIDE = "inside"      # relative interior
-    BOUNDARY = "boundary"
-    OUTSIDE = "outside"
+__all__ = ["SimplicialCone", "chamber", "dual", "face", "quotient",
+           "quotient_dual"]
 
 
 @dataclass(frozen=True)
@@ -71,9 +63,6 @@ class SimplicialCone:
     @property
     def ambient_dim(self) -> int:
         return self.generators.shape[1]
-
-    def interior_point(self) -> np.ndarray:
-        return self.generators.sum(axis=0)
 
 
 def chamber(rs: RootSystem) -> SimplicialCone:
@@ -167,63 +156,3 @@ def _direction_mismatch(A: np.ndarray, B: np.ndarray) -> float:
         worst = max(worst, float(d[i]))
     return worst
 
-
-def membership(c: SimplicialCone, v, tol: ToleranceConfig = DEFAULT_TOL) -> Membership:
-    """Classify v against the cone by the signs of its dual coordinates.
-
-    The zero cone contains only the origin.
-    """
-    v = np.asarray(v, dtype=float)
-    eps = tol.eps_membership
-    if c.dim == 0:
-        return Membership.INSIDE if np.linalg.norm(v) <= eps else Membership.OUTSIDE
-    if c.dim < c.ambient_dim and c.span.distance(v) > eps:
-        return Membership.OUTSIDE
-    t = c.dual_basis @ v
-    if np.any(t < -eps):
-        return Membership.OUTSIDE
-    if np.all(t > eps):
-        return Membership.INSIDE
-    return Membership.BOUNDARY
-
-
-def image_cone(w, c: SimplicialCone, tol: ToleranceConfig = DEFAULT_TOL) -> SimplicialCone:
-    """Image of the cone under an orthogonal transformation (GroupElement
-    or orthogonal matrix)."""
-    M = np.asarray(getattr(w, "matrix", w), dtype=float)
-    n = c.ambient_dim
-    if np.abs(M.T @ M - np.eye(n)).max() > 1e-9:
-        raise InvalidArgumentError("image_cone requires an orthogonal map")
-    if c.dim == 0:
-        return c
-    return SimplicialCone.from_generators(c.generators @ M.T, tol=tol)
-
-
-def map_cone(M, c: SimplicialCone, tol: ToleranceConfig = DEFAULT_TOL) -> SimplicialCone:
-    """Image of the cone under a general linear map.
-
-    Raises DegenerateConeError when the image generators are dependent
-    (e.g. (1 - w) for a non-regular w); callers treat that as "does not
-    produce a solid cone".
-    """
-    M = np.asarray(M, dtype=float)
-    if c.dim == 0:
-        return c
-    return SimplicialCone.from_generators(c.generators @ M.T, tol=tol)
-
-
-def direct_sum(f: SimplicialCone, g: SimplicialCone,
-               tol: ToleranceConfig = DEFAULT_TOL) -> SimplicialCone:
-    """Cone on the union of generators of two cones with orthogonal spans."""
-    if f.ambient_dim != g.ambient_dim:
-        raise InvalidArgumentError("direct_sum requires a common ambient space")
-    if f.dim and g.dim:
-        cross = np.abs(f.span.orthonormal_basis @ g.span.orthonormal_basis.T).max()
-        if cross > 1e-9:
-            raise InvalidArgumentError("spans are not orthogonal within 1e-9")
-    if f.dim == 0:
-        return g
-    if g.dim == 0:
-        return f
-    return SimplicialCone.from_generators(
-        np.vstack([f.generators, g.generators]), tol=tol)

@@ -9,16 +9,8 @@ class InvalidArgumentError(CclError, ValueError):
     """Degenerate, non-finite, or otherwise malformed input."""
 
 
-class SingularMatrixError(CclError):
-    """Linear solve requested for a (numerically) singular matrix."""
-
-
 class UnsupportedGroupError(CclError, ValueError):
     """Group type outside the supported catalog."""
-
-
-class FeatureDisabledError(CclError):
-    """Feature exists but requires an explicit opt-in flag (H4)."""
 
 
 class NonFiniteSystemError(CclError):

@@ -6,44 +6,27 @@ breadth-first closure of the simple reflections with a fixed generator
 order and lexicographic tie-breaking inside each word-length layer, so
 element indices are stable across runs.
 
-A Group holds its elements as stacked arrays (permutations, matrices, word
-lengths, fixed-space dimensions).  The per-element ``Group.elements`` list
-is built from those arrays on first access only.
+A Group holds its elements as stacked arrays (permutations, matrices,
+fixed-space dimensions); ``Group.index_of`` maps a permutation back to its
+element index.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .errors import GroupTooLargeError, InvalidArgumentError, NumericalError
-from .linalg import DEFAULT_TOL, Subspace, ToleranceConfig, kernel_dimension
+from .linalg import SPAN_MATCH_TOL, Subspace, ToleranceConfig
 from .roots import RootSystem
 
-__all__ = ["GroupElement", "Group", "Subgroup", "enumerate_group",
-           "group_from_perm_stack", "fixed_space_dim", "solomon_check",
-           "parabolic_subgroup", "regular_count", "normalizer_of_span",
-           "subspace_orbits"]
+__all__ = ["Group", "Subgroup", "enumerate_group", "group_from_perm_stack",
+           "solomon_check", "parabolic_subgroup", "regular_count",
+           "normalizer_of_span", "subspace_orbits"]
 
 DEFAULT_ELEMENT_CAP = 20_000
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """One orthogonal transformation, keyed exactly by its root permutation."""
-
-    perm: tuple[int, ...]
-    matrix: np.ndarray
-    word_length: int
-
-    def __eq__(self, other):
-        return isinstance(other, GroupElement) and self.perm == other.perm
-
-    def __hash__(self):
-        return hash(self.perm)
 
 
 @dataclass
@@ -57,19 +40,11 @@ class Group:
     fixed_dims: np.ndarray = field(repr=False)        # (order,)
     matrix_stack: np.ndarray = field(repr=False)      # (order, n, n) read-only
     perm_stack: np.ndarray = field(repr=False)        # (order, num_roots) int32
-    word_lengths: np.ndarray = field(repr=False)      # (order,)
     _index: dict[bytes, int] = field(repr=False, default_factory=dict)
 
     @property
     def n(self) -> int:
         return self.root_system.n
-
-    @cached_property
-    def elements(self) -> list[GroupElement]:
-        """One GroupElement per index, built from the stacks on first access."""
-        return [GroupElement(tuple(p), m, w) for p, m, w in
-                zip(self.perm_stack.tolist(), self.matrix_stack,
-                    self.word_lengths.tolist())]
 
     def index_of(self, perm) -> int:
         key = np.asarray(perm, dtype=np.int32).tobytes()
@@ -77,15 +52,6 @@ class Group:
         if idx is None:
             raise InvalidArgumentError("permutation is not an element of this group")
         return idx
-
-    def compose(self, i: int, j: int) -> int:
-        """Index of elements[i] * elements[j] (apply j first)."""
-        return self.index_of(self.perm_stack[i][self.perm_stack[j]])
-
-    def inverse(self, i: int) -> int:
-        inv = np.empty_like(self.perm_stack[i])
-        inv[self.perm_stack[i]] = np.arange(len(inv), dtype=np.int32)
-        return self.index_of(inv)
 
 
 @dataclass(frozen=True)
@@ -129,13 +95,10 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP,
 
     identity = np.arange(nroots, dtype=np.int32)
     perms: list[np.ndarray] = [identity]
-    word_lengths: list[int] = [0]
     index: dict[bytes, int] = {identity.tobytes(): 0}
 
     layer = [0]
-    depth = 0
     while layer:
-        depth += 1
         discovered: dict[bytes, np.ndarray] = {}
         for idx in layer:
             base = perms[idx]
@@ -151,21 +114,20 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP,
                 raise GroupTooLargeError(f"group exceeds element cap {cap}")
             index[p.tobytes()] = len(perms)
             perms.append(p)
-            word_lengths.append(depth)
             layer.append(len(perms) - 1)
 
     perm_stack = np.array(perms, dtype=np.int32)
-    return _assemble_group(rs, perm_stack, word_lengths, index, gen_perms, tol)
+    return _assemble_group(rs, perm_stack, index, gen_perms, tol)
 
 
 def group_from_perm_stack(rs: RootSystem, perm_stack: np.ndarray,
                           tol: ToleranceConfig | None = None) -> Group:
     """Rebuild a Group from an explicit permutation list (cache reload).
 
-    Element order is preserved; word lengths are recomputed by BFS over the
-    given set.  Raises InvalidArgumentError if the list has duplicates, does
-    not start with the identity, or is not generated by the simple
-    reflections.
+    Element order is preserved.  A breadth-first search from the identity
+    over the given set checks that it is closed under the simple reflections
+    and generated by them.  Raises InvalidArgumentError if the list has
+    duplicates, does not start with the identity, or fails either check.
     """
     tol = tol or rs.tol
     perm_stack = np.asarray(perm_stack, dtype=np.int32)
@@ -179,12 +141,10 @@ def group_from_perm_stack(rs: RootSystem, perm_stack: np.ndarray,
     if (perm_stack[0] != np.arange(nroots, dtype=np.int32)).any():
         raise InvalidArgumentError("element 0 must be the identity")
 
-    word_lengths = [-1] * order
-    word_lengths[0] = 0
+    visited = np.zeros(order, dtype=bool)
+    visited[0] = True
     layer = [0]
-    depth = 0
     while layer:
-        depth += 1
         nxt = []
         for idx in layer:
             for gp in gen_perms:
@@ -192,19 +152,19 @@ def group_from_perm_stack(rs: RootSystem, perm_stack: np.ndarray,
                 if j is None:
                     raise InvalidArgumentError(
                         "element list is not closed under the generators")
-                if word_lengths[j] < 0:
-                    word_lengths[j] = depth
+                if not visited[j]:
+                    visited[j] = True
                     nxt.append(j)
         layer = nxt
-    if min(word_lengths) < 0:
+    if not visited.all():
         raise InvalidArgumentError("element list is not generated by the "
                                    "simple reflections")
-    return _assemble_group(rs, perm_stack, word_lengths, index, gen_perms, tol)
+    return _assemble_group(rs, perm_stack, index, gen_perms, tol)
 
 
 def _assemble_group(rs: RootSystem, perm_stack: np.ndarray,
-                    word_lengths: list[int], index: dict[bytes, int],
-                    gen_perms: np.ndarray, tol: ToleranceConfig) -> Group:
+                    index: dict[bytes, int], gen_perms: np.ndarray,
+                    tol: ToleranceConfig) -> Group:
     n = rs.n
     order = perm_stack.shape[0]
 
@@ -236,15 +196,8 @@ def _assemble_group(rs: RootSystem, perm_stack: np.ndarray,
         fixed_dims=fixed,
         matrix_stack=mats,
         perm_stack=perm_stack,
-        word_lengths=np.asarray(word_lengths, dtype=np.int32),
         _index=index,
     )
-
-
-def fixed_space_dim(w: GroupElement, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """dim ker(1 - w): dimension of the subspace w fixes pointwise."""
-    n = w.matrix.shape[0]
-    return kernel_dimension(np.eye(n) - w.matrix, tol)
 
 
 def solomon_check(g: Group, exps) -> bool:
@@ -289,7 +242,7 @@ def parabolic_subgroup(g: Group, I) -> Subgroup:
     if fixed_pts.shape[0]:
         moved = np.abs(g.matrix_stack @ fixed_pts.T
                        - fixed_pts.T[None, :, :]).max(axis=(1, 2))
-        fixator = tuple(int(i) for i in np.flatnonzero(moved <= 1e-8))
+        fixator = tuple(int(i) for i in np.flatnonzero(moved <= SPAN_MATCH_TOL))
     else:
         fixator = tuple(range(g.order))
     if fixator != indices:
@@ -312,7 +265,7 @@ def normalizer_of_span(g: Group, S: Subspace) -> Subgroup:
     P = S.projector()
     stack = g.matrix_stack
     imgs = stack @ P @ np.transpose(stack, (0, 2, 1))
-    keep = np.abs(imgs - P).max(axis=(1, 2)) <= 1e-8
+    keep = np.abs(imgs - P).max(axis=(1, 2)) <= SPAN_MATCH_TOL
     return Subgroup(g, tuple(int(i) for i in np.flatnonzero(keep)))
 
 
@@ -356,7 +309,7 @@ def subspace_orbits(g: Group, k: int) -> list[list[tuple[int, ...]]]:
         for j in range(len(subsets)):
             if find(i) == find(j):
                 continue
-            if np.abs(orbit - P[j]).max(axis=(1, 2)).min() <= 1e-8:
+            if np.abs(orbit - P[j]).max(axis=(1, 2)).min() <= SPAN_MATCH_TOL:
                 union(i, j)
 
     classes: dict[int, list[tuple[int, ...]]] = {}

@@ -11,15 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, SingularMatrixError
+from .errors import InvalidArgumentError
 
 __all__ = [
     "ToleranceConfig",
     "DEFAULT_TOL",
+    "SPAN_MATCH_TOL",
     "Subspace",
     "kernel_dimension",
     "orthogonal_projector",
-    "solve_linear",
 ]
 
 
@@ -45,6 +45,14 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
+
+# Largest entry-wise difference at which a group element's image of a
+# face-span projector (or of a face's fixed points) still counts as equal
+# to the target.  Over every supported group and face subset, images that
+# match differ by at most 2e-13 and images that do not differ by at least
+# 0.1, so any threshold far from both decides the same; it is a property
+# of the float64 arithmetic, not a user-facing tolerance.
+SPAN_MATCH_TOL = 1e-8
 
 
 def _as_matrix(M) -> np.ndarray:
@@ -119,16 +127,6 @@ class Subspace:
         _, s, vh = np.linalg.svd(self.orthonormal_basis, full_matrices=True)
         return Subspace.from_basis(vh[self.dim:])
 
-    def project(self, v: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of v onto this subspace."""
-        B = self.orthonormal_basis
-        return B.T @ (B @ v) if self.dim else np.zeros_like(np.asarray(v, dtype=float))
-
-    def distance(self, v: np.ndarray) -> float:
-        """Euclidean distance from v to the subspace."""
-        v = np.asarray(v, dtype=float)
-        return float(np.linalg.norm(v - self.project(v)))
-
 
 def kernel_dimension(M, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Dimension of the null space of M, counting singular values below
@@ -148,24 +146,3 @@ def orthogonal_projector(S: Subspace) -> np.ndarray:
         raise InvalidArgumentError("subspace basis is not orthonormal within 1e-9")
     return B.T @ B
 
-
-def solve_linear(M, v, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Solve M x = v for invertible M.
-
-    Raises SingularMatrixError when the smallest singular value of M is at
-    or below eps_rank.  The residual is verified to be <= 1e-8 * ||v||.
-    """
-    M = _as_matrix(M)
-    v = np.asarray(v, dtype=float)
-    if v.shape != (M.shape[0],):
-        raise InvalidArgumentError(f"vector shape {v.shape} does not match matrix {M.shape}")
-    if not np.isfinite(v).all():
-        raise InvalidArgumentError("vector has non-finite entries")
-    s = np.linalg.svd(M, compute_uv=False)
-    if s[-1] <= tol.eps_rank:
-        raise SingularMatrixError(f"smallest singular value {s[-1]:.3e} <= eps_rank")
-    x = np.linalg.solve(M, v)
-    vnorm = np.linalg.norm(v)
-    if np.linalg.norm(M @ x - v) > 1e-8 * max(vnorm, 1e-300):
-        raise SingularMatrixError("solve residual exceeds 1e-8 relative bound")
-    return x

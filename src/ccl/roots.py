@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    FeatureDisabledError,
     InvalidArgumentError,
     NonFiniteSystemError,
     NumericalError,
@@ -275,16 +274,9 @@ def fundamental_weights(simple) -> np.ndarray:
     return W
 
 
-def build(t: GroupType, tol: ToleranceConfig = DEFAULT_TOL,
-          enable_h4: bool = False) -> RootSystem:
-    """Construct the root system for a supported group type.
-
-    H4 has 14400 elements and is gated behind ``enable_h4``.
-    """
+def build(t: GroupType, tol: ToleranceConfig = DEFAULT_TOL) -> RootSystem:
+    """Construct the root system for a supported group type."""
     t = t.validated()
-    if t.family == "H4" and not enable_h4:
-        raise FeatureDisabledError(
-            "H4 is disabled by default (14400 elements); pass enable_h4=True")
 
     G = gram_matrix(t)
     L = np.linalg.cholesky(G)

@@ -29,7 +29,7 @@ from .cones import SimplicialCone, chamber, dual, face, quotient, quotient_dual
 from .errors import GenericityError, InvalidArgumentError, NumericalError
 from .groups import (Group, normalizer_of_span, parabolic_subgroup,
                      regular_count, subspace_orbits)
-from .linalg import DEFAULT_TOL, Subspace, ToleranceConfig
+from .linalg import DEFAULT_TOL, SPAN_MATCH_TOL, Subspace, ToleranceConfig
 from .roots import RootSystem
 
 __all__ = ["VerificationReport", "GenericPointSampler", "verify_curious",
@@ -109,6 +109,15 @@ class GenericPointSampler:
             f"no generic point found within {self.resample_limit} resamples")
 
 
+def _sample_trials(sampler: GenericPointSampler, draw_fn, classify_fn,
+                   trials: int) -> list:
+    """One ``sampler.sample`` result per trial; a check of no trials would
+    pass vacuously, so ``trials`` must be at least 1."""
+    if trials < 1:
+        raise InvalidArgumentError("trials must be >= 1")
+    return [sampler.sample(draw_fn, classify_fn) for _ in range(trials)]
+
+
 def _off_hyperplanes(v: np.ndarray, roots: np.ndarray, margin: float) -> bool:
     return np.abs(roots @ v).min() > margin * np.linalg.norm(v)
 
@@ -168,7 +177,7 @@ def _measure_report(name: str, rs: RootSystem, k: int | None, lhs: float,
 def _count_report(name: str, rs: RootSystem, k: int | None, expected: int,
                   counts: list[int], seed: int, trials: int,
                   breakdown) -> VerificationReport:
-    deviation = max((abs(c - expected) for c in counts), default=0)
+    deviation = max(abs(c - expected) for c in counts)
     return VerificationReport(
         identity_name=name, group=str(rs.group_type), k=k,
         lhs=float(deviation), rhs_numerator=expected, rhs_denominator=1,
@@ -178,8 +187,8 @@ def _count_report(name: str, rs: RootSystem, k: int | None, expected: int,
         passed=deviation == 0, seed=seed, samples=0,
         per_term_breakdown=tuple(breakdown) + (
             ("trials", float(trials), 0.0),
-            ("min_count", float(min(counts, default=expected)), 0.0),
-            ("max_count", float(max(counts, default=expected)), 0.0),
+            ("min_count", float(min(counts)), 0.0),
+            ("max_count", float(max(counts)), 0.0),
         ))
 
 
@@ -310,7 +319,7 @@ def verify_waldspurger_partition(rs: RootSystem, g: Group,
         return _count_inside(x @ alpha.T,
                              margin * np.linalg.norm(x, axis=1, keepdims=True))
 
-    counts = [sampler.sample(draw, classify) for _ in range(trials)]
+    counts = _sample_trials(sampler, draw, classify, trials)
     return _count_report(
         "waldspurger", rs, None, 1, counts, sampler.seed, trials,
         [("regular_elements", float(len(regular)), 0.0),
@@ -339,7 +348,7 @@ def verify_covering_count(rs: RootSystem, g: Group,
         x = np.einsum("i,mij->mj", v, stack)       # rows w^{-1} v
         return _count_inside(x @ omega_hat.T, margin * np.linalg.norm(v))
 
-    counts = [sampler.sample(draw, classify) for _ in range(trials)]
+    counts = _sample_trials(sampler, draw, classify, trials)
     return _count_report(
         "covering", rs, None, expected, counts, sampler.seed, trials,
         [("resamples", float(sampler.resamples), 0.0)])
@@ -359,7 +368,8 @@ def _pairs_spanning(rs: RootSystem, g: Group, I,
     for J in itertools.combinations(range(n), k):
         P = Subspace.from_spanning(W[list(J)], ambient_dim=n).projector()
         imgs = stack @ P @ np.transpose(stack, (0, 2, 1))
-        hits = np.flatnonzero(np.abs(imgs - target).max(axis=(1, 2)) <= 1e-8)
+        hits = np.flatnonzero(
+            np.abs(imgs - target).max(axis=(1, 2)) <= SPAN_MATCH_TOL)
         pairs.extend((int(w), J) for w in hits)
     return pairs, target
 
@@ -396,7 +406,7 @@ def verify_face_oplus_covering(rs: RootSystem, g: Group, I,
             return None
         return _count_inside(duals @ v, margin * np.linalg.norm(v))
 
-    counts = [sampler.sample(draw, classify) for _ in range(trials)]
+    counts = _sample_trials(sampler, draw, classify, trials)
     return _count_report(
         "oplus", rs, k, expected, counts, sampler.seed, trials,
         [(f"I={_fmt_subset(I)} pairs", float(len(pairs)), 0.0),
@@ -460,7 +470,7 @@ def verify_face_decomposition(rs: RootSystem, g: Group, I,
     def classify(v):
         return _count_inside(duals @ v, margin * np.linalg.norm(v))
 
-    containments = [sampler.sample(draw, classify) for _ in range(trials)]
+    containments = _sample_trials(sampler, draw, classify, trials)
     bad = sum(1 for c in containments if c != 1)
     breakdown.append(("containment_failures", float(bad), 0.0))
     breakdown.append(("num_pieces", float(len(cones)), 0.0))
@@ -502,7 +512,7 @@ def verify_parabolic_quotient(rs: RootSystem, g: Group, I,
         def classify(v):
             return _count_inside(duals @ v, margin * np.linalg.norm(v))
 
-        containments = [sampler.sample(draw, classify) for _ in range(trials)]
+        containments = _sample_trials(sampler, draw, classify, trials)
         bad = sum(1 for c in containments if c != 1)
         breakdown.append(("tiling_trials", float(trials), 0.0))
     breakdown.append(("tiling_failures", float(bad), 0.0))
@@ -530,12 +540,17 @@ def run_suite(rs: RootSystem, g: Group, identities=SUITE_IDENTITIES,
               tol: ToleranceConfig = DEFAULT_TOL) -> list[VerificationReport]:
     """Run the requested verifiers over their full parameter range.
 
-    ``k`` restricts the k-indexed identities to a single value when given.
-    Every sampling verifier gets a fresh sampler with the same seed, so the
-    output is independent of which identities run together.
+    ``k`` restricts the k-indexed identities to a single value in 0..n when
+    given.  ``trials`` must be at least 1, even for identities that draw
+    no point.  Every sampling verifier gets a fresh sampler with the same
+    seed, so the output is independent of which identities run together.
     """
     seed = mc.seed if seed is None else seed
     n = rs.n
+    if k is not None and not 0 <= k <= n:
+        raise InvalidArgumentError(f"k must be in 0..{n}")
+    if trials < 1:
+        raise InvalidArgumentError("trials must be >= 1")
     ks = range(n + 1) if k is None else [k]
     subsets = [J for r in ks for J in itertools.combinations(range(n), r)]
 

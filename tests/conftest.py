@@ -10,8 +10,7 @@ def built():
 
     def get(spec: str):
         if spec not in cache:
-            t = ccl.GroupType.parse(spec)
-            rs = ccl.build(t, enable_h4=(t.family == "H4"))
+            rs = ccl.build(ccl.GroupType.parse(spec))
             cache[spec] = (rs, ccl.enumerate_group(rs))
         return cache[spec]
 

@@ -5,12 +5,17 @@ import pytest
 
 import ccl
 from ccl.angles import (CHUNK_SIZE, AngleEstimate, AngleMethod, McConfig,
-                        _measure_class, congruence_key, count_nonnegative,
-                        measure, mc_fraction)
-from ccl.cones import SimplicialCone, chamber, dual, face, image_cone
+                        _binomial_stderr, _measure_class, congruence_key,
+                        count_nonnegative, measure)
+from ccl.cones import SimplicialCone, chamber, dual, face
 
 MC = McConfig(samples=200_000, seed=42)
 MC_BIG = McConfig(samples=1_000_000, seed=42)
+
+
+def image_cone(M, c):
+    """The cone w C for an orthogonal matrix M representing w."""
+    return SimplicialCone.from_generators(c.generators @ M.T)
 
 
 def test_zero_cone_measure_is_one():
@@ -87,7 +92,7 @@ def test_rotation_invariance_exact(built):
     ch = chamber(rs)
     base = measure(ch).value
     for i in np.random.default_rng(2).integers(0, g.order, 10):
-        est = measure(image_cone(g.elements[int(i)], ch))
+        est = measure(image_cone(g.matrix_stack[int(i)], ch))
         assert abs(est.value - base) <= 1e-9
 
 
@@ -95,7 +100,7 @@ def test_rotation_invariance_mc(built):
     rs, g = built("F4")
     d = dual(chamber(rs))
     a = measure(d, McConfig(samples=400_000, seed=7))
-    w = g.elements[g.simple_reflection_ids[0]]
+    w = g.matrix_stack[g.simple_reflection_ids[0]]
     b = measure(image_cone(w, d), McConfig(samples=400_000, seed=8))
     joint = math.hypot(a.stderr, b.stderr)
     assert abs(a.value - b.value) <= 4 * joint
@@ -118,22 +123,28 @@ def test_mc_agrees_with_exact_3d(built):
     assert abs(est.value - exact) <= 4 * est.stderr
 
 
-def test_half_space_fraction():
-    p, se = mc_fraction(lambda z: z[:, 0] >= 0.0, 4, MC)
-    assert abs(p - 0.5) <= 4 * se
+def test_half_space_fraction(built):
+    # a ray holds half of the directions of its own line
+    rs, _ = built("F4")
+    est = measure(face(chamber(rs), (0,)), MC, force_monte_carlo=True)
+    assert est.method is AngleMethod.MONTE_CARLO
+    assert abs(est.value - 0.5) <= 4 * est.stderr
 
 
 def test_f4_chamber_indicator_fraction(built):
+    # the counting kernel on the chamber's own facet normals, with draws
+    # independent of the per-class stream and its canonical cone
     rs, g = built("F4")
     ch = chamber(rs)
-    p, se = mc_fraction(lambda z: (z @ ch.dual_basis.T >= -1e-9).all(axis=1),
-                        4, MC_BIG)
-    assert abs(p - 1 / g.order) <= 4 * se
+    pts = np.random.default_rng(42).standard_normal((1_000_000, 4))
+    hits = count_nonnegative(pts, ch.dual_basis, 1e-9)
+    p = hits / len(pts)
+    assert abs(p - 1 / g.order) <= 4 * math.sqrt(p * (1 - p) / len(pts))
 
 
 def test_orthant_4d_fraction():
-    p, se = mc_fraction(lambda z: (z >= 0.0).all(axis=1), 4, MC_BIG)
-    assert abs(p - 1 / 16) <= 4 * se
+    est = measure(SimplicialCone.from_generators(np.eye(4)), MC_BIG)
+    assert abs(est.value - 1 / 16) <= 4 * est.stderr
 
 
 def test_count_nonnegative_orthant():
@@ -195,7 +206,7 @@ def test_mc_congruent_cones_share_one_estimate(built):
     d = dual(chamber(rs))
     base = measure(d, MC)
     for i in (1, 17, 500, 1151):
-        assert measure(image_cone(g.elements[i], d), MC) == base
+        assert measure(image_cone(g.matrix_stack[i], d), MC) == base
 
 
 def test_mc_permuted_generators_share_one_estimate():
@@ -232,9 +243,7 @@ def test_mc_no_hits_has_nonzero_stderr(built):
 
 
 def test_mc_all_hits_has_nonzero_stderr():
-    p, se = mc_fraction(lambda z: np.ones(len(z), dtype=bool), 4,
-                        McConfig(samples=1_000))
-    assert p == 1.0 and se == 4.0 / (1_000 + 16.0)
+    assert _binomial_stderr(1_000, 1_000) == 4.0 / (1_000 + 16.0)
 
 
 def test_mc_partial_final_chunk():

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import ccl
-from ccl.groups import (enumerate_group, fixed_space_dim,
-                        group_from_perm_stack, normalizer_of_span,
-                        parabolic_subgroup, regular_count, solomon_check,
-                        subspace_orbits)
+from ccl.cones import chamber
+from ccl.groups import (enumerate_group, group_from_perm_stack,
+                        normalizer_of_span, parabolic_subgroup, regular_count,
+                        solomon_check, subspace_orbits)
 from ccl.linalg import Subspace, kernel_dimension
 from ccl.roots import SUPPORTED_TYPES
 
@@ -22,6 +22,12 @@ ORDERS = {
 
 # ---------------------------------------------------------------------------
 # independent oracles
+
+def compose(g, i, j):
+    """Index of element i times element j (apply j first); raises if the
+    product is not in the group."""
+    return g.index_of(g.perm_stack[i][g.perm_stack[j]])
+
 
 def stirling_counts(n):
     """Fixed-dim profile of S_{n+1} on its essential n-dim representation:
@@ -135,19 +141,18 @@ def test_count_invariants(spec, built):
 
 def test_element_zero_is_identity(built):
     rs, g = built("B3")
-    assert g.elements[0].perm == tuple(range(rs.num_roots))
-    assert g.elements[0].word_length == 0
-    assert np.allclose(g.elements[0].matrix, np.eye(3), atol=1e-12)
+    assert g.perm_stack[0].tolist() == list(range(rs.num_roots))
+    assert g.index_of(np.arange(rs.num_roots)) == 0
+    assert np.allclose(g.matrix_stack[0], np.eye(3), atol=1e-12)
 
 
 def test_matrix_perm_consistency(built):
     for spec in ("A3", "B3", "I2(7)", "F4"):
         rs, g = built(spec)
-        for el in (g.elements[i] for i in
-                   np.random.default_rng(5).integers(0, g.order, 25)):
-            images = rs.all_roots @ el.matrix.T
+        for k in np.random.default_rng(5).integers(0, g.order, 25):
+            images = rs.all_roots @ g.matrix_stack[k].T
             for i, img in enumerate(images):
-                assert np.linalg.norm(rs.all_roots[el.perm[i]] - img) \
+                assert np.linalg.norm(rs.all_roots[g.perm_stack[k, i]] - img) \
                     <= rs.tol.eps_root_match
 
 
@@ -158,18 +163,18 @@ def test_group_closure(spec, built):
     if g.order <= 200:
         for i in range(g.order):
             for j in range(g.order):
-                g.compose(i, j)  # raises if the product were missing
+                compose(g, i, j)
     else:
         rng = np.random.default_rng(99)
         for i, j in rng.integers(0, g.order, (10_000, 2)):
-            g.compose(int(i), int(j))
+            compose(g, int(i), int(j))
 
 
 def test_bfs_is_deterministic(built):
     rs, _ = built("B3")
     g1 = enumerate_group(rs)
     g2 = enumerate_group(rs)
-    assert [e.perm for e in g1.elements] == [e.perm for e in g2.elements]
+    assert np.array_equal(g1.perm_stack, g2.perm_stack)
 
 
 def test_element_cap():
@@ -181,11 +186,22 @@ def test_element_cap():
 def test_group_from_perm_stack_round_trip(built):
     rs, g = built("B3")
     g2 = group_from_perm_stack(rs, g.perm_stack)
-    assert [e.perm for e in g2.elements] == [e.perm for e in g.elements]
-    assert [e.word_length for e in g2.elements] == [e.word_length for e in g.elements]
+    assert np.array_equal(g2.perm_stack, g.perm_stack)
     assert g2.counts_by_fixed_dim == g.counts_by_fixed_dim
     with pytest.raises(ccl.InvalidArgumentError):
         group_from_perm_stack(rs, g.perm_stack[1:])  # identity not first
+
+
+def test_group_from_perm_stack_rejects_unclosed_and_ungenerated(built):
+    rs, g = built("A2")
+    with pytest.raises(ccl.InvalidArgumentError, match="not closed"):
+        group_from_perm_stack(rs, g.perm_stack[:-1])
+    # -1 permutes the roots but is not in W(A2); W and its coset W(-1)
+    # together are closed under the generators yet not generated by them
+    neg = np.array([rs.match_root(-v) for v in rs.all_roots])
+    both = np.vstack([g.perm_stack, g.perm_stack[:, neg]])
+    with pytest.raises(ccl.InvalidArgumentError, match="not generated"):
+        group_from_perm_stack(rs, both)
 
 
 # ---------------------------------------------------------------------------
@@ -193,18 +209,18 @@ def test_group_from_perm_stack_round_trip(built):
 
 def test_fixed_space_dim_identity_and_reflections(built):
     rs, g = built("B3")
-    assert fixed_space_dim(g.elements[0]) == 3
+    assert g.fixed_dims[0] == 3
     for sid in g.simple_reflection_ids:
-        assert fixed_space_dim(g.elements[sid]) == 2
+        assert g.fixed_dims[sid] == 2
 
 
 def test_fixed_space_dim_coxeter_element_a2(built):
     rs, g = built("A2")
     s1, s2 = g.simple_reflection_ids
-    cox = g.compose(s1, s2)
-    assert fixed_space_dim(g.elements[cox]) == 0
+    cox = compose(g, s1, s2)
+    assert g.fixed_dims[cox] == 0
     # oracle: the product of the two reflections is a 120-degree rotation
-    tr = np.trace(g.elements[cox].matrix)
+    tr = np.trace(g.matrix_stack[cox])
     assert abs(tr - 2 * math.cos(2 * math.pi / 3)) <= 1e-9
 
 
@@ -216,18 +232,13 @@ def test_batched_fixed_dims_match_kernel_dimension(spec, built):
     assert g.fixed_dims.tolist() == per_element
 
 
-def test_matrix_stack_read_only_and_elements_lazy(built):
+def test_matrix_stack_read_only(built):
     rs, _ = built("B3")
     g = enumerate_group(rs)
     assert not g.matrix_stack.flags.writeable
     with pytest.raises(ValueError):
         g.matrix_stack[0, 0, 0] = 2.0
-    assert "elements" not in vars(g)
-    els = g.elements
-    assert g.elements is els
-    assert [e.perm for e in els] == [tuple(p) for p in g.perm_stack.tolist()]
-    assert [e.word_length for e in els] == g.word_lengths.tolist()
-    assert not els[1].matrix.flags.writeable
+    assert not g.matrix_stack[1].flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +293,7 @@ def test_parabolic_a2_single_index(built):
     # brute-force fixator oracle over all six elements
     w0 = rs.fundamental_weights[0]
     fix = [i for i in range(g.order)
-           if np.linalg.norm(g.elements[i].matrix @ w0 - w0) <= 1e-9]
+           if np.linalg.norm(g.matrix_stack[i] @ w0 - w0) <= 1e-9]
     assert sorted(sub.indices) == fix
 
 
@@ -342,7 +353,6 @@ def test_dihedral_mirror_normalizers_parity(built):
 def test_chambers_through_face_bijection(built):
     # the chambers whose closure contains a face are exactly the translates
     # by the face's pointwise fixator, one chamber per element
-    from ccl.cones import Membership, chamber, membership
     for spec in ("A2", "B2", "A3", "B3"):
         rs, g = built(spec)
         ch = chamber(rs)
@@ -351,9 +361,10 @@ def test_chambers_through_face_bijection(built):
             for I in itertools.combinations(range(rs.n), k):
                 coeffs = rng.uniform(0.2, 1.0, size=len(I))
                 p = coeffs @ rs.fundamental_weights[list(I)]
-                hits = {i for i in range(g.order)
-                        if membership(ch, g.elements[i].matrix.T @ p)
-                        is not Membership.OUTSIDE}
+                # w C contains p when w^{-1} p = w^T p is in the closed chamber
+                back = np.einsum("mji,j->mi", g.matrix_stack, p)
+                closed = (back @ ch.dual_basis.T >= -1e-9).all(axis=1)
+                hits = {int(i) for i in np.flatnonzero(closed)}
                 sub = parabolic_subgroup(g, I)
                 assert hits == set(sub.indices)
 
@@ -364,12 +375,13 @@ def test_subgroup_is_closed(built):
     idx = set(sub.indices)
     for i in sub.indices:
         for j in sub.indices:
-            assert g.compose(i, j) in idx
+            assert compose(g, i, j) in idx
 
 
 def test_inverse(built):
     _, g = built("B3")
+    inverse_perms = np.argsort(g.perm_stack, axis=1)
     for i in range(g.order):
-        j = g.inverse(i)
-        assert g.compose(i, j) == 0
-        assert g.compose(j, i) == 0
+        j = g.index_of(inverse_perms[i])
+        assert compose(g, i, j) == 0
+        assert compose(g, j, i) == 0

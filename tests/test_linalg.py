@@ -5,7 +5,7 @@ import pytest
 
 import ccl
 from ccl.linalg import (DEFAULT_TOL, Subspace, ToleranceConfig,
-                        kernel_dimension, orthogonal_projector, solve_linear)
+                        kernel_dimension, orthogonal_projector)
 
 
 def rotation2(theta):
@@ -67,34 +67,6 @@ def test_projector_idempotent_symmetric_random(n):
         assert np.abs(P - P.T).max() <= 1e-9
 
 
-def test_solve_identity():
-    v = np.array([3.0, -1.0, 2.0])
-    assert np.allclose(solve_linear(np.eye(3), v), v, atol=1e-12)
-
-
-def test_solve_scaled_identity():
-    x = solve_linear(2 * np.eye(2), np.array([2.0, 4.0]))
-    assert np.allclose(x, [1.0, 2.0], atol=1e-12)
-
-
-def test_solve_a2_rotation_round_trip():
-    # oracle: multiply back and check the residual
-    M = np.eye(2) - rotation2(2 * math.pi / 3)
-    v = np.array([1.0, 0.0])  # first simple root of A2
-    x = solve_linear(M, v)
-    assert np.linalg.norm(M @ x - v) <= 1e-8 * np.linalg.norm(v)
-
-
-def test_solve_rejects_singular():
-    with pytest.raises(ccl.SingularMatrixError):
-        solve_linear(np.zeros((2, 2)), np.array([1.0, 0.0]))
-
-
-def test_solve_rejects_shape_mismatch():
-    with pytest.raises(ccl.InvalidArgumentError):
-        solve_linear(np.eye(2), np.array([1.0, 0.0, 0.0]))
-
-
 def test_tolerance_config_positive():
     with pytest.raises(ccl.InvalidArgumentError):
         ToleranceConfig(eps_rank=0.0)
@@ -108,8 +80,8 @@ def test_kernel_plus_rank_on_group_elements(built):
     for spec in ("A2", "B3", "I2(7)"):
         rs, g = built(spec)
         n = rs.n
-        for el in g.elements:
-            M = np.eye(n) - el.matrix
+        for w in g.matrix_stack:
+            M = np.eye(n) - w
             s = np.linalg.svd(M, compute_uv=False)
             rank = int(np.sum(s >= DEFAULT_TOL.eps_rank))
             assert kernel_dimension(M) + rank == n

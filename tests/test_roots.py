@@ -38,10 +38,8 @@ def test_rejected_types():
         GroupType.parse("A9")
 
 
-def test_h4_needs_opt_in():
-    with pytest.raises(ccl.FeatureDisabledError):
-        build(GroupType.parse("H4"))
-    rs = build(GroupType.parse("H4"), enable_h4=True)
+def test_h4_builds_by_default():
+    rs = build(GroupType.parse("H4"))
     assert rs.num_roots == 120
 
 
@@ -81,7 +79,7 @@ def test_h3_gram_contains_golden_cosine():
 
 @pytest.mark.parametrize("t", SUPPORTED_TYPES, ids=str)
 def test_gram_matches_coxeter_diagram(t):
-    rs = build(t, enable_h4=True)
+    rs = build(t)
     from ccl.roots import coxeter_matrix
     M = coxeter_matrix(t)
     expected = -np.cos(np.pi / M)
@@ -91,7 +89,7 @@ def test_gram_matches_coxeter_diagram(t):
 
 @pytest.mark.parametrize("t", SUPPORTED_TYPES, ids=str)
 def test_roots_unit_deduplicated_and_closed(t):
-    rs = build(t, enable_h4=True)
+    rs = build(t)
     norms = np.linalg.norm(rs.all_roots, axis=1)
     assert np.abs(norms - 1.0).max() <= 1e-9
     # closed under negation
@@ -105,7 +103,7 @@ def test_roots_unit_deduplicated_and_closed(t):
 
 @pytest.mark.parametrize("t", SUPPORTED_TYPES, ids=str)
 def test_simple_reflections_permute_roots(t):
-    rs = build(t, enable_h4=True)
+    rs = build(t)
     for j in range(rs.n):
         a = rs.simple_roots[j]
         images = rs.all_roots - 2.0 * np.outer(rs.all_roots @ a, a)
@@ -115,7 +113,7 @@ def test_simple_reflections_permute_roots(t):
 
 @pytest.mark.parametrize("t", SUPPORTED_TYPES, ids=str)
 def test_biorthogonality_and_chamber_duality(t):
-    rs = build(t, enable_h4=True)
+    rs = build(t)
     prods = rs.fundamental_weights @ rs.simple_roots.T
     off = prods - np.diag(np.diag(prods))
     assert np.abs(off).max() <= 1e-9

@@ -6,7 +6,7 @@ import pytest
 
 import ccl
 from ccl.angles import McConfig, _measure_class
-from ccl.cones import chamber, membership
+from ccl.cones import SimplicialCone, chamber
 from ccl.verify import (GenericPointSampler, run_suite, verify_class_sum,
                         verify_covering_count, verify_curious,
                         verify_equiv_measure, verify_face_decomposition,
@@ -105,18 +105,17 @@ def test_waldspurger_constructed_witness(built):
     # the unique witness recovered
     rs, g = built("B3")
     ch = chamber(rs)
-    x = ch.interior_point()
+    x = ch.generators.sum(axis=0)
     regulars = np.flatnonzero(g.fixed_dims == 0)
-    w0 = g.elements[int(regulars[3])].matrix
+    w0 = g.matrix_stack[regulars[3]]
     v = (np.eye(3) - w0) @ x
     witnesses = []
-    for i in range(g.order):
-        if g.fixed_dims[i] != 0:
-            continue
-        M = np.eye(3) - g.elements[i].matrix
-        y = ccl.solve_linear(M, v)
-        if membership(ch, y) is ccl.Membership.INSIDE:
-            witnesses.append(i)
+    for i in regulars:
+        M = np.eye(3) - g.matrix_stack[i]
+        y = np.linalg.solve(M, v)
+        assert np.linalg.norm(M @ y - v) <= 1e-8 * np.linalg.norm(v)
+        if (ch.dual_basis @ y > 1e-9).all():      # y in the chamber interior
+            witnesses.append(int(i))
     assert witnesses == [int(regulars[3])]
 
 
@@ -144,7 +143,8 @@ def test_waldspurger_pieces_tile_dual_measure(spec, built):
     ch = chamber(rs)
     total = 0.0
     for i in np.flatnonzero(g.fixed_dims == 0):
-        piece = ccl.map_cone(np.eye(rs.n) - g.elements[int(i)].matrix, ch)
+        M = np.eye(rs.n) - g.matrix_stack[i]
+        piece = SimplicialCone.from_generators(ch.generators @ M.T)
         total += ccl.measure(piece).value
     assert abs(total - ccl.measure(ccl.dual(ch)).value) <= 1e-9
 
@@ -349,6 +349,30 @@ def test_run_suite_restricted_k(built):
     rs, g = built("B2")
     reports = run_suite(rs, g, identities=("main", "class-sum"), k=1, mc=MC)
     assert all(r.k == 1 for r in reports)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_counting_checks_reject_trials_below_one(trials, built):
+    # no trial would make every counting check pass vacuously
+    rs, g = built("A2")
+    checks = [
+        lambda: verify_waldspurger_partition(rs, g, sampler(), trials),
+        lambda: verify_covering_count(rs, g, sampler(), trials),
+        lambda: verify_face_oplus_covering(rs, g, (0,), sampler(), trials),
+        lambda: verify_face_decomposition(rs, g, (0,), MC, sampler(), trials),
+        lambda: verify_parabolic_quotient(rs, g, (0,), MC, sampler(), trials),
+        lambda: run_suite(rs, g, identities=("curious",), trials=trials),
+    ]
+    for check in checks:
+        with pytest.raises(ccl.InvalidArgumentError, match="trials"):
+            check()
+
+
+@pytest.mark.parametrize("k", [3, -1])
+def test_run_suite_rejects_k_out_of_range(k, built):
+    rs, g = built("A2")
+    with pytest.raises(ccl.InvalidArgumentError, match="k must be in 0..2"):
+        run_suite(rs, g, identities=("oplus",), k=k)
 
 
 def test_sampler_exhaustion():
