@@ -4,10 +4,11 @@ Subcommands: build (enumerate and cache), counts (fixed-dimension table
 plus the exponent product check), verify <identity>, and report (the full
 suite as a JSON array).  Exit codes: 0 all passed, 1 a verification
 failed, 2 usage error (argparse errors, UnsupportedGroupError,
-InvalidArgumentError such as --trials below 1 or --k outside 0..n), 3 any
-other CclError raised while running (for example GenericityError when no
-generic point is found, or NumericalError when an internal numerical
-check fails).  Reports go to stdout; diagnostics go to stderr.
+InvalidArgumentError such as --trials below 1 or --k outside 0..n, or
+outside 0..5 with --all-groups, which skips the groups of rank below k),
+3 any other CclError raised while running (for example GenericityError
+when no generic point is found, or NumericalError when an internal
+numerical check fails).  Reports go to stdout; diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ def _add_common(p: argparse.ArgumentParser, need_group: bool = True):
                    help="generic-point trials per counting check")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--k", type=int, default=None,
-                   help="restrict k-indexed identities to one k")
+                   help="restrict k-indexed identities to one k; with "
+                        "--all-groups, k is in 0..5 and lower ranks are skipped")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--cache-path", type=Path, default=None)
     p.add_argument("--no-cache", action="store_true",
@@ -174,7 +176,10 @@ def _cmd_verify(args, tol) -> int:
 
 def _cmd_report(args, tol) -> int:
     if args.all_groups:
-        specs = [str(t) for t in SUPPORTED_TYPES]
+        top = max(t.rank for t in SUPPORTED_TYPES)
+        if args.k is not None and not 0 <= args.k <= top:
+            raise InvalidArgumentError(f"k must be in 0..{top}")
+        specs = [str(t) for t in SUPPORTED_TYPES if t.rank >= (args.k or 0)]
     elif args.group:
         specs = [args.group]
     else:

@@ -7,8 +7,9 @@ order and lexicographic tie-breaking inside each word-length layer, so
 element indices are stable across runs.
 
 A Group holds its elements as stacked arrays (permutations, matrices,
-fixed-space dimensions); ``Group.index_of`` maps a permutation back to its
-element index.
+fixed-space dimensions) and the table ``left_mult`` of the index of s_j w,
+looked up by sorting on the simple-root images, which determine an element.
+Generation checks and parabolic subgroups are array closures over its rows.
 """
 
 from __future__ import annotations
@@ -36,22 +37,18 @@ class Group:
     root_system: RootSystem
     order: int
     counts_by_fixed_dim: tuple[int, ...]
-    simple_reflection_ids: tuple[int, ...]
     fixed_dims: np.ndarray = field(repr=False)        # (order,)
     matrix_stack: np.ndarray = field(repr=False)      # (order, n, n) read-only
     perm_stack: np.ndarray = field(repr=False)        # (order, num_roots) int32
-    _index: dict[bytes, int] = field(repr=False, default_factory=dict)
+    left_mult: np.ndarray = field(repr=False)         # (n, order): index of s_j w
 
     @property
     def n(self) -> int:
         return self.root_system.n
 
-    def index_of(self, perm) -> int:
-        key = np.asarray(perm, dtype=np.int32).tobytes()
-        idx = self._index.get(key)
-        if idx is None:
-            raise InvalidArgumentError("permutation is not an element of this group")
-        return idx
+    @property
+    def simple_reflection_ids(self) -> tuple[int, ...]:
+        return tuple(int(i) for i in self.left_mult[:, 0])
 
 
 @dataclass(frozen=True)
@@ -66,9 +63,6 @@ class Subgroup:
 
     def __iter__(self):
         return iter(self.indices)
-
-    def __contains__(self, idx: int) -> bool:
-        return idx in set(self.indices)
 
     def matrices(self) -> np.ndarray:
         return self.parent.matrix_stack[list(self.indices)]
@@ -117,17 +111,21 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP,
             layer.append(len(perms) - 1)
 
     perm_stack = np.array(perms, dtype=np.int32)
-    return _assemble_group(rs, perm_stack, index, gen_perms, tol)
+    return _assemble_group(rs, perm_stack, gen_perms, tol)
+
+
+# Rows per block of the closure check; whole-table temporaries add tens of MiB for H4.
+_ROW_BLOCK = 1024
 
 
 def group_from_perm_stack(rs: RootSystem, perm_stack: np.ndarray,
                           tol: ToleranceConfig | None = None) -> Group:
     """Rebuild a Group from an explicit permutation list (cache reload).
 
-    Element order is preserved.  A breadth-first search from the identity
-    over the given set checks that it is closed under the simple reflections
-    and generated by them.  Raises InvalidArgumentError if the list has
-    duplicates, does not start with the identity, or fails either check.
+    Element order is preserved.  Raises InvalidArgumentError if the list
+    does not start with the identity, has duplicates, is not closed under
+    the simple reflections (whole rows are compared) or is not generated
+    by them.
     """
     tol = tol or rs.tol
     perm_stack = np.asarray(perm_stack, dtype=np.int32)
@@ -135,43 +133,60 @@ def group_from_perm_stack(rs: RootSystem, perm_stack: np.ndarray,
     order, nroots = perm_stack.shape
     if nroots != rs.num_roots:
         raise InvalidArgumentError("permutation length does not match root count")
-    index = {perm_stack[i].tobytes(): i for i in range(order)}
-    if len(index) != order:
-        raise InvalidArgumentError("duplicate permutations in element list")
     if (perm_stack[0] != np.arange(nroots, dtype=np.int32)).any():
         raise InvalidArgumentError("element 0 must be the identity")
-
-    visited = np.zeros(order, dtype=bool)
-    visited[0] = True
-    layer = [0]
-    while layer:
-        nxt = []
-        for idx in layer:
-            for gp in gen_perms:
-                j = index.get(gp[perm_stack[idx]].tobytes())
-                if j is None:
-                    raise InvalidArgumentError(
-                        "element list is not closed under the generators")
-                if not visited[j]:
-                    visited[j] = True
-                    nxt.append(j)
-        layer = nxt
-    if not visited.all():
+    g = _assemble_group(rs, perm_stack, gen_perms, tol)
+    for gp, row in zip(gen_perms, g.left_mult):
+        for b in range(0, order, _ROW_BLOCK):
+            block = slice(b, b + _ROW_BLOCK)
+            if (perm_stack[row[block]] != gp[perm_stack[block]]).any():
+                raise InvalidArgumentError(
+                    "element list is not closed under the generators")
+    if not _closure(g.left_mult).all():
         raise InvalidArgumentError("element list is not generated by the "
                                    "simple reflections")
-    return _assemble_group(rs, perm_stack, index, gen_perms, tol)
+    return g
+
+
+def _closure(table: np.ndarray) -> np.ndarray:
+    """Mask of the elements reachable from the identity (index 0) through
+    the generators whose rows of ``left_mult`` make up ``table``."""
+    order = table.shape[1]
+    reached = np.zeros(order, dtype=bool)
+    reached[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        new = np.zeros(order, dtype=bool)
+        new[table[:, frontier]] = True
+        new &= ~reached
+        reached |= new
+        frontier = np.flatnonzero(new)
+    return reached
 
 
 def _assemble_group(rs: RootSystem, perm_stack: np.ndarray,
-                    index: dict[bytes, int], gen_perms: np.ndarray,
-                    tol: ToleranceConfig) -> Group:
+                    gen_perms: np.ndarray, tol: ToleranceConfig) -> Group:
     n = rs.n
     order = perm_stack.shape[0]
+    simple_idx = np.array([rs.match_root(rs.simple_roots[j]) for j in range(n)])
+    simple_images = perm_stack[:, simple_idx]         # (order, n) root indices
+
+    # The simple-root images, read as base-num_roots digits, key an element.
+    digits = rs.num_roots ** np.arange(n, dtype=np.int64)
+    keys = simple_images.astype(np.int64) @ digits
+    by_key = np.argsort(keys)
+    sorted_keys = keys[by_key]
+    if (sorted_keys[1:] == sorted_keys[:-1]).any():
+        raise InvalidArgumentError("duplicate permutations in element list")
+    prods = gen_perms[:, simple_images].astype(np.int64) @ digits  # (n, order)
+    pos = np.minimum(np.searchsorted(sorted_keys, prods), order - 1)
+    if (sorted_keys[pos] != prods).any():
+        raise InvalidArgumentError("element list is not closed under the generators")
+    left_mult = by_key[pos]
 
     # Reconstruct matrices from the images of the simple roots.
-    simple_idx = np.array([rs.match_root(rs.simple_roots[j]) for j in range(n)])
     A_inv = np.linalg.inv(rs.simple_roots)            # rows alpha_i
-    images = rs.all_roots[perm_stack[:, simple_idx]]  # (order, n, n) rows = images
+    images = rs.all_roots[simple_images]              # (order, n, n) rows = images
     mats = np.einsum("kij,jl->kil", np.transpose(images, (0, 2, 1)), A_inv.T)
     # mats[k] = images[k].T @ A_inv.T  ==  (A_inv @ images[k]).T
 
@@ -187,16 +202,14 @@ def _assemble_group(rs: RootSystem, perm_stack: np.ndarray,
     fixed = (sv < tol.eps_rank).sum(axis=1)
     counts = tuple(int(c) for c in np.bincount(fixed, minlength=n + 1))
 
-    sid = tuple(index[gen_perms[j].tobytes()] for j in range(n))
     return Group(
         root_system=rs,
         order=order,
         counts_by_fixed_dim=counts,
-        simple_reflection_ids=sid,
         fixed_dims=fixed,
         matrix_stack=mats,
         perm_stack=perm_stack,
-        _index=index,
+        left_mult=left_mult,
     )
 
 
@@ -222,20 +235,8 @@ def parabolic_subgroup(g: Group, I) -> Subgroup:
     I = frozenset(int(i) for i in I)
     if not I <= set(range(g.n)):
         raise InvalidArgumentError(f"I must be a subset of 0..{g.n - 1}")
-    gens = [g.simple_reflection_ids[j] for j in range(g.n) if j not in I]
-
-    members = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for idx in frontier:
-            for s in gens:
-                prod = g.index_of(g.perm_stack[s][g.perm_stack[idx]])
-                if prod not in members:
-                    members.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    indices = tuple(sorted(members))
+    gens = [j for j in range(g.n) if j not in I]
+    indices = tuple(int(i) for i in np.flatnonzero(_closure(g.left_mult[gens])))
 
     # Steinberg: generated subgroup == pointwise fixator of the face span.
     fixed_pts = g.root_system.fundamental_weights[sorted(I)]
@@ -290,30 +291,15 @@ def subspace_orbits(g: Group, k: int) -> list[list[tuple[int, ...]]]:
         projectors.append(S.projector())
     P = np.array(projectors)
 
+    # W-orbits partition the subsets, so the class of the first unplaced
+    # subset is every unplaced subset one of its images matches.
     stack = g.matrix_stack
-    parent = list(range(len(subsets)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for i in range(len(subsets)):
-        orbit = stack @ P[i] @ np.transpose(stack, (0, 2, 1))  # (order, n, n)
-        for j in range(len(subsets)):
-            if find(i) == find(j):
-                continue
-            if np.abs(orbit - P[j]).max(axis=(1, 2)).min() <= SPAN_MATCH_TOL:
-                union(i, j)
-
-    classes: dict[int, list[tuple[int, ...]]] = {}
-    for i, I in enumerate(subsets):
-        classes.setdefault(find(i), []).append(I)
-    return [sorted(cls) for _, cls in sorted(classes.items(),
-                                             key=lambda kv: min(kv[1]))]
+    unplaced = list(range(len(subsets)))
+    classes = []
+    while unplaced:
+        orbit = stack @ P[unplaced[0]] @ np.transpose(stack, (0, 2, 1))
+        cls = [j for j in unplaced
+               if np.abs(orbit - P[j]).max(axis=(1, 2)).min() <= SPAN_MATCH_TOL]
+        classes.append([subsets[j] for j in cls])
+        unplaced = [j for j in unplaced if j not in cls]
+    return classes

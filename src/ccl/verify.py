@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .angles import DEFAULT_MC, MC_SIGMAS, AngleEstimate, McConfig, measure
-from .cones import SimplicialCone, chamber, dual, face, quotient, quotient_dual
+from .cones import chamber, dual, face, quotient, quotient_dual
 from .errors import GenericityError, InvalidArgumentError, NumericalError
 from .groups import (Group, normalizer_of_span, parabolic_subgroup,
                      regular_count, subspace_orbits)
@@ -355,9 +355,8 @@ def verify_covering_count(rs: RootSystem, g: Group,
 
 
 def _pairs_spanning(rs: RootSystem, g: Group, I,
-                    tol: ToleranceConfig) -> tuple[list[tuple[int, tuple[int, ...]]], np.ndarray]:
-    """All pairs (element index, subset J) with w . span(F_J) = span(F_I),
-    plus the projector of the target span."""
+                    tol: ToleranceConfig) -> list[tuple[int, tuple[int, ...]]]:
+    """All pairs (element index, subset J) with w . span(F_J) = span(F_I)."""
     n = rs.n
     I = tuple(sorted(int(i) for i in I))
     k = len(I)
@@ -371,7 +370,7 @@ def _pairs_spanning(rs: RootSystem, g: Group, I,
         hits = np.flatnonzero(
             np.abs(imgs - target).max(axis=(1, 2)) <= SPAN_MATCH_TOL)
         pairs.extend((int(w), J) for w in hits)
-    return pairs, target
+    return pairs
 
 
 def verify_face_oplus_covering(rs: RootSystem, g: Group, I,
@@ -384,7 +383,7 @@ def verify_face_oplus_covering(rs: RootSystem, g: Group, I,
     n, margin = rs.n, sampler.generic_margin
     I = tuple(sorted(int(i) for i in I))
     k = len(I)
-    pairs, _ = _pairs_spanning(rs, g, I, tol)
+    pairs = _pairs_spanning(rs, g, I, tol)
     ch = chamber(rs)
 
     # generator matrix of F_J + (C/F_J)* is weights[J] stacked with alpha[not J]
@@ -417,19 +416,22 @@ def verify_face_oplus_covering(rs: RootSystem, g: Group, I,
 # decomposition / quotient structure
 
 
-def _collect_faces_in_span(rs: RootSystem, g: Group, I,
-                           tol: ToleranceConfig) -> list[np.ndarray]:
-    """Distinct cones w . F_J whose span equals span(F_I), as generator
-    matrices (deduplicated on rounded unit generators)."""
-    pairs, _ = _pairs_spanning(rs, g, I, tol)
-    seen: dict[tuple, np.ndarray] = {}
-    W = rs.fundamental_weights
+def _pieces_in_span(rs: RootSystem, g: Group, I,
+                    tol: ToleranceConfig) -> dict[tuple[int, ...], list[int]]:
+    """The distinct chamber faces w . F_J spanning span(F_I), as indices w
+    by face type J.  A face is a coset w W_J (W_J fixes F_J); its shortest
+    element keeps every simple root outside J positive and, as enumeration
+    is by word length, has the smallest index in the coset."""
+    pairs = _pairs_spanning(rs, g, I, tol)
+    # every root has |(beta, omega_1 + ... + omega_n)| >= 1: no sign is close to 0
+    positive = rs.all_roots @ rs.fundamental_weights.sum(axis=0) > 0
+    simple_ids = np.array([rs.match_root(a) for a in rs.simple_roots])
+    pieces: dict[tuple[int, ...], list[int]] = {}
     for w, J in pairs:
-        gens = W[list(J)] @ g.matrix_stack[w].T
-        unit = gens / np.linalg.norm(gens, axis=1, keepdims=True)
-        key = tuple(sorted(map(tuple, np.round(unit, 6))))
-        seen.setdefault(key, gens)
-    return list(seen.values())
+        rest = [j for j in range(rs.n) if j not in J]
+        if positive[g.perm_stack[w, simple_ids[rest]]].all():
+            pieces.setdefault(J, []).append(w)
+    return pieces
 
 
 def verify_face_decomposition(rs: RootSystem, g: Group, I,
@@ -438,7 +440,8 @@ def verify_face_decomposition(rs: RootSystem, g: Group, I,
                               trials: int = DEFAULT_TRIALS,
                               tol: ToleranceConfig = DEFAULT_TOL) -> VerificationReport:
     """The distinct chamber faces lying in U = span(F_I) tile U: their
-    measures sum to 1 and a generic point of U sits inside exactly one."""
+    measures sum to 1 and a generic point of U sits inside exactly one.
+    Each piece w . F_J is congruent to F_J, which is measured once."""
     sampler = sampler or GenericPointSampler(generic_margin=tol.generic_margin)
     n, margin = rs.n, sampler.generic_margin
     I = tuple(sorted(int(i) for i in I))
@@ -450,18 +453,23 @@ def verify_face_decomposition(rs: RootSystem, g: Group, I,
             "decomposition", rs, 0, 1.0, (1, 1), 0.0, sampler.seed, 0,
             [("zero cone", 1.0, 0.0)], rule_suffix="; unique containment trivial")
 
-    gen_mats = _collect_faces_in_span(rs, g, I, tol)
-    cones = [SimplicialCone.from_generators(gm, tol=tol) for gm in gen_mats]
-    ests = [measure(c, mc, tol) for c in cones]
+    pieces = _pieces_in_span(rs, g, I, tol)
+    ch = chamber(rs)
+    faces = {J: face(ch, J, tol) for J in pieces}
+    by_type = {J: measure(f, mc, tol) for J, f in faces.items()}
+    ests = [by_type[J] for J, ws in pieces.items() for _ in ws]
     lhs = sum(est.value for est in ests)
-    samples = max(est.samples for est in ests)
+    samples = max(est.samples for est in by_type.values())
     breakdown = [(f"I={_fmt_subset(I)}", float(len(I)), 0.0)]
     breakdown += [(f"piece {i}", est.value, est.stderr)
                   for i, est in enumerate(ests)]
 
     U = Subspace.from_spanning(rs.fundamental_weights[list(I)], ambient_dim=n)
     B = U.orthonormal_basis
-    duals = np.array([c.dual_basis for c in cones])      # (p, k, n)
+    # orthogonal maps send facet normals to facet normals: (p, k, n)
+    duals = np.concatenate([
+        faces[J].dual_basis @ np.transpose(g.matrix_stack[ws], (0, 2, 1))
+        for J, ws in pieces.items()])
     duals = duals / np.linalg.norm(duals, axis=2, keepdims=True)
 
     def draw(rng):
@@ -473,7 +481,7 @@ def verify_face_decomposition(rs: RootSystem, g: Group, I,
     containments = _sample_trials(sampler, draw, classify, trials)
     bad = sum(1 for c in containments if c != 1)
     breakdown.append(("containment_failures", float(bad), 0.0))
-    breakdown.append(("num_pieces", float(len(cones)), 0.0))
+    breakdown.append(("num_pieces", float(len(ests)), 0.0))
     return _measure_report(
         "decomposition", rs, k, lhs, (1, 1),
         _combined_stderr((1.0, est) for est in ests),

@@ -230,6 +230,24 @@ def test_k_out_of_range_exit_two(k, capsys):
     assert "k must be in 0..2" in out.err
 
 
+def test_all_groups_k_skips_lower_ranks(capsys):
+    rc = main(["report", "--all-groups", "--k", "5", "--samples", "1000",
+               "--trials", "1", "--no-cache", "--format", "json"])
+    out = capsys.readouterr()
+    assert rc == 0
+    docs = json.loads(out.out)
+    assert docs and {d["group"] for d in docs} == {"A5"}
+
+
+def test_all_groups_k_above_top_rank_exit_two(capsys):
+    rc = main(["report", "--all-groups", "--k", "6", "--samples", "1000",
+               "--trials", "1", "--no-cache"])
+    out = capsys.readouterr()
+    assert rc == 2
+    assert out.out == ""
+    assert "k must be in 0..5" in out.err
+
+
 # ---------------------------------------------------------------------------
 # cache layer
 
@@ -289,6 +307,24 @@ def test_cache_rejects_tampered_perms(tmp_path):
     path.write_text(json.dumps(doc))
     g2 = load_group(rs, path)
     assert not np.array_equal(g2.perm_stack, g.perm_stack)
+
+
+def test_cache_rejects_row_changed_outside_simple_roots(tmp_path):
+    # the images of the simple roots still name a valid element, so only a
+    # closure check that compares whole rows can see the change
+    rs = ccl.build(ccl.GroupType.parse("B3"))
+    g = ccl.enumerate_group(rs)
+    path = tmp_path / "b3.json"
+    save_group(g, path)
+    doc = json.loads(path.read_text())
+    perms = _decode_table(doc)
+    simple = {rs.match_root(a) for a in rs.simple_roots}
+    a, b = [c for c in range(rs.num_roots) if c not in simple][:2]
+    perms[5, [a, b]] = perms[5, [b, a]]
+    doc["permutations"] = _encode_table(perms)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ccl.CacheError, match="not closed"):
+        load_group(rs, path)
 
 
 def test_cache_rejects_corrupt_counts(tmp_path):

@@ -23,10 +23,26 @@ ORDERS = {
 # ---------------------------------------------------------------------------
 # independent oracles
 
-def compose(g, i, j):
-    """Index of element i times element j (apply j first); raises if the
-    product is not in the group."""
-    return g.index_of(g.perm_stack[i][g.perm_stack[j]])
+def element_index(g):
+    """Dict from a permutation row's bytes to its element index."""
+    return {row.tobytes(): i for i, row in enumerate(g.perm_stack)}
+
+
+def compose(g, i, j, index=None):
+    """Index of element i times element j (apply j first); raises KeyError
+    if the product is not in the group."""
+    index = element_index(g) if index is None else index
+    return index[g.perm_stack[i][g.perm_stack[j]].tobytes()]
+
+
+def simple_reflection_perms(rs):
+    """Root permutation of each simple reflection, by nearest root."""
+    perms = []
+    for a in rs.simple_roots:
+        images = rs.all_roots - 2.0 * np.outer(rs.all_roots @ a, a)
+        d = np.linalg.norm(images[:, None, :] - rs.all_roots[None], axis=2)
+        perms.append(d.argmin(axis=1))
+    return perms
 
 
 def stirling_counts(n):
@@ -142,7 +158,7 @@ def test_count_invariants(spec, built):
 def test_element_zero_is_identity(built):
     rs, g = built("B3")
     assert g.perm_stack[0].tolist() == list(range(rs.num_roots))
-    assert g.index_of(np.arange(rs.num_roots)) == 0
+    assert element_index(g)[np.arange(rs.num_roots, dtype=np.int32).tobytes()] == 0
     assert np.allclose(g.matrix_stack[0], np.eye(3), atol=1e-12)
 
 
@@ -160,14 +176,15 @@ def test_matrix_perm_consistency(built):
 def test_group_closure(spec, built):
     # exhaustive when |W| <= 200, 10000 random pairs otherwise
     _, g = built(spec)
+    index = element_index(g)
     if g.order <= 200:
         for i in range(g.order):
             for j in range(g.order):
-                compose(g, i, j)
+                compose(g, i, j, index)
     else:
         rng = np.random.default_rng(99)
         for i, j in rng.integers(0, g.order, (10_000, 2)):
-            compose(g, int(i), int(j))
+            compose(g, int(i), int(j), index)
 
 
 def test_bfs_is_deterministic(built):
@@ -280,8 +297,7 @@ def test_parabolic_fixator_mismatch_is_numerical_error(built):
     # generators listed out of order no longer generate the fixator of the
     # face span: an internal fault, not a usage error
     _, g = built("B3")
-    wrong = dataclasses.replace(
-        g, simple_reflection_ids=g.simple_reflection_ids[::-1])
+    wrong = dataclasses.replace(g, left_mult=g.left_mult[::-1])
     with pytest.raises(ccl.NumericalError):
         parabolic_subgroup(wrong, {0})
 
@@ -373,15 +389,53 @@ def test_subgroup_is_closed(built):
     _, g = built("B3")
     sub = parabolic_subgroup(g, (1,))
     idx = set(sub.indices)
+    index = element_index(g)
     for i in sub.indices:
         for j in sub.indices:
-            assert compose(g, i, j) in idx
+            assert compose(g, i, j, index) in idx
 
 
 def test_inverse(built):
     _, g = built("B3")
-    inverse_perms = np.argsort(g.perm_stack, axis=1)
+    inverse_perms = np.argsort(g.perm_stack, axis=1).astype(np.int32)
+    index = element_index(g)
     for i in range(g.order):
-        j = g.index_of(inverse_perms[i])
-        assert compose(g, i, j) == 0
-        assert compose(g, j, i) == 0
+        j = index[inverse_perms[i].tobytes()]
+        assert compose(g, i, j, index) == 0
+        assert compose(g, j, i, index) == 0
+
+
+@pytest.mark.parametrize("spec", ["B3", "F4"])
+def test_left_mult_matches_dict_oracle(spec, built):
+    rs, g = built(spec)
+    index = element_index(g)
+    for j, s in enumerate(simple_reflection_perms(rs)):
+        expected = [index[s[row].astype(np.int32).tobytes()] for row in g.perm_stack]
+        assert g.left_mult[j].tolist() == expected
+    assert g.simple_reflection_ids == tuple(int(i) for i in g.left_mult[:, 0])
+
+
+def test_subspace_orbits_are_w_orbits(built):
+    # oracle: two subsets are equivalent when some element maps one span's
+    # projector onto the other's
+    for spec in ("B3", "A4", "D4", "H3"):
+        rs, g = built(spec)
+        W = rs.fundamental_weights
+        for k in range(1, rs.n):
+            subsets = list(itertools.combinations(range(rs.n), k))
+            P = {I: Subspace.from_spanning(W[list(I)], ambient_dim=rs.n).projector()
+                 for I in subsets}
+            images = {I: g.matrix_stack @ P[I] @ np.transpose(g.matrix_stack, (0, 2, 1))
+                      for I in subsets}
+
+            def same(I, J):
+                return np.abs(images[I] - P[J]).max(axis=(1, 2)).min() <= 1e-8
+
+            classes = subspace_orbits(g, k)
+            assert sorted(I for cls in classes for I in cls) == subsets
+            assert [cls[0] for cls in classes] == sorted(cls[0] for cls in classes)
+            for cls in classes:
+                assert cls == sorted(cls)
+                assert all(same(cls[0], J) for J in cls)
+            for a, b in itertools.combinations(classes, 2):
+                assert not same(a[0], b[0])

@@ -1,3 +1,4 @@
+import itertools
 import statistics
 from fractions import Fraction
 
@@ -7,7 +8,9 @@ import pytest
 import ccl
 from ccl.angles import McConfig, _measure_class
 from ccl.cones import SimplicialCone, chamber
-from ccl.verify import (GenericPointSampler, run_suite, verify_class_sum,
+from ccl.linalg import Subspace
+from ccl.verify import (GenericPointSampler, _pieces_in_span, run_suite,
+                        verify_class_sum,
                         verify_covering_count, verify_curious,
                         verify_equiv_measure, verify_face_decomposition,
                         verify_face_oplus_covering, verify_main,
@@ -207,6 +210,36 @@ def test_decomposition_b2_axis_line(built):
     assert r.passed
     pieces = [row for row in r.per_term_breakdown if row[0].startswith("piece")]
     assert len(pieces) == 2
+
+
+@pytest.mark.parametrize("spec", ["F4", "A5", "H4"])
+def test_decomposition_pieces_per_type_are_cosets(spec, built):
+    # the pieces of type J are the cosets w W_J among the elements w with
+    # w . span(F_J) = span(F_I); W_J is the pointwise fixator of F_J
+    rs, g = built(spec)
+    n, W, stack = rs.n, rs.fundamental_weights, g.matrix_stack
+
+    def projector(J):
+        return Subspace.from_spanning(W[list(J)], ambient_dim=n).projector()
+
+    for k in range(1, n + 1):
+        types = list(itertools.combinations(range(n), k))
+        images = {J: stack @ projector(J) @ np.transpose(stack, (0, 2, 1))
+                  for J in types}
+        fixator = {J: int((np.abs(stack @ W[list(J)].T - W[list(J)].T)
+                           .max(axis=(1, 2)) <= 1e-8).sum()) for J in types}
+        for I in types:
+            target = projector(I)
+            expected = {}
+            for J in types:
+                hits = int((np.abs(images[J] - target).max(axis=(1, 2)) <= 1e-8).sum())
+                assert hits % fixator[J] == 0
+                if hits:
+                    expected[J] = hits // fixator[J]
+            pieces = _pieces_in_span(rs, g, I, rs.tol)
+            assert {J: len(ws) for J, ws in pieces.items()} == expected
+            if k == n:
+                assert sum(expected.values()) == g.order
 
 
 def test_parabolic_quotient_extremes(built):
