@@ -13,6 +13,14 @@ tolerance.
 Genericity is enforced by margin-and-resample: a trial point that lands
 within the configured relative margin of any reflection hyperplane or any
 facet of a cone under test is discarded and redrawn deterministically.
+Points are drawn and classified in blocks.  A block asks the sampler's
+PCG64 stream for exactly the trials still missing (at most
+``BLOCK_ENTRIES`` float entries of classification work), as one
+``standard_normal((m, d))`` or ``uniform(size=(m, d))`` call, which yields
+the same variates in the same order as m one-point draws.  Rejected rows
+are counted in order, and the next block asks for the rest.  So a check
+consumes exactly the variates, and reports exactly the counts and
+resamples, of drawing one point at a time, whatever the block size.
 """
 
 from __future__ import annotations
@@ -80,13 +88,28 @@ class VerificationReport:
         return d
 
 
+# Largest number of float64 entries (points x cones x facets) one block's
+# classification may hold in a temporary: 512 KiB.  It bounds the peak
+# memory of the largest checks (H4 covering and oplus test 14 400 cones, so
+# their blocks hold one point) and decides nothing else: the stream
+# definition makes results independent of the block size.
+BLOCK_ENTRIES = 1 << 16
+
+# Largest entry of the residual |(1 - w) x - v|, relative to |v|, accepted
+# from the Waldspurger preimage solve.  (1 - w) is invertible for a
+# fixed-point-free w; over every supported group residuals stay below
+# 2e-15 |v| (100 trials, seed 42), so a larger one means the solve failed.
+SOLVE_RESIDUAL_TOL = 1e-8
+
+
 @dataclass
 class GenericPointSampler:
     """Deterministic margin-and-resample point source.
 
-    ``classify_fn`` passed to :meth:`sample` must return None for a point
-    that is too close to a hyperplane or facet; the sampler then redraws,
-    up to ``resample_limit`` times.
+    :meth:`sample` draws points in blocks from one PCG64 stream and keeps
+    the classifications of the generic ones; a run of more than
+    ``resample_limit`` consecutive rejected points raises
+    :class:`GenericityError`.
     """
 
     seed: int = 42
@@ -98,41 +121,81 @@ class GenericPointSampler:
         self._rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(self.seed)))
 
-    def sample(self, draw_fn, classify_fn):
-        for _ in range(self.resample_limit + 1):
-            v = draw_fn(self._rng)
-            out = classify_fn(v)
-            if out is not None:
-                return out
-            self.resamples += 1
-        raise GenericityError(
-            f"no generic point found within {self.resample_limit} resamples")
+    def sample(self, draw, classify, trials: int,
+               entries_per_point: int = 1) -> np.ndarray:
+        """Classifications of the first ``trials`` generic points, in order.
+
+        ``draw(rng, m)`` returns m points as rows; it must draw them with
+        one array call, so that m rows take the variates of m one-row
+        draws.  ``classify(points)`` returns one int per row, -1 for a point
+        to resample.  ``entries_per_point`` is the float entries classify
+        holds per point (cones x facets); it sizes the blocks.  A check of
+        no trials would pass vacuously, so ``trials`` must be at least 1.
+        """
+        if trials < 1:
+            raise InvalidArgumentError("trials must be >= 1")
+        cap = max(1, BLOCK_ENTRIES // entries_per_point)
+        kept: list[np.ndarray] = []
+        missing, run = trials, 0        # run: rejects since the last kept point
+        while missing:
+            m = min(missing, cap)
+            counts = classify(draw(self._rng, m))
+            ok = np.flatnonzero(counts >= 0)
+            # reject runs before, between and after the kept rows; the
+            # first continues the run carried over from the last block
+            gaps = np.diff(ok, prepend=-1 - run, append=m) - 1
+            over = np.flatnonzero(gaps > self.resample_limit)
+            if over.size:
+                i = over[0]
+                self.resamples += int(gaps[:i].sum()) + self.resample_limit + 1 - run
+                raise GenericityError(
+                    f"no generic point found within {self.resample_limit} resamples")
+            self.resamples += m - ok.size
+            run = int(gaps[-1])
+            kept.append(counts[ok])
+            missing -= ok.size
+        return np.concatenate(kept)
 
 
-def _sample_trials(sampler: GenericPointSampler, draw_fn, classify_fn,
-                   trials: int) -> list:
-    """One ``sampler.sample`` result per trial; a check of no trials would
-    pass vacuously, so ``trials`` must be at least 1."""
-    if trials < 1:
-        raise InvalidArgumentError("trials must be >= 1")
-    return [sampler.sample(draw_fn, classify_fn) for _ in range(trials)]
+def _off_hyperplanes(points: np.ndarray, roots: np.ndarray,
+                     margin: float) -> np.ndarray:
+    """Per row: True when the point is farther than the relative margin
+    from every reflection hyperplane."""
+    return (np.abs(points @ roots.T).min(axis=1)
+            > margin * np.linalg.norm(points, axis=1))
 
 
-def _off_hyperplanes(v: np.ndarray, roots: np.ndarray, margin: float) -> bool:
-    return np.abs(roots @ v).min() > margin * np.linalg.norm(v)
+def _count_inside(coords: np.ndarray, band) -> np.ndarray:
+    """Number of cones containing each point, from its facet coordinates.
 
-
-def _count_inside(coords: np.ndarray, band) -> int | None:
-    """Number of cones containing a point, from its facet coordinates.
-
-    ``coords`` holds one row per cone: the point's inner products with that
-    cone's inward facet normals.  A row counts when every entry exceeds
-    ``band``.  Returns None (resample) when any entry lies within ``band``
-    of zero.  ``band`` is a scalar or a column with one value per row.
+    ``coords`` has shape (points, cones, facets): each point's inner
+    products with each cone's inward facet normals.  A cone counts when
+    every entry of its row exceeds ``band``.  A point gets -1 (resample)
+    when any of its entries lies within ``band`` of zero.  ``band`` is a
+    scalar or an array broadcast against ``coords``.
     """
-    if (np.abs(coords) <= band).any():
-        return None
-    return int(np.count_nonzero((coords > band).all(axis=1)))
+    near = (np.abs(coords) <= band).any(axis=(1, 2))
+    inside = np.count_nonzero((coords > band).all(axis=2), axis=1)
+    return np.where(near, -1, inside)
+
+
+def _cone_classifier(normals: np.ndarray, margin: float, roots=None):
+    """Block classify for the cones with unit inward facet normals
+    ``normals`` (cones, facets, n): the number of cones containing each
+    point, or -1 for a point within the relative margin of a facet or,
+    when ``roots`` is given, of a reflection hyperplane."""
+    cones, facets, n = normals.shape
+    frame = normals.reshape(cones * facets, n).T
+
+    def classify(points):
+        coords = (points @ frame).reshape(len(points), cones, facets)
+        band = margin * np.linalg.norm(points, axis=1)[:, None, None]
+        counts = _count_inside(coords, band)
+        if roots is not None:
+            counts[~_off_hyperplanes(points, roots, margin)] = -1
+        return counts
+
+    return classify
 
 
 def _pass_rule(abs_error: float, stderr: float,
@@ -175,9 +238,9 @@ def _measure_report(name: str, rs: RootSystem, k: int | None, lhs: float,
 
 
 def _count_report(name: str, rs: RootSystem, k: int | None, expected: int,
-                  counts: list[int], seed: int, trials: int,
+                  counts: np.ndarray, seed: int, trials: int,
                   breakdown) -> VerificationReport:
-    deviation = max(abs(c - expected) for c in counts)
+    deviation = int(np.abs(counts - expected).max())
     return VerificationReport(
         identity_name=name, group=str(rs.group_type), k=k,
         lhs=float(deviation), rhs_numerator=expected, rhs_denominator=1,
@@ -187,8 +250,8 @@ def _count_report(name: str, rs: RootSystem, k: int | None, expected: int,
         passed=deviation == 0, seed=seed, samples=0,
         per_term_breakdown=tuple(breakdown) + (
             ("trials", float(trials), 0.0),
-            ("min_count", float(min(counts)), 0.0),
-            ("max_count", float(max(counts)), 0.0),
+            ("min_count", float(counts.min()), 0.0),
+            ("max_count", float(counts.max()), 0.0),
         ))
 
 
@@ -305,21 +368,26 @@ def verify_waldspurger_partition(rs: RootSystem, g: Group,
     regular = np.flatnonzero(g.fixed_dims == 0)
     one_minus = np.eye(n) - g.matrix_stack[regular]
 
-    def draw(rng):
-        return rng.uniform(0.0, 1.0, size=n)
+    def draw(rng, m):
+        return rng.uniform(0.0, 1.0, size=(m, n))
 
-    def classify(u):
-        v = u @ alpha
-        if u.min() <= margin or not _off_hyperplanes(v, rs.all_roots, margin):
-            return None
-        x = np.linalg.solve(one_minus, v)          # (m, n), one row per regular w
-        resid = np.abs(np.einsum("mij,mj->mi", one_minus, x) - v).max()
-        if resid > 1e-8 * np.linalg.norm(v):
-            raise NumericalError("linear solve residual too large")
-        return _count_inside(x @ alpha.T,
-                             margin * np.linalg.norm(x, axis=1, keepdims=True))
+    def classify(U):
+        V = U @ alpha
+        counts = np.full(len(U), -1)
+        generic = (U.min(axis=1) > margin) & _off_hyperplanes(V, rs.all_roots, margin)
+        if generic.any():
+            rhs = V[generic].T                       # (n, points)
+            # one LU per regular w, every generic point a right-hand side
+            x = np.linalg.solve(one_minus, rhs[None])  # (regular, n, points)
+            resid = np.abs(one_minus @ x - rhs).max(axis=(0, 1))
+            if (resid > SOLVE_RESIDUAL_TOL * np.linalg.norm(rhs, axis=0)).any():
+                raise NumericalError("linear solve residual too large")
+            x = x.transpose(2, 0, 1)                 # (points, regular, n)
+            counts[generic] = _count_inside(
+                x @ alpha.T, margin * np.linalg.norm(x, axis=2, keepdims=True))
+        return counts
 
-    counts = _sample_trials(sampler, draw, classify, trials)
+    counts = sampler.sample(draw, classify, trials, len(regular) * n)
     return _count_report(
         "waldspurger", rs, None, 1, counts, sampler.seed, trials,
         [("regular_elements", float(len(regular)), 0.0),
@@ -336,19 +404,15 @@ def verify_covering_count(rs: RootSystem, g: Group,
     n, margin = rs.n, sampler.generic_margin
     dc = dual(chamber(rs), tol)
     omega_hat = dc.dual_basis / np.linalg.norm(dc.dual_basis, axis=1, keepdims=True)
-    stack = g.matrix_stack
+    # facet normals of w C* are w omega_hat: (|W|, n, n)
+    normals = omega_hat @ np.transpose(g.matrix_stack, (0, 2, 1))
     expected = g.counts_by_fixed_dim[0]
 
-    def draw(rng):
-        return rng.standard_normal(n)
+    def draw(rng, m):
+        return rng.standard_normal((m, n))
 
-    def classify(v):
-        if not _off_hyperplanes(v, rs.all_roots, margin):
-            return None
-        x = np.einsum("i,mij->mj", v, stack)       # rows w^{-1} v
-        return _count_inside(x @ omega_hat.T, margin * np.linalg.norm(v))
-
-    counts = _sample_trials(sampler, draw, classify, trials)
+    counts = sampler.sample(draw, _cone_classifier(normals, margin, rs.all_roots),
+                            trials, g.order * n)
     return _count_report(
         "covering", rs, None, expected, counts, sampler.seed, trials,
         [("resamples", float(sampler.resamples), 0.0)])
@@ -363,12 +427,13 @@ def _pairs_spanning(rs: RootSystem, g: Group, I,
     W = rs.fundamental_weights
     target = Subspace.from_spanning(W[list(I)], ambient_dim=n).projector()
     stack = g.matrix_stack
+    # w P_J w^T = P_I  <=>  P_J = w^T P_I w: one conjugation for all J
+    pulled = np.transpose(stack, (0, 2, 1)) @ target @ stack
     pairs = []
     for J in itertools.combinations(range(n), k):
         P = Subspace.from_spanning(W[list(J)], ambient_dim=n).projector()
-        imgs = stack @ P @ np.transpose(stack, (0, 2, 1))
         hits = np.flatnonzero(
-            np.abs(imgs - target).max(axis=(1, 2)) <= SPAN_MATCH_TOL)
+            np.abs(pulled - P).max(axis=(1, 2)) <= SPAN_MATCH_TOL)
         pairs.extend((int(w), J) for w in hits)
     return pairs
 
@@ -397,15 +462,11 @@ def verify_face_oplus_covering(rs: RootSystem, g: Group, I,
 
     expected = regular_count(parabolic_subgroup(g, I), n - k)
 
-    def draw(rng):
-        return rng.standard_normal(n)
+    def draw(rng, m):
+        return rng.standard_normal((m, n))
 
-    def classify(v):
-        if not _off_hyperplanes(v, rs.all_roots, margin):
-            return None
-        return _count_inside(duals @ v, margin * np.linalg.norm(v))
-
-    counts = _sample_trials(sampler, draw, classify, trials)
+    counts = sampler.sample(draw, _cone_classifier(duals, margin, rs.all_roots),
+                            trials, len(pairs) * n)
     return _count_report(
         "oplus", rs, k, expected, counts, sampler.seed, trials,
         [(f"I={_fmt_subset(I)} pairs", float(len(pairs)), 0.0),
@@ -472,14 +533,12 @@ def verify_face_decomposition(rs: RootSystem, g: Group, I,
         for J, ws in pieces.items()])
     duals = duals / np.linalg.norm(duals, axis=2, keepdims=True)
 
-    def draw(rng):
-        return rng.standard_normal(k) @ B
+    def draw(rng, m):
+        return rng.standard_normal((m, k)) @ B
 
-    def classify(v):
-        return _count_inside(duals @ v, margin * np.linalg.norm(v))
-
-    containments = _sample_trials(sampler, draw, classify, trials)
-    bad = sum(1 for c in containments if c != 1)
+    containments = sampler.sample(draw, _cone_classifier(duals, margin),
+                                  trials, len(duals) * k)
+    bad = int(np.count_nonzero(containments != 1))
     breakdown.append(("containment_failures", float(bad), 0.0))
     breakdown.append(("num_pieces", float(len(ests)), 0.0))
     return _measure_report(
@@ -514,14 +573,12 @@ def verify_parabolic_quotient(rs: RootSystem, g: Group, I,
         duals = np.einsum("kj,mij->mki", q.dual_basis, mats)
         duals = duals / np.linalg.norm(duals, axis=2, keepdims=True)
 
-        def draw(rng):
-            return rng.standard_normal(d) @ B
+        def draw(rng, m):
+            return rng.standard_normal((m, d)) @ B
 
-        def classify(v):
-            return _count_inside(duals @ v, margin * np.linalg.norm(v))
-
-        containments = _sample_trials(sampler, draw, classify, trials)
-        bad = sum(1 for c in containments if c != 1)
+        containments = sampler.sample(draw, _cone_classifier(duals, margin),
+                                      trials, len(duals) * d)
+        bad = int(np.count_nonzero(containments != 1))
         breakdown.append(("tiling_trials", float(trials), 0.0))
     breakdown.append(("tiling_failures", float(bad), 0.0))
 

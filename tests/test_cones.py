@@ -177,8 +177,8 @@ def test_quotient_dual_consistency_all_subsets(spec, built):
 # membership: the verifiers classify a point by its facet coordinates
 
 def chambers_containing(ch, v, band):
-    """1 inside, 0 outside, None within band of a facet (a resample)."""
-    return _count_inside((ch.dual_basis @ v)[None, :], band)
+    """1 inside, 0 outside, -1 within band of a facet (a resample)."""
+    return int(_count_inside((ch.dual_basis @ v)[None, None, :], band)[0])
 
 
 def test_membership_classifications(built):
@@ -186,7 +186,7 @@ def test_membership_classifications(built):
     ch = chamber(rs)
     gens = ch.generators
     assert chambers_containing(ch, gens.sum(axis=0), 1e-9) == 1
-    assert chambers_containing(ch, gens[0], 1e-9) is None      # boundary
+    assert chambers_containing(ch, gens[0], 1e-9) == -1        # boundary
     assert chambers_containing(ch, -gens.sum(axis=0), 1e-9) == 0
 
 

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import ccl
+import ccl.verify
 from ccl.angles import McConfig, _measure_class
 from ccl.cones import SimplicialCone, chamber
-from ccl.linalg import Subspace
+from ccl.linalg import DEFAULT_TOL, Subspace
 from ccl.verify import (GenericPointSampler, _pieces_in_span, run_suite,
                         verify_class_sum,
                         verify_covering_count, verify_curious,
@@ -133,7 +134,8 @@ def test_waldspurger_trials(spec, built):
 
 def test_waldspurger_solve_failure_is_numerical_error(built, monkeypatch):
     rs, g = built("A2")
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.zeros(np.shape(a)[:2]))
+    # a "solution" of zeros, shaped like the real one, leaves residual |v|
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.zeros_like(a @ b))
     with pytest.raises(ccl.NumericalError):
         verify_waldspurger_partition(rs, g, sampler(), trials=5)
 
@@ -410,8 +412,15 @@ def test_run_suite_rejects_k_out_of_range(k, built):
 
 def test_sampler_exhaustion():
     s = GenericPointSampler(seed=1, resample_limit=3)
+    blocks = itertools.count()
+
+    def reject(V):
+        assert next(blocks) < 10, "the sampler did not give up"
+        return np.full(len(V), -1)
+
     with pytest.raises(ccl.GenericityError):
-        s.sample(lambda rng: rng.standard_normal(2), lambda v: None)
+        s.sample(lambda rng, m: rng.standard_normal((m, 2)), reject, trials=1)
+    assert s.resamples == 4
 
 
 def test_genericity_margin_is_respected(built):
@@ -419,11 +428,102 @@ def test_genericity_margin_is_respected(built):
     s = GenericPointSampler(seed=3, generic_margin=0.2)
     draws = []
 
-    def classify(v):
-        draws.append(v)
-        if np.abs(rs.all_roots @ v).min() <= 0.2 * np.linalg.norm(v):
-            return None
-        return v
+    def classify(V):
+        # the index of each generic point among all points drawn
+        first = sum(map(len, draws))
+        draws.append(V)
+        generic = np.abs(V @ rs.all_roots.T).min(axis=1) > 0.2 * np.linalg.norm(V, axis=1)
+        return np.where(generic, first + np.arange(len(V)), -1)
 
-    v = s.sample(lambda rng: rng.standard_normal(2), classify)
-    assert np.abs(rs.all_roots @ v).min() > 0.2 * np.linalg.norm(v)
+    kept = s.sample(lambda rng, m: rng.standard_normal((m, 2)), classify, trials=20)
+    V = np.concatenate(draws)[kept]
+    assert len(V) == 20 and s.resamples > 0
+    assert (np.diff(kept) > 0).all()            # in draw order
+    assert len(np.concatenate(draws)) == 20 + s.resamples
+    assert (np.abs(V @ rs.all_roots.T).min(axis=1) > 0.2 * np.linalg.norm(V, axis=1)).all()
+
+
+# ---------------------------------------------------------------------------
+# block sampling against one point at a time
+
+def per_point_sample(self, draw, classify, trials, entries_per_point=1):
+    """Reference for GenericPointSampler.sample: one draw and one classify
+    per point, redrawing a non-generic point up to resample_limit times."""
+    counts = []
+    for _ in range(trials):
+        for _ in range(self.resample_limit + 1):
+            c = int(classify(draw(self._rng, 1))[0])
+            if c >= 0:
+                break
+            self.resamples += 1
+        else:
+            raise ccl.GenericityError("no generic point found")
+        counts.append(c)
+    return np.array(counts)
+
+
+def counting_checks(rs, g, margin, trials=40):
+    """Run every counting check on every subset, each with a new sampler."""
+    def new_sampler():
+        return GenericPointSampler(seed=5, generic_margin=margin)
+
+    verify_waldspurger_partition(rs, g, new_sampler(), trials)
+    verify_covering_count(rs, g, new_sampler(), trials)
+    for k in range(rs.n + 1):
+        for I in itertools.combinations(range(rs.n), k):
+            verify_face_oplus_covering(rs, g, I, new_sampler(), trials)
+            verify_face_decomposition(rs, g, I, MC, new_sampler(), trials)
+            verify_parabolic_quotient(rs, g, I, MC, new_sampler(), trials)
+
+
+@pytest.mark.parametrize("margin", [DEFAULT_TOL.generic_margin, 0.01])
+@pytest.mark.parametrize("spec", ["A3", "B3", "H3"])
+def test_block_sampling_matches_per_point_reference(spec, margin, built,
+                                                    monkeypatch):
+    rs, g = built(spec)
+    runs = []
+    for sample in (GenericPointSampler.sample, per_point_sample):
+        calls = []
+
+        def recorded(self, *args, sample=sample, calls=calls, **kwargs):
+            counts = sample(self, *args, **kwargs)
+            calls.append((counts.tolist(), self.resamples))
+            return counts
+
+        monkeypatch.setattr(GenericPointSampler, "sample", recorded)
+        counting_checks(rs, g, margin)
+        runs.append(calls)
+    blocked, reference = runs
+    # waldspurger and covering, oplus on all 2^n subsets, decomposition
+    # and parabolic on the 2^n - 1 subsets that leave a space to sample
+    assert len(blocked) == 3 * 2 ** rs.n
+    assert blocked == reference
+    resamples = sum(r for _, r in blocked)
+    assert resamples > 0 if margin == 0.01 else resamples == 0
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5, None])
+def test_reject_runs_across_blocks(cap, monkeypatch):
+    # kept, kept, then a run of resample_limit + 1 = 4 rejects: the runs of
+    # 3 are allowed and the run of 4 raises, whatever blocks they fall in
+    if cap is not None:
+        monkeypatch.setattr(ccl.verify, "BLOCK_ENTRIES", cap)
+    pattern = iter([-1, -1, -1, 7, -1, -1, -1, 8, -1, -1, -1, -1, 9])
+    drawn = []
+
+    def draw(rng, m):
+        drawn.append(m)
+        return rng.standard_normal((m, 2))
+
+    def classify(V):
+        return np.array([next(pattern) for _ in V])
+
+    s = GenericPointSampler(seed=1, resample_limit=3)
+    assert s.sample(draw, classify, trials=2).tolist() == [7, 8]
+    assert s.resamples == 6 and sum(drawn) == 8
+    with pytest.raises(ccl.GenericityError):
+        s.sample(draw, classify, trials=1)
+    assert s.resamples == 10 and sum(drawn) == 12
+    if cap == 1:
+        assert drawn == [1] * 12
+
