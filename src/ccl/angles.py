@@ -14,8 +14,7 @@ SeedSequence(entropy=seed, spawn_key=(*key words, j)), whose mixing hashes
 every bit of the key, so estimates of distinct classes are independent
 while all cones of one class share one estimate and its error.  Results
 are memoized by (key, seed, samples, eps); they are pure functions of
-those, so the memo never makes a result depend on call order, and they are
-bit-identical for any worker count.
+those, so the memo never makes a result depend on call order.
 """
 
 from __future__ import annotations
@@ -23,8 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -102,22 +100,14 @@ class AngleEstimate:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Monte Carlo sampling configuration.
-
-    ``workers`` only parallelizes chunk evaluation; results do not depend
-    on it, so it is left out of equality and hashing and memoized
-    estimates are shared across worker counts.
-    """
+    """Monte Carlo sampling configuration."""
 
     samples: int = 1_000_000
     seed: int = 42
-    workers: int = field(default=1, compare=False)
 
     def __post_init__(self):
         if self.samples < 1_000:
             raise InvalidArgumentError("samples must be >= 1000")
-        if self.workers < 1:
-            raise InvalidArgumentError("workers must be >= 1")
         if not 0 <= self.seed < 2 ** 64:
             raise InvalidArgumentError("seed must fit in 64 bits")
 
@@ -125,26 +115,17 @@ class McConfig:
 DEFAULT_MC = McConfig()
 
 
-def _chunk_sizes(samples: int) -> list[int]:
-    full, rem = divmod(samples, CHUNK_SIZE)
-    return [CHUNK_SIZE] * full + ([rem] if rem else [])
-
-
 def _chunked_count(count_fn, dim: int, mc: McConfig,
                    stream: tuple[int, ...]) -> int:
     """Sum count_fn(points) over deterministic per-chunk Gaussian draws;
     chunk j draws from the child seed (mc.seed, *stream, j)."""
-    sizes = _chunk_sizes(mc.samples)
-
-    def one(j: int) -> int:
+    full, rem = divmod(mc.samples, CHUNK_SIZE)
+    total = 0
+    for j, size in enumerate([CHUNK_SIZE] * full + ([rem] if rem else [])):
         ss = np.random.SeedSequence(entropy=mc.seed, spawn_key=(*stream, j))
         rng = np.random.Generator(np.random.PCG64(ss))
-        return count_fn(rng.standard_normal((sizes[j], dim)))
-
-    if mc.workers == 1 or len(sizes) == 1:
-        return sum(one(j) for j in range(len(sizes)))
-    with ThreadPoolExecutor(max_workers=mc.workers) as pool:
-        return sum(pool.map(one, range(len(sizes))))
+        total += count_fn(rng.standard_normal((size, dim)))
+    return total
 
 
 def _binomial_stderr(hits: int, samples: int) -> float:

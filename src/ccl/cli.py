@@ -39,7 +39,8 @@ def _add_common(p: argparse.ArgumentParser, need_group: bool = True):
                    help="Monte Carlo samples per measured cone")
     p.add_argument("--trials", type=int, default=100,
                    help="generic-point trials per counting check")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted and ignored; Monte Carlo runs on one thread")
     p.add_argument("--k", type=int, default=None,
                    help="restrict k-indexed identities to one k; with "
                         "--all-groups, k is in 0..5 and lower ranks are skipped")
@@ -166,7 +167,7 @@ def _cmd_counts(args, tol) -> int:
 
 def _cmd_verify(args, tol) -> int:
     rs, g = _get_group(args, tol, args.group)
-    mc = McConfig(samples=args.samples, seed=args.seed, workers=args.workers)
+    mc = McConfig(samples=args.samples, seed=args.seed)
     names = SUITE_IDENTITIES if args.identity == "all" else (args.identity,)
     reports = run_suite(rs, g, names, k=args.k, mc=mc, trials=args.trials,
                         seed=args.seed, tol=tol)
@@ -184,7 +185,7 @@ def _cmd_report(args, tol) -> int:
         specs = [args.group]
     else:
         raise UnsupportedGroupError("report needs --group or --all-groups")
-    mc = McConfig(samples=args.samples, seed=args.seed, workers=args.workers)
+    mc = McConfig(samples=args.samples, seed=args.seed)
     docs = []
     all_ok = True
     for spec in specs:

@@ -10,6 +10,9 @@ A Group holds its elements as stacked arrays (permutations, matrices,
 fixed-space dimensions) and the table ``left_mult`` of the index of s_j w,
 looked up by sorting on the simple-root images, which determine an element.
 Generation checks and parabolic subgroups are array closures over its rows.
+Face spans are matched as root subsets on the permutation table: w carries
+span(F_J) onto span(F_I) when it sends the simple roots outside J into
+span(F_I)-perp.
 """
 
 from __future__ import annotations
@@ -20,14 +23,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GroupTooLargeError, InvalidArgumentError, NumericalError
-from .linalg import SPAN_MATCH_TOL, Subspace, ToleranceConfig
+from .linalg import SPAN_MATCH_TOL, ToleranceConfig
 from .roots import RootSystem
 
 __all__ = ["Group", "Subgroup", "enumerate_group", "group_from_perm_stack",
            "solomon_check", "parabolic_subgroup", "regular_count",
-           "normalizer_of_span", "subspace_orbits"]
+           "normalizer_of_span", "subspace_orbits", "span_carriers"]
 
 DEFAULT_ELEMENT_CAP = 20_000
+
+# Largest entry of |w^T w - 1| accepted for a matrix rebuilt from its
+# simple-root images.  Over every supported group it stays below 1.5e-13,
+# while a wrong permutation row moves an entry by order 1, so the check
+# does not depend on the value.
+ORTHOGONALITY_TOL = 1e-9
 
 
 @dataclass
@@ -168,8 +177,7 @@ def _assemble_group(rs: RootSystem, perm_stack: np.ndarray,
                     gen_perms: np.ndarray, tol: ToleranceConfig) -> Group:
     n = rs.n
     order = perm_stack.shape[0]
-    simple_idx = np.array([rs.match_root(rs.simple_roots[j]) for j in range(n)])
-    simple_images = perm_stack[:, simple_idx]         # (order, n) root indices
+    simple_images = perm_stack[:, rs.simple_ids]      # (order, n) root indices
 
     # The simple-root images, read as base-num_roots digits, key an element.
     digits = rs.num_roots ** np.arange(n, dtype=np.int64)
@@ -192,7 +200,7 @@ def _assemble_group(rs: RootSystem, perm_stack: np.ndarray,
 
     eye = np.eye(n)
     ortho_err = np.abs(np.einsum("kij,kil->kjl", mats, mats) - eye).max()
-    if ortho_err > 1e-9:
+    if ortho_err > ORTHOGONALITY_TOL:
         raise NumericalError(
             f"reconstructed matrices not orthogonal (err {ortho_err:.2e})")
     mats.setflags(write=False)
@@ -226,15 +234,20 @@ def solomon_check(g: Group, exps) -> bool:
     return poly == counts
 
 
+def _face_subset(g: Group, I) -> frozenset[int]:
+    I = frozenset(int(i) for i in I)
+    if not I <= set(range(g.n)):
+        raise InvalidArgumentError(f"I must be a subset of 0..{g.n - 1}")
+    return I
+
+
 def parabolic_subgroup(g: Group, I) -> Subgroup:
     """Subgroup generated by the simple reflections {s_j : j not in I}.
 
     This is exactly the pointwise stabilizer of span{omega_i : i in I}
     (Steinberg fixator property); the equality is asserted.
     """
-    I = frozenset(int(i) for i in I)
-    if not I <= set(range(g.n)):
-        raise InvalidArgumentError(f"I must be a subset of 0..{g.n - 1}")
+    I = _face_subset(g, I)
     gens = [j for j in range(g.n) if j not in I]
     indices = tuple(int(i) for i in np.flatnonzero(_closure(g.left_mult[gens])))
 
@@ -261,13 +274,21 @@ def regular_count(sub: Subgroup, ambient_subspace_dim: int) -> int:
     return int(np.sum(g.fixed_dims[list(sub.indices)] == target))
 
 
-def normalizer_of_span(g: Group, S: Subspace) -> Subgroup:
-    """Elements mapping the subspace onto itself, by projector comparison."""
-    P = S.projector()
-    stack = g.matrix_stack
-    imgs = stack @ P @ np.transpose(stack, (0, 2, 1))
-    keep = np.abs(imgs - P).max(axis=(1, 2)) <= SPAN_MATCH_TOL
-    return Subgroup(g, tuple(int(i) for i in np.flatnonzero(keep)))
+def span_carriers(g: Group, I, J, within: np.ndarray | bool = True) -> np.ndarray:
+    """Mask of the elements w with w . span(F_J) = span(F_I), for |I| = |J|:
+    those sending the simple roots outside J, which span span(F_J)-perp, to
+    roots orthogonal to span(F_I) (and, given the root mask ``within``, in
+    it).  The complements have equal dimension, so into is onto."""
+    rs = g.root_system
+    targets = rs.orthogonal_roots(I) & within
+    rest = [j for j in range(g.n) if j not in J]
+    return targets[g.perm_stack[:, rs.simple_ids[rest]]].all(axis=1)
+
+
+def normalizer_of_span(g: Group, I) -> Subgroup:
+    """Elements mapping span{omega_i : i in I} onto itself."""
+    I = _face_subset(g, I)
+    return Subgroup(g, tuple(int(i) for i in np.flatnonzero(span_carriers(g, I, I))))
 
 
 def subspace_orbits(g: Group, k: int) -> list[list[tuple[int, ...]]]:
@@ -280,26 +301,12 @@ def subspace_orbits(g: Group, k: int) -> list[list[tuple[int, ...]]]:
     n = g.n
     if not 0 <= k <= n:
         raise InvalidArgumentError(f"k must be in 0..{n}")
-    subsets = [tuple(c) for c in itertools.combinations(range(n), k)]
-    if k == 0 or k == n:
-        return [[subsets[0]]]
-
-    W = g.root_system.fundamental_weights
-    projectors = []
-    for I in subsets:
-        S = Subspace.from_spanning(W[list(I)], ambient_dim=n)
-        projectors.append(S.projector())
-    P = np.array(projectors)
-
     # W-orbits partition the subsets, so the class of the first unplaced
-    # subset is every unplaced subset one of its images matches.
-    stack = g.matrix_stack
-    unplaced = list(range(len(subsets)))
+    # subset is every unplaced subset some element carries onto it.
+    unplaced = list(itertools.combinations(range(n), k))
     classes = []
     while unplaced:
-        orbit = stack @ P[unplaced[0]] @ np.transpose(stack, (0, 2, 1))
-        cls = [j for j in unplaced
-               if np.abs(orbit - P[j]).max(axis=(1, 2)).min() <= SPAN_MATCH_TOL]
-        classes.append([subsets[j] for j in cls])
-        unplaced = [j for j in unplaced if j not in cls]
+        cls = [J for J in unplaced if span_carriers(g, unplaced[0], J).any()]
+        classes.append(cls)
+        unplaced = [J for J in unplaced if J not in cls]
     return classes

@@ -47,12 +47,19 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 # Largest entry-wise difference at which a group element's image of a
-# face-span projector (or of a face's fixed points) still counts as equal
-# to the target.  Over every supported group and face subset, images that
-# match differ by at most 2e-13 and images that do not differ by at least
-# 0.1, so any threshold far from both decides the same; it is a property
-# of the float64 arithmetic, not a user-facing tolerance.
+# face's fixed points (the weights omega_i, i in I) still counts as equal to
+# them, in the fixator check of ``groups.parabolic_subgroup``.  Over every
+# supported group and face subset, images that match differ by at most
+# 5e-14 and images that do not differ by at least 1.3, so any threshold far
+# from both decides the same; it is a property of the float64 arithmetic,
+# not a user-facing tolerance.
 SPAN_MATCH_TOL = 1e-8
+
+# Largest entry of |B B^T - 1| accepted for a row basis B called
+# orthonormal.  The bases ccl builds (SVD rows, identity rows) stay within
+# 1.2e-15 over every supported group's suite, while a basis that is not
+# orthonormal is off by order 1, so the checks do not depend on the value.
+ORTHONORMAL_TOL = 1e-9
 
 
 def _as_matrix(M) -> np.ndarray:
@@ -79,8 +86,8 @@ class Subspace:
             raise InvalidArgumentError("basis must be a 2-d array of row vectors")
         if B.shape[0] > 0:
             gram = B @ B.T
-            if np.abs(gram - np.eye(B.shape[0])).max() > 1e-9:
-                raise InvalidArgumentError("basis rows are not orthonormal within 1e-9")
+            if np.abs(gram - np.eye(B.shape[0])).max() > ORTHONORMAL_TOL:
+                raise InvalidArgumentError("basis rows are not orthonormal")
         B = B.copy()
         B.setflags(write=False)
         return Subspace(B, B.shape[0])
@@ -142,7 +149,7 @@ def orthogonal_projector(S: Subspace) -> np.ndarray:
     if B.shape[0] == 0:
         return np.zeros((S.ambient_dim, S.ambient_dim))
     gram = B @ B.T
-    if np.abs(gram - np.eye(B.shape[0])).max() > 1e-9:
-        raise InvalidArgumentError("subspace basis is not orthonormal within 1e-9")
+    if np.abs(gram - np.eye(B.shape[0])).max() > ORTHONORMAL_TOL:
+        raise InvalidArgumentError("subspace basis is not orthonormal")
     return B.T @ B
 

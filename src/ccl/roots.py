@@ -9,6 +9,7 @@ simple reflections to obtain the full unit root set.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -27,6 +28,12 @@ __all__ = ["GroupType", "RootSystem", "build", "generate_roots",
            "fundamental_weights", "SUPPORTED_TYPES"]
 
 _CLOSURE_CAP = 10_000
+
+# Threshold on |c| that tells a zero coefficient c = (beta, omega_i) of a
+# root beta on a unit simple root alpha_i from a nonzero one.  Over every
+# supported group the nonzero coefficients have |c| >= 1 - 4e-16 and the
+# zero ones |c| <= 6e-16, so any threshold between decides the same.
+COEFFICIENT_ZERO_TOL = 0.5
 
 
 @dataclass(frozen=True)
@@ -204,6 +211,17 @@ class RootSystem:
 
     def expected_order(self) -> int:
         return _ORDER[self.group_type.family](self.group_type.rank, self.group_type.m)
+
+    @functools.cached_property
+    def simple_ids(self) -> np.ndarray:
+        """Index of each simple root in the root list."""
+        return np.array([self.match_root(a) for a in self.simple_roots])
+
+    def orthogonal_roots(self, I) -> np.ndarray:
+        """Mask of the roots orthogonal to span{omega_i : i in I}, read as
+        the roots with coefficient 0 on alpha_i for every i in I."""
+        coefficients = self.all_roots @ self.fundamental_weights[list(I)].T
+        return (np.abs(coefficients) < COEFFICIENT_ZERO_TOL).all(axis=1)
 
     def match_root(self, v: np.ndarray) -> int:
         """Index of the root nearest to v; error if none within eps_root_match."""

@@ -36,8 +36,8 @@ from .angles import DEFAULT_MC, MC_SIGMAS, AngleEstimate, McConfig, measure
 from .cones import chamber, dual, face, quotient, quotient_dual
 from .errors import GenericityError, InvalidArgumentError, NumericalError
 from .groups import (Group, normalizer_of_span, parabolic_subgroup,
-                     regular_count, subspace_orbits)
-from .linalg import DEFAULT_TOL, SPAN_MATCH_TOL, Subspace, ToleranceConfig
+                     regular_count, span_carriers, subspace_orbits)
+from .linalg import DEFAULT_TOL, Subspace, ToleranceConfig
 from .roots import RootSystem
 
 __all__ = ["VerificationReport", "GenericPointSampler", "verify_curious",
@@ -311,10 +311,7 @@ def verify_equiv_measure(rs: RootSystem, g: Group, cls, mc: McConfig = DEFAULT_M
     breakdown = [(f"sigma(F_{_fmt_subset(J)})", est.value, est.stderr)
                  for J, est in zip(cls, ests)]
     rep = cls[0]
-    w_f = parabolic_subgroup(g, rep)
-    span = Subspace.from_spanning(rs.fundamental_weights[list(rep)], ambient_dim=rs.n)
-    n_f = normalizer_of_span(g, span)
-    rhs = (len(w_f), len(n_f))
+    rhs = (len(parabolic_subgroup(g, rep)), len(normalizer_of_span(g, rep)))
     return _measure_report("equiv-measure", rs, len(rep), lhs, rhs,
                            _combined_stderr((1.0, est) for est in ests),
                            mc.seed, samples, breakdown)
@@ -335,10 +332,7 @@ def verify_class_sum(rs: RootSystem, g: Group, k: int,
     for cls in subspace_orbits(g, k):
         rep = cls[0]
         sub = parabolic_subgroup(g, rep)
-        span = Subspace.from_spanning(rs.fundamental_weights[list(rep)],
-                                      ambient_dim=n)
-        n_f = normalizer_of_span(g, span)
-        term = Fraction(regular_count(sub, n - k), len(n_f))
+        term = Fraction(regular_count(sub, n - k), len(normalizer_of_span(g, rep)))
         total += term
         breakdown.append((f"class rep {_fmt_subset(rep)}", float(term), 0.0))
     rhs = Fraction(g.counts_by_fixed_dim[k], g.order)
@@ -418,24 +412,10 @@ def verify_covering_count(rs: RootSystem, g: Group,
         [("resamples", float(sampler.resamples), 0.0)])
 
 
-def _pairs_spanning(rs: RootSystem, g: Group, I,
-                    tol: ToleranceConfig) -> list[tuple[int, tuple[int, ...]]]:
+def _pairs_spanning(rs: RootSystem, g: Group, I) -> list[tuple[int, tuple[int, ...]]]:
     """All pairs (element index, subset J) with w . span(F_J) = span(F_I)."""
-    n = rs.n
-    I = tuple(sorted(int(i) for i in I))
-    k = len(I)
-    W = rs.fundamental_weights
-    target = Subspace.from_spanning(W[list(I)], ambient_dim=n).projector()
-    stack = g.matrix_stack
-    # w P_J w^T = P_I  <=>  P_J = w^T P_I w: one conjugation for all J
-    pulled = np.transpose(stack, (0, 2, 1)) @ target @ stack
-    pairs = []
-    for J in itertools.combinations(range(n), k):
-        P = Subspace.from_spanning(W[list(J)], ambient_dim=n).projector()
-        hits = np.flatnonzero(
-            np.abs(pulled - P).max(axis=(1, 2)) <= SPAN_MATCH_TOL)
-        pairs.extend((int(w), J) for w in hits)
-    return pairs
+    return [(int(w), J) for J in itertools.combinations(range(rs.n), len(I))
+            for w in np.flatnonzero(span_carriers(g, I, J))]
 
 
 def verify_face_oplus_covering(rs: RootSystem, g: Group, I,
@@ -448,7 +428,7 @@ def verify_face_oplus_covering(rs: RootSystem, g: Group, I,
     n, margin = rs.n, sampler.generic_margin
     I = tuple(sorted(int(i) for i in I))
     k = len(I)
-    pairs = _pairs_spanning(rs, g, I, tol)
+    pairs = _pairs_spanning(rs, g, I)
     ch = chamber(rs)
 
     # generator matrix of F_J + (C/F_J)* is weights[J] stacked with alpha[not J]
@@ -477,21 +457,18 @@ def verify_face_oplus_covering(rs: RootSystem, g: Group, I,
 # decomposition / quotient structure
 
 
-def _pieces_in_span(rs: RootSystem, g: Group, I,
-                    tol: ToleranceConfig) -> dict[tuple[int, ...], list[int]]:
+def _pieces_in_span(rs: RootSystem, g: Group, I) -> dict[tuple[int, ...], list[int]]:
     """The distinct chamber faces w . F_J spanning span(F_I), as indices w
     by face type J.  A face is a coset w W_J (W_J fixes F_J); its shortest
     element keeps every simple root outside J positive and, as enumeration
     is by word length, has the smallest index in the coset."""
-    pairs = _pairs_spanning(rs, g, I, tol)
     # every root has |(beta, omega_1 + ... + omega_n)| >= 1: no sign is close to 0
     positive = rs.all_roots @ rs.fundamental_weights.sum(axis=0) > 0
-    simple_ids = np.array([rs.match_root(a) for a in rs.simple_roots])
     pieces: dict[tuple[int, ...], list[int]] = {}
-    for w, J in pairs:
-        rest = [j for j in range(rs.n) if j not in J]
-        if positive[g.perm_stack[w, simple_ids[rest]]].all():
-            pieces.setdefault(J, []).append(w)
+    for J in itertools.combinations(range(rs.n), len(I)):
+        ws = np.flatnonzero(span_carriers(g, I, J, within=positive))
+        if ws.size:
+            pieces[J] = ws.tolist()
     return pieces
 
 
@@ -514,7 +491,7 @@ def verify_face_decomposition(rs: RootSystem, g: Group, I,
             "decomposition", rs, 0, 1.0, (1, 1), 0.0, sampler.seed, 0,
             [("zero cone", 1.0, 0.0)], rule_suffix="; unique containment trivial")
 
-    pieces = _pieces_in_span(rs, g, I, tol)
+    pieces = _pieces_in_span(rs, g, I)
     ch = chamber(rs)
     faces = {J: face(ch, J, tol) for J in pieces}
     by_type = {J: measure(f, mc, tol) for J, f in faces.items()}

@@ -147,6 +147,15 @@ def test_fundamental_weights_orthogonal_simple_roots():
     assert np.allclose(w, np.eye(2), atol=1e-12)
 
 
+def test_root_coefficients_are_zero_or_at_least_one():
+    # orthogonal_roots tells zero coefficients (beta, omega_i) from nonzero
+    # ones by a threshold of 0.5; that needs a wide gap between the two
+    for t in SUPPORTED_TYPES:
+        rs = build(t)
+        c = np.abs(rs.all_roots @ rs.fundamental_weights.T)
+        assert ((c <= 1e-12) | (c >= 1 - 1e-12)).all(), str(t)
+
+
 def test_fundamental_weights_rank1():
     w = fundamental_weights(np.array([[1.0]]))
     assert w[0, 0] > 0

@@ -9,9 +9,11 @@ import ccl
 import ccl.verify
 from ccl.angles import McConfig, _measure_class
 from ccl.cones import SimplicialCone, chamber
+from ccl.groups import normalizer_of_span
 from ccl.linalg import DEFAULT_TOL, Subspace
-from ccl.verify import (GenericPointSampler, _pieces_in_span, run_suite,
-                        verify_class_sum,
+from ccl.roots import SUPPORTED_TYPES
+from ccl.verify import (GenericPointSampler, _pairs_spanning, _pieces_in_span,
+                        run_suite, verify_class_sum,
                         verify_covering_count, verify_curious,
                         verify_equiv_measure, verify_face_decomposition,
                         verify_face_oplus_covering, verify_main,
@@ -214,6 +216,28 @@ def test_decomposition_b2_axis_line(built):
     assert len(pieces) == 2
 
 
+@pytest.mark.parametrize("spec", [str(t) for t in SUPPORTED_TYPES])
+def test_span_pairs_and_normalizers_match_projector_oracle(spec, built):
+    # oracle: w . span(F_J) = span(F_I) when w P_J w^T = P_I
+    rs, g = built(spec)
+    n, W, stack = rs.n, rs.fundamental_weights, g.matrix_stack
+
+    def projector(J):
+        return Subspace.from_spanning(W[list(J)], ambient_dim=n).projector()
+
+    for k in range(n + 1):
+        types = list(itertools.combinations(range(n), k))
+        images = {J: stack @ projector(J) @ np.transpose(stack, (0, 2, 1))
+                  for J in types}
+        for I in types:
+            target = projector(I)
+            expected = [(int(w), J) for J in types for w in np.flatnonzero(
+                np.abs(images[J] - target).max(axis=(1, 2)) <= 1e-8)]
+            assert _pairs_spanning(rs, g, I) == expected
+            assert normalizer_of_span(g, I).indices == tuple(
+                w for w, J in expected if J == I)
+
+
 @pytest.mark.parametrize("spec", ["F4", "A5", "H4"])
 def test_decomposition_pieces_per_type_are_cosets(spec, built):
     # the pieces of type J are the cosets w W_J among the elements w with
@@ -238,7 +262,7 @@ def test_decomposition_pieces_per_type_are_cosets(spec, built):
                 assert hits % fixator[J] == 0
                 if hits:
                     expected[J] = hits // fixator[J]
-            pieces = _pieces_in_span(rs, g, I, rs.tol)
+            pieces = _pieces_in_span(rs, g, I)
             assert {J: len(ws) for J, ws in pieces.items()} == expected
             if k == n:
                 assert sum(expected.values()) == g.order
