@@ -2,8 +2,9 @@
 
 Builds the supported irreducible reflection groups, computes relative
 angle measures of the cones attached to their chambers (exactly up to
-dimension 3, by seeded Monte Carlo above), and verifies the chamber-face
-angle identities with exact integer right-hand sides.
+dimension 5 by default, or by seeded Monte Carlo from dimension 4 when a
+sample count is given), and verifies the chamber-face angle identities
+with exact integer right-hand sides.
 """
 
 __version__ = "0.1.0"

@@ -1,20 +1,35 @@
 """Relative angle measures of simplicial cones.
 
-Dimensions 0-3 are exact (conventions/arc/Girard); dimension 4 and above
-fall back to seeded Monte Carlo over Gaussian directions inside the cone's
-span.
+Every measure is exact by default.  Dimensions 0-3 use the conventions
+and the arc and Girard formulas.  Dimensions 4 and 5 use Plackett's
+reduction of the Gaussian orthant probability (R. L. Plackett, Biometrika
+41, 1954; D. R. Childs, Biometrika 54, 1967).  A point x of the cone's span
+lies in the cone when y = D x >= 0, where the rows of D are the unit inward
+facet normals.  For a standard Gaussian x, y has the correlation matrix R,
+the Gram matrix of those normals, so the measure is the orthant
+probability P_n(R).  Along R(t) = I + t (R - I), dP_n/drho_ij is
+phi_2(0, 0; t rho_ij) times the orthant probability P_{n-2} of the other
+coordinates given y_i = y_j = 0, and P_{n-2} has the closed arc or Girard
+form.  So P_n(R) = 2^-n plus a 1-D integral over t in [0, 1], taken by
+Gauss-Legendre quadrature.
 
-A cone's measure depends only on its congruence class, which the Gram
-matrix of its unit generators determines.  ``congruence_key`` rounds that
-matrix and minimizes it over generator orderings; Monte Carlo measures the
-canonical cone the key describes (generators: the rows of the Cholesky
-factor of the key's Gram matrix), so congruent cones get one estimate.
-Each class draws its own sample stream: chunk j comes from the child seed
+Seeded Monte Carlo over Gaussian directions inside the cone's span (the
+paper's method) runs for dimensions 4 and above when ``McConfig.samples``
+is given, for dimensions 6 and above, which no supported group produces,
+and under ``force_monte_carlo``.  A cone's measure depends only on its
+congruence class, which the Gram matrix of its unit generators
+determines.  ``congruence_key`` rounds that matrix and minimizes it over
+generator orderings; Monte Carlo measures the canonical cone the key
+describes (generators: the rows of the Cholesky factor of the key's Gram
+matrix), so congruent cones get one estimate.  Each class draws its own
+sample stream: chunk j comes from the child seed
 SeedSequence(entropy=seed, spawn_key=(*key words, j)), whose mixing hashes
 every bit of the key, so estimates of distinct classes are independent
 while all cones of one class share one estimate and its error.  Results
 are memoized by (key, seed, samples, eps); they are pure functions of
-those, so the memo never makes a result depend on call order.
+those, so the memo never makes a result depend on call order.  The exact
+methods are pure functions of the cone itself and are not memoized: the
+key's rounding would move a measure by up to 3e-10.
 """
 
 from __future__ import annotations
@@ -27,7 +42,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateConeError, InvalidArgumentError
+from .errors import DegenerateConeError, InvalidArgumentError, NumericalError
 from .cones import SimplicialCone
 from .linalg import DEFAULT_TOL, ToleranceConfig
 
@@ -54,6 +69,23 @@ MEMO_SIZE = 4096
 # Multiplier of the verifiers' Monte Carlo pass rule |lhs - rhs| <= 4 sigma.
 MC_SIGMAS = 4.0
 
+# Samples drawn where Monte Carlo runs without a count in McConfig: under
+# force_monte_carlo, or for a cone of dimension 6 or more.
+MC_SAMPLES = 1_000_000
+
+# Gauss-Legendre nodes N of the exact dimension 4-5 method, which also
+# evaluates the integral with 2N nodes as its own check.  The error falls
+# geometrically with N, at a rate set by how close R(t) comes to singular:
+# the worst case the suite measures, the H4 dual chamber (max |rho| 0.991),
+# needs 48 nodes for 3e-11; A5 needs 16 for 5e-16.
+PLACKETT_NODES = 64
+
+# Largest gap between the N- and 2N-node integrals accepted as converged.
+# Over every cone of dimension 4-5 the suite measures, the gap is at most
+# 5.9e-14 (the H4 dual chamber), and it is far below the exact pass rule's
+# 1e-9, so a result that passes it cannot decide a verdict by its error.
+PLACKETT_TOL = 1e-12
+
 
 def count_nonnegative(points: np.ndarray, facet_coords: np.ndarray,
                       eps: float) -> int:
@@ -69,6 +101,7 @@ class AngleMethod(Enum):
     EXACT1 = "Exact1"
     EXACT2_ARC = "Exact2Arc"
     EXACT3_GIRARD = "Exact3Girard"
+    EXACT_PLACKETT = "ExactPlackett"
     MONTE_CARLO = "MonteCarlo"
 
 
@@ -100,13 +133,17 @@ class AngleEstimate:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Monte Carlo sampling configuration."""
+    """Monte Carlo sampling configuration.
 
-    samples: int = 1_000_000
+    ``samples`` None measures dimensions 0-5 exactly; a count measures
+    dimensions 4 and above by Monte Carlo with that many samples.
+    """
+
+    samples: int | None = None
     seed: int = 42
 
     def __post_init__(self):
-        if self.samples < 1_000:
+        if self.samples is not None and self.samples < 1_000:
             raise InvalidArgumentError("samples must be >= 1000")
         if not 0 <= self.seed < 2 ** 64:
             raise InvalidArgumentError("seed must fit in 64 bits")
@@ -179,6 +216,8 @@ def _measure_class(key: bytes, k: int, mc: McConfig, eps: float) -> AngleEstimat
 
 
 def _measure_mc(c: SimplicialCone, mc: McConfig, eps: float) -> AngleEstimate:
+    if mc.samples is None:
+        mc = McConfig(MC_SAMPLES, mc.seed)
     return _measure_class(congruence_key(c), c.dim, mc, eps)
 
 
@@ -200,6 +239,61 @@ def _measure_girard(c: SimplicialCone) -> float:
     return excess / (4.0 * math.pi)
 
 
+@functools.cache
+def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m-point Gauss-Legendre nodes and weights on [0, 1], by Golub-Welsch:
+    the eigenvalues of the Legendre Jacobi matrix and the squared first
+    components of its eigenvectors."""
+    k = np.arange(1, m)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vecs = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    nodes, weights = (nodes + 1.0) / 2.0, vecs[0] ** 2
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+@functools.cache
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pairs i < j of 0..n-1 and, per pair, the other n - 2 indices."""
+    ij = np.array(list(itertools.combinations(range(n), 2)))
+    rest = np.array([[r for r in range(n) if r not in p] for p in ij])
+    return ij[:, 0], ij[:, 1], rest
+
+
+def _measure_plackett(c: SimplicialCone) -> float:
+    """Orthant probability P_n(R) of the cone's facet-normal correlation R,
+    n = 4 or 5, by Plackett's reduction (see the module docstring)."""
+    n = c.dim
+    D = c.dual_basis / np.linalg.norm(c.dual_basis, axis=1, keepdims=True)
+    R = D @ D.T
+    i, j, rest = _pairs(n)
+    rho = R[i, j]                                        # (pairs,)
+    t_lo, w_lo = _gauss_legendre(PLACKETT_NODES)
+    t_hi, w_hi = _gauss_legendre(2 * PLACKETT_NODES)
+    t = np.concatenate([t_lo, t_hi])                     # (nodes,)
+    eye = np.eye(n)
+    precision = np.linalg.inv(eye + t[:, None, None] * (R - eye))
+    # covariance of the other coordinates given y_i = y_j = 0, per node and
+    # pair: the inverse of the rest block of the precision matrix
+    cond = np.linalg.inv(precision[:, rest[:, :, None], rest[:, None, :]])
+    sd = np.sqrt(np.diagonal(cond, axis1=2, axis2=3))
+    a, b = np.triu_indices(n - 2, 1)
+    r = cond[..., a, b] / (sd[..., a] * sd[..., b])
+    # P_m = 2^-m + sum of asin(r_pq) / (2^(m-1) pi): the arc (m = 2) and
+    # Girard (m = 3) orthants
+    inner = 2.0 ** (2 - n) + np.arcsin(r).sum(axis=-1) / (2.0 ** (n - 3) * math.pi)
+    density = rho / (2.0 * math.pi * np.sqrt(1.0 - (t[:, None] * rho) ** 2))
+    f = (density * inner).sum(axis=-1)
+    lo = 2.0 ** -n + float(w_lo @ f[:len(t_lo)])
+    hi = 2.0 ** -n + float(w_hi @ f[len(t_lo):])
+    if not (math.isfinite(lo) and math.isfinite(hi)) or abs(lo - hi) > PLACKETT_TOL:
+        raise NumericalError(
+            f"Plackett quadrature did not converge: {lo!r} with "
+            f"{len(t_lo)} nodes, {hi!r} with {len(t_hi)}")
+    return hi
+
+
 def measure(c: SimplicialCone, mc: McConfig = DEFAULT_MC,
             tol: ToleranceConfig = DEFAULT_TOL,
             force_monte_carlo: bool = False) -> AngleEstimate:
@@ -207,10 +301,13 @@ def measure(c: SimplicialCone, mc: McConfig = DEFAULT_MC,
 
     The zero cone has measure 1 by convention (it occupies all of its
     zero-dimensional span); rays are exactly 1/2; dimensions 2 and 3 use
-    the arc and spherical-excess formulas; higher dimensions are estimated
-    by Monte Carlo on the cone's congruence class.  ``force_monte_carlo``
-    routes low-dimensional cones through the MC path (used by the
-    cross-method consistency checks).
+    the arc and spherical-excess formulas.  Dimensions 4 and 5 use Plackett's
+    reduction when ``mc.samples`` is None, its default, and are estimated
+    by Monte Carlo on the cone's congruence class with ``mc.samples``
+    samples otherwise; higher dimensions are always estimated.
+    ``force_monte_carlo`` routes any cone of dimension >= 1 through the MC
+    path (used by the cross-method consistency checks).  Monte Carlo
+    without a count draws MC_SAMPLES samples.
     """
     k = c.dim
     if force_monte_carlo and k >= 1:
@@ -223,4 +320,6 @@ def measure(c: SimplicialCone, mc: McConfig = DEFAULT_MC,
         return AngleEstimate(_measure_arc(c), 0.0, AngleMethod.EXACT2_ARC)
     if k == 3:
         return AngleEstimate(_measure_girard(c), 0.0, AngleMethod.EXACT3_GIRARD)
+    if k <= 5 and mc.samples is None:
+        return AngleEstimate(_measure_plackett(c), 0.0, AngleMethod.EXACT_PLACKETT)
     return _measure_mc(c, mc, tol.eps_membership)

@@ -35,8 +35,10 @@ def _add_common(p: argparse.ArgumentParser, need_group: bool = True):
     p.add_argument("--group", required=need_group,
                    help="group spec, e.g. A2, B4, D4, I2(7), H3, F4, H4")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--samples", type=int, default=1_000_000,
-                   help="Monte Carlo samples per measured cone")
+    p.add_argument("--samples", type=int, default=None, metavar="N",
+                   help="estimate dimension >= 4 measures by seeded Monte "
+                        "Carlo with N samples each (the paper's method); "
+                        "default: exact quadrature")
     p.add_argument("--trials", type=int, default=100,
                    help="generic-point trials per counting check")
     p.add_argument("--workers", type=int, default=1,

@@ -35,6 +35,29 @@ _CLOSURE_CAP = 10_000
 # zero ones |c| <= 6e-16, so any threshold between decides the same.
 COEFFICIENT_ZERO_TOL = 0.5
 
+# Largest | |alpha| - 1 | accepted for a simple root.  The Cholesky rows
+# ccl builds have unit length to 1.1e-16 over every supported group, so
+# the check only rejects input that was not meant to be unit length.
+UNIT_LENGTH_TOL = 1e-9
+
+# Largest entry of |L L^T - G| accepted from the Cholesky factor L of the
+# Gram matrix G.  Over every supported group it is at most 1.1e-16, so the
+# check only catches a factorization that failed outright.
+GRAM_CHECK_TOL = 1e-9
+
+# Most negative (omega_i, alpha_j) accepted for fundamental weights in the
+# closed chamber.  The products are delta_ij to 2.3e-16 over every
+# supported group, the smallest is -1.2e-16, and a weight outside the
+# chamber gives a product of order -1.
+CHAMBER_SIGN_TOL = 1e-9
+
+# Decimals of the root coordinates in the root sort key, so that float
+# noise cannot reorder roots.  Over every supported group, coordinates that
+# are equal differ by at most 1.3e-14 and distinct ones by at least 0.034,
+# and no coordinate lies within 1.1e-11 of a rounding boundary, so rounding
+# neither splits equal coordinates nor merges distinct ones.
+ROOT_SORT_DECIMALS = 9
+
 
 @dataclass(frozen=True)
 class GroupType:
@@ -244,11 +267,12 @@ def generate_roots(simple, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Close the simple roots under the simple reflections.
 
     Returns the full unit root set, deduplicated with eps_root_match and
-    sorted lexicographically on coordinates rounded to 9 decimals.
+    sorted lexicographically on coordinates rounded to
+    ROOT_SORT_DECIMALS decimals.
     """
     S = np.asarray(simple, dtype=float)
     norms = np.linalg.norm(S, axis=1)
-    if np.abs(norms - 1.0).max() > 1e-9:
+    if np.abs(norms - 1.0).max() > UNIT_LENGTH_TOL:
         raise InvalidArgumentError("simple roots must be unit length")
     eigs = np.linalg.eigvalsh(S @ S.T)
     if eigs.min() <= tol.eps_rank:
@@ -273,7 +297,7 @@ def generate_roots(simple, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
         frontier = new_frontier
 
     order = sorted(range(len(roots)),
-                   key=lambda i: tuple(np.round(roots[i], 9)))
+                   key=lambda i: tuple(np.round(roots[i], ROOT_SORT_DECIMALS)))
     out = np.array([roots[i] for i in order])
     out.setflags(write=False)
     return out
@@ -300,7 +324,7 @@ def build(t: GroupType, tol: ToleranceConfig = DEFAULT_TOL) -> RootSystem:
     L = np.linalg.cholesky(G)
     simple = L  # rows are unit simple roots realizing the Gram matrix
 
-    if np.abs(simple @ simple.T - G).max() > 1e-9:
+    if np.abs(simple @ simple.T - G).max() > GRAM_CHECK_TOL:
         raise NumericalError("Cholesky construction failed the Gram check")
 
     all_roots = generate_roots(simple, tol)
@@ -312,7 +336,7 @@ def build(t: GroupType, tol: ToleranceConfig = DEFAULT_TOL) -> RootSystem:
     weights = fundamental_weights(simple)
     # weights must lie in the closed fundamental chamber
     prods = weights @ simple.T  # (i, j) -> (omega_i, alpha_j)
-    if prods.min() < -1e-9:
+    if prods.min() < -CHAMBER_SIGN_TOL:
         raise NumericalError("fundamental weights fell outside the chamber")
 
     simple = simple.copy()

@@ -262,3 +262,84 @@ def test_angle_estimate_validation():
 def test_measure_rejects_degenerate():
     with pytest.raises(ccl.DegenerateConeError):
         SimplicialCone.from_generators([[1.0, 0.0], [-1.0, 0.0]])
+
+
+# ---------------------------------------------------------------------------
+# exact dimension 4-5 measures by Plackett's reduction
+
+PLACKETT_GROUPS = ["A4", "A5", "B4", "D4", "F4", "H4"]
+
+
+def cone_with_normal_gram(R):
+    """A full-dimensional cone whose unit inward facet normals have Gram
+    matrix R: the normals are the rows of R's Cholesky factor L, and the
+    generators the rows of L^-T."""
+    return SimplicialCone.from_generators(np.linalg.inv(np.linalg.cholesky(R)).T)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_plackett_orthant_closed_forms(n):
+    orthant = measure(SimplicialCone.from_generators(np.eye(n)))
+    assert orthant.method is AngleMethod.EXACT_PLACKETT
+    assert abs(orthant.value - 2.0 ** -n) <= 1e-12
+    # equicorrelated orthant, rho = 1/2: 1 / (n + 1)
+    R = np.full((n, n), 0.5) + 0.5 * np.eye(n)
+    c = cone_with_normal_gram(R)
+    assert np.abs(c.dual_basis @ c.dual_basis.T - R).max() <= 1e-12
+    assert abs(measure(c).value - 1 / (n + 1)) <= 1e-12
+
+
+@pytest.mark.parametrize("spec", PLACKETT_GROUPS)
+def test_plackett_chamber_and_dual_chamber(spec, built):
+    rs, g = built(spec)
+    ch = chamber(rs)
+    for cone, expected in ((ch, 1 / g.order),
+                           (dual(ch), g.counts_by_fixed_dim[0] / g.order)):
+        est = measure(cone)
+        assert est.method is AngleMethod.EXACT_PLACKETT
+        assert est.stderr == 0.0 and est.samples == 0 and est.key is None
+        assert abs(est.value - expected) <= 1e-12
+
+
+MEASURE_VALUED = ("curious", "main", "decomposition", "parabolic",
+                  "equiv-measure")
+
+
+@pytest.mark.parametrize("spec", PLACKETT_GROUPS)
+def test_plackett_agrees_with_mc_on_suite_classes(spec, built, monkeypatch):
+    # every class of dimension 4-5 the suite measures, against a pinned-seed
+    # Monte Carlo estimate of it
+    rs, g = built(spec)
+    classes = {}
+
+    def record(cone, *args, **kwargs):
+        if cone.dim >= 4:
+            classes.setdefault(congruence_key(cone), cone)
+        return measure(cone, *args, **kwargs)
+
+    monkeypatch.setattr(ccl.verify, "measure", record)
+    ccl.run_suite(rs, g, MEASURE_VALUED, trials=1)
+    assert classes
+    for cone in classes.values():
+        exact = measure(cone)
+        assert exact.method is AngleMethod.EXACT_PLACKETT
+        est = measure(cone, MC)
+        assert abs(est.value - exact.value) <= 4 * est.stderr
+
+
+def test_plackett_too_few_nodes_raises(built, monkeypatch):
+    rs, _ = built("H4")
+    d = dual(chamber(rs))
+    monkeypatch.setattr(ccl.angles, "PLACKETT_NODES", 2)
+    with pytest.raises(ccl.NumericalError, match="did not converge"):
+        measure(d)
+
+
+@pytest.mark.parametrize("spec", ["A5", "F4"])
+def test_default_suite_draws_no_samples(spec, built):
+    rs, g = built(spec)
+    before = _measure_class.cache_info().misses
+    reports = ccl.run_suite(rs, g, mc=McConfig())
+    assert _measure_class.cache_info().misses == before
+    assert reports and all(r.samples == 0 and r.passed for r in reports)
+    assert all(r.tolerance_rule.startswith("exact") for r in reports)

@@ -429,3 +429,50 @@ def test_cache_path_uses_env(tmp_path, monkeypatch):
     p = cache_path_for(ccl.GroupType.parse("I2(7)"))
     assert str(tmp_path / "env-cache") in str(p)
     assert p.name == "I2_7.json"
+
+
+# ---------------------------------------------------------------------------
+# --samples selects the method of dimension >= 4 measures
+
+
+def _curious_a4(extra, capsys):
+    rc = main(["verify", "curious", "--group", "A4", "--format", "json",
+               "--no-cache"] + extra)
+    out = capsys.readouterr()
+    return rc, out
+
+
+def test_default_measure_is_exact(capsys):
+    rc, out = _curious_a4([], capsys)
+    assert rc == 0
+    (doc,) = json.loads(out.out)
+    assert doc["samples"] == 0 and doc["combined_stderr"] == 0.0
+    assert doc["tolerance_rule"].startswith("exact: ")
+    assert doc["abs_error"] <= 1e-9 and doc["passed"] is True
+
+
+def test_samples_flag_selects_monte_carlo(capsys):
+    rc, out = _curious_a4(["--samples", "20000"], capsys)
+    assert rc == 0
+    (doc,) = json.loads(out.out)
+    assert doc["samples"] == 20_000 and doc["combined_stderr"] > 0.0
+    assert doc["tolerance_rule"].startswith("mc: ")
+
+
+def test_samples_below_minimum_exit_two(capsys):
+    rc, out = _curious_a4(["--samples", "999"], capsys)
+    assert rc == 2
+    assert out.out == ""
+    assert "samples must be >= 1000" in out.err
+
+
+def test_default_mc_config_is_exact():
+    assert ccl.McConfig().samples is None
+
+
+def test_forced_monte_carlo_without_count_draws_default_samples(built):
+    rs, _ = built("B3")
+    est = ccl.measure(ccl.dual(ccl.chamber(rs)), ccl.McConfig(),
+                      force_monte_carlo=True)
+    assert est.method is ccl.AngleMethod.MONTE_CARLO
+    assert est.samples == 1_000_000
