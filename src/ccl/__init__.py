@@ -16,9 +16,10 @@ from .errors import (CacheError, CclError, DegenerateConeError,
                      GenericityError, GroupTooLargeError,
                      InvalidArgumentError, NonFiniteSystemError,
                      NumericalError, UnsupportedGroupError)
-from .groups import (Group, Subgroup, enumerate_group, group_from_perm_stack,
-                     normalizer_of_span, parabolic_subgroup, regular_count,
-                     solomon_check, subspace_orbits)
+from .groups import (Group, Subgroup, enumerate_group,
+                     group_from_simple_images, normalizer_of_span,
+                     parabolic_subgroup, regular_count, solomon_check,
+                     subspace_orbits)
 from .linalg import (DEFAULT_TOL, Subspace, ToleranceConfig, kernel_dimension,
                      orthogonal_projector)
 from .roots import (SUPPORTED_TYPES, GroupType, RootSystem, build,

@@ -1,13 +1,17 @@
-"""On-disk group cache: a JSON document with a binary permutation table.
+"""On-disk group cache: a JSON document with a binary simple-root image table.
 
-Schema 2 keeps ``schema_version``, ``group``, ``roots``,
-``counts_by_fixed_dim`` and ``metadata`` readable.  The permutation stack
-is one base64 string of little-endian uint16 root indices (``PERM_DTYPE``)
-of shape ``perm_shape``.  Reloading reproduces the enumerated group
-permutation-for-permutation; matrices and fixed-space dimensions are
-recomputed deterministically from the stored roots and permutations, and
-every stored fact is checked against them.  A file of another schema version (schema 1
-stored the permutations as nested integer lists) or any malformed payload
+Schema 3 keeps ``schema_version``, ``group``, ``roots``,
+``counts_by_fixed_dim`` and ``metadata`` readable.  ``simple_images`` is
+one base64 string of little-endian uint16 root indices (``PERM_DTYPE``) of
+shape ``perm_shape`` = (order, n): row w holds the indices of w's images of
+the simple roots, which determine w.  Reloading checks that the table
+starts with the identity, holds only root indices, has no duplicates, is
+closed under the simple reflections and is generated by them; it rebuilds the permutation rows
+along the generator tree, so the group is reproduced
+permutation-for-permutation, and recomputes matrices and fixed-space
+dimensions from the stored roots and images.  A file of another schema
+version (schema 1 stored every permutation as nested integer lists, schema
+2 as a base64 table of all num_roots columns) or any malformed payload
 raises CacheError; ``load_or_enumerate`` then says on stderr why the file
 was ignored and enumerates instead.
 """
@@ -25,10 +29,10 @@ import numpy as np
 
 from . import __version__
 from .errors import CacheError
-from .groups import Group, enumerate_group, group_from_perm_stack
+from .groups import Group, enumerate_group, group_from_simple_images
 from .roots import GroupType, RootSystem
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 # Fixed byte order, so a file reads the same on every host; root indices
 # of the supported groups stay far below 2**16.
 PERM_DTYPE = "<u2"
@@ -53,9 +57,9 @@ def save_group(g: Group, path: Path) -> None:
         "schema_version": SCHEMA_VERSION,
         "group": str(rs.group_type),
         "roots": [[float(x) for x in row] for row in rs.all_roots],
-        "perm_shape": list(g.perm_stack.shape),
-        "permutations": base64.b64encode(
-            g.perm_stack.astype(PERM_DTYPE).tobytes()).decode("ascii"),
+        "perm_shape": [g.order, rs.n],
+        "simple_images": base64.b64encode(
+            g.perm_stack[:, rs.simple_ids].astype(PERM_DTYPE).tobytes()).decode("ascii"),
         "counts_by_fixed_dim": list(g.counts_by_fixed_dim),
         "metadata": {
             "tool_version": __version__,
@@ -89,34 +93,30 @@ def load_group(rs: RootSystem, path: Path) -> Group:
     if roots.shape != rs.all_roots.shape or np.abs(roots - rs.all_roots).max() > 0:
         raise CacheError("cached roots do not match the constructed root system")
 
-    perms = _decode_perms(doc, rs.num_roots)
+    images = _decode_images(doc)
     try:
-        g = group_from_perm_stack(rs, perms)
+        g = group_from_simple_images(rs, images)
     except Exception as exc:
-        raise CacheError(f"cached permutations are not a valid group: {exc}") from exc
+        raise CacheError(f"cached simple-root images are not a valid group: {exc}") from exc
     if list(g.counts_by_fixed_dim) != doc.get("counts_by_fixed_dim"):
         raise CacheError("cached fixed-dimension counts are inconsistent")
     return g
 
 
-def _decode_perms(doc: dict, num_roots: int) -> np.ndarray:
-    """The stored permutation stack as int32, checked against its shape."""
+def _decode_images(doc: dict) -> np.ndarray:
+    """The stored simple-root image table, checked against its shape."""
     try:
         shape = tuple(doc["perm_shape"])
-        raw = base64.b64decode(doc["permutations"], validate=True)
+        raw = base64.b64decode(doc["simple_images"], validate=True)
     except (KeyError, TypeError, ValueError) as exc:
-        raise CacheError(f"cached permutation table is malformed: {exc}") from exc
+        raise CacheError(f"cached image table is malformed: {exc}") from exc
     if len(shape) != 2 or not all(type(d) is int and d >= 0 for d in shape):
         raise CacheError(f"cached perm_shape {list(shape)} is not a 2-d shape")
     expected = shape[0] * shape[1] * np.dtype(PERM_DTYPE).itemsize
     if len(raw) != expected:
-        raise CacheError(f"cached permutation table has {len(raw)} bytes, "
+        raise CacheError(f"cached image table has {len(raw)} bytes, "
                          f"not the {expected} of perm_shape {list(shape)}")
-    perms = np.frombuffer(raw, dtype=PERM_DTYPE).reshape(shape)
-    if perms.size and perms.max() >= num_roots:
-        raise CacheError(f"cached permutation entry {perms.max()} is not a "
-                         f"root index below {num_roots}")
-    return perms.astype(np.int32)
+    return np.frombuffer(raw, dtype=PERM_DTYPE).reshape(shape)
 
 
 def load_or_enumerate(rs: RootSystem, path: Path | None = None) -> Group:

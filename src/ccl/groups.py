@@ -9,7 +9,9 @@ element indices are stable across runs.
 A Group holds its elements as stacked arrays (permutations, matrices,
 fixed-space dimensions) and the table ``left_mult`` of the index of s_j w,
 looked up by sorting on the simple-root images, which determine an element.
-Generation checks and parabolic subgroups are array closures over its rows.
+A cache reload starts from those images alone and rebuilds the permutation
+rows along the breadth-first generator tree; parabolic subgroups are array
+closures over the rows of ``left_mult``.
 Face spans are matched as root subsets on the permutation table: w carries
 span(F_J) onto span(F_I) when it sends the simple roots outside J into
 span(F_I)-perp.
@@ -26,7 +28,7 @@ from .errors import GroupTooLargeError, InvalidArgumentError, NumericalError
 from .linalg import SPAN_MATCH_TOL, ToleranceConfig
 from .roots import RootSystem
 
-__all__ = ["Group", "Subgroup", "enumerate_group", "group_from_perm_stack",
+__all__ = ["Group", "Subgroup", "enumerate_group", "group_from_simple_images",
            "solomon_check", "parabolic_subgroup", "regular_count",
            "normalizer_of_span", "subspace_orbits", "span_carriers"]
 
@@ -77,15 +79,6 @@ class Subgroup:
         return self.parent.matrix_stack[list(self.indices)]
 
 
-def _simple_reflection_perms(rs: RootSystem) -> np.ndarray:
-    perms = np.empty((rs.n, rs.num_roots), dtype=np.int32)
-    for j in range(rs.n):
-        a = rs.simple_roots[j]
-        images = rs.all_roots - 2.0 * np.outer(rs.all_roots @ a, a)
-        perms[j] = [rs.match_root(v) for v in images]
-    return perms
-
-
 def enumerate_group(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP,
                     tol: ToleranceConfig | None = None) -> Group:
     """Breadth-first closure of the simple reflections.
@@ -93,8 +86,8 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP,
     Raises GroupTooLargeError when more than ``cap`` elements appear.
     """
     tol = tol or rs.tol
-    n, nroots = rs.n, rs.num_roots
-    gen_perms = _simple_reflection_perms(rs)
+    nroots = rs.num_roots
+    gen_perms = rs.reflection_perms
 
     identity = np.arange(nroots, dtype=np.int32)
     perms: list[np.ndarray] = [identity]
@@ -120,41 +113,57 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP,
             layer.append(len(perms) - 1)
 
     perm_stack = np.array(perms, dtype=np.int32)
-    return _assemble_group(rs, perm_stack, gen_perms, tol)
+    simple_images = perm_stack[:, rs.simple_ids]
+    return _assemble_group(rs, simple_images, perm_stack,
+                           _left_mult(rs, simple_images), tol)
 
 
-# Rows per block of the closure check; whole-table temporaries add tens of MiB for H4.
-_ROW_BLOCK = 1024
+def group_from_simple_images(rs: RootSystem, simple_images: np.ndarray,
+                             tol: ToleranceConfig | None = None) -> Group:
+    """Rebuild a Group from its (order, n) table of simple-root images (cache
+    reload).  An element is determined by these images.
 
-
-def group_from_perm_stack(rs: RootSystem, perm_stack: np.ndarray,
-                          tol: ToleranceConfig | None = None) -> Group:
-    """Rebuild a Group from an explicit permutation list (cache reload).
-
-    Element order is preserved.  Raises InvalidArgumentError if the list
-    does not start with the identity, has duplicates, is not closed under
-    the simple reflections (whole rows are compared) or is not generated
-    by them.
+    Element order is preserved.  Raises InvalidArgumentError if the table
+    does not start with the identity, holds an entry that is not a root
+    index, has duplicates, is not closed under the simple reflections or is
+    not generated by them.  The permutation rows are rebuilt along the
+    breadth-first generator tree, perm[s_j w] = s_j[perm[w]], so they agree
+    with the table by construction.
     """
     tol = tol or rs.tol
-    perm_stack = np.asarray(perm_stack, dtype=np.int32)
-    gen_perms = _simple_reflection_perms(rs)
-    order, nroots = perm_stack.shape
-    if nroots != rs.num_roots:
-        raise InvalidArgumentError("permutation length does not match root count")
-    if (perm_stack[0] != np.arange(nroots, dtype=np.int32)).any():
+    simple_images = np.asarray(simple_images)
+    if simple_images.ndim != 2 or simple_images.shape[1] != rs.n:
+        raise InvalidArgumentError(
+            f"simple-root image table must have {rs.n} columns")
+    if simple_images.size and not (
+            0 <= simple_images.min() and simple_images.max() < rs.num_roots):
+        raise InvalidArgumentError("simple-root image is not a root index")
+    if not len(simple_images) or (simple_images[0] != rs.simple_ids).any():
         raise InvalidArgumentError("element 0 must be the identity")
-    g = _assemble_group(rs, perm_stack, gen_perms, tol)
-    for gp, row in zip(gen_perms, g.left_mult):
-        for b in range(0, order, _ROW_BLOCK):
-            block = slice(b, b + _ROW_BLOCK)
-            if (perm_stack[row[block]] != gp[perm_stack[block]]).any():
-                raise InvalidArgumentError(
-                    "element list is not closed under the generators")
-    if not _closure(g.left_mult).all():
+    left_mult = _left_mult(rs, simple_images)
+
+    gen_perms = rs.reflection_perms
+    order = len(simple_images)
+    perm_stack = np.empty((order, rs.num_roots), dtype=np.int32)
+    perm_stack[0] = np.arange(rs.num_roots)
+    reached = np.zeros(order, dtype=bool)
+    reached[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        fresh = []
+        for gp, row in zip(gen_perms, left_mult):
+            # a row of left_mult is injective, so each new child appears once
+            children = row[frontier]
+            new = ~reached[children]
+            children = children[new]
+            perm_stack[children] = gp[perm_stack[frontier[new]]]
+            reached[children] = True
+            fresh.append(children)
+        frontier = np.concatenate(fresh)
+    if not reached.all():
         raise InvalidArgumentError("element list is not generated by the "
                                    "simple reflections")
-    return g
+    return _assemble_group(rs, simple_images, perm_stack, left_mult, tol)
 
 
 def _closure(table: np.ndarray) -> np.ndarray:
@@ -173,24 +182,29 @@ def _closure(table: np.ndarray) -> np.ndarray:
     return reached
 
 
-def _assemble_group(rs: RootSystem, perm_stack: np.ndarray,
-                    gen_perms: np.ndarray, tol: ToleranceConfig) -> Group:
-    n = rs.n
-    order = perm_stack.shape[0]
-    simple_images = perm_stack[:, rs.simple_ids]      # (order, n) root indices
-
-    # The simple-root images, read as base-num_roots digits, key an element.
+def _left_mult(rs: RootSystem, simple_images: np.ndarray) -> np.ndarray:
+    """(n, order) table of the index of s_j w, found by sorting on the
+    simple-root images read as base-num_roots digits, which key an element.
+    Raises InvalidArgumentError on duplicate keys or a missing product."""
+    order, n = simple_images.shape
     digits = rs.num_roots ** np.arange(n, dtype=np.int64)
     keys = simple_images.astype(np.int64) @ digits
     by_key = np.argsort(keys)
     sorted_keys = keys[by_key]
     if (sorted_keys[1:] == sorted_keys[:-1]).any():
         raise InvalidArgumentError("duplicate permutations in element list")
-    prods = gen_perms[:, simple_images].astype(np.int64) @ digits  # (n, order)
+    prods = rs.reflection_perms[:, simple_images].astype(np.int64) @ digits
     pos = np.minimum(np.searchsorted(sorted_keys, prods), order - 1)
     if (sorted_keys[pos] != prods).any():
         raise InvalidArgumentError("element list is not closed under the generators")
-    left_mult = by_key[pos]
+    return by_key[pos]
+
+
+def _assemble_group(rs: RootSystem, simple_images: np.ndarray,
+                    perm_stack: np.ndarray, left_mult: np.ndarray,
+                    tol: ToleranceConfig) -> Group:
+    n = rs.n
+    order = perm_stack.shape[0]
 
     # Reconstruct matrices from the images of the simple roots.
     A_inv = np.linalg.inv(rs.simple_roots)            # rows alpha_i

@@ -238,7 +238,16 @@ class RootSystem:
     @functools.cached_property
     def simple_ids(self) -> np.ndarray:
         """Index of each simple root in the root list."""
-        return np.array([self.match_root(a) for a in self.simple_roots])
+        return self._nearest_roots(self.simple_roots)
+
+    @functools.cached_property
+    def reflection_perms(self) -> np.ndarray:
+        """(n, num_roots) read-only int32 table: entry (j, b) is the index
+        of s_j applied to root b."""
+        perms = np.stack([self._nearest_roots(_reflect(self.all_roots, a))
+                          for a in self.simple_roots]).astype(np.int32)
+        perms.setflags(write=False)
+        return perms
 
     def orthogonal_roots(self, I) -> np.ndarray:
         """Mask of the roots orthogonal to span{omega_i : i in I}, read as
@@ -248,11 +257,15 @@ class RootSystem:
 
     def match_root(self, v: np.ndarray) -> int:
         """Index of the root nearest to v; error if none within eps_root_match."""
-        d = np.linalg.norm(self.all_roots - v, axis=1)
-        i = int(np.argmin(d))
-        if d[i] > self.tol.eps_root_match:
+        return int(self._nearest_roots(np.asarray(v)[None])[0])
+
+    def _nearest_roots(self, vectors: np.ndarray) -> np.ndarray:
+        """Index of the root nearest to each row, from one distance array;
+        error if any row has no root within eps_root_match."""
+        d = np.linalg.norm(vectors[:, None, :] - self.all_roots[None], axis=2)
+        if (d.min(axis=1) > self.tol.eps_root_match).any():
             raise InvalidArgumentError("vector does not match any root")
-        return i
+        return d.argmin(axis=1)
 
     def reflection_matrix(self, root: np.ndarray) -> np.ndarray:
         a = np.asarray(root, dtype=float)
@@ -356,9 +369,7 @@ def build(t: GroupType, tol: ToleranceConfig = DEFAULT_TOL) -> RootSystem:
 
 def _check_closure_bijection(rs: RootSystem) -> None:
     """Every simple reflection must permute the root list exactly."""
-    for j in range(rs.n):
-        images = _reflect(rs.all_roots, rs.simple_roots[j])
-        perm = np.array([rs.match_root(v) for v in images])
-        if len(set(perm.tolist())) != rs.num_roots:
+    for j, perm in enumerate(rs.reflection_perms):
+        if (np.bincount(perm, minlength=rs.num_roots) != 1).any():
             raise NonFiniteSystemError(
                 f"simple reflection {j} does not permute the root set")

@@ -252,12 +252,12 @@ def test_all_groups_k_above_top_rank_exit_two(capsys):
 # cache layer
 
 def _decode_table(doc) -> np.ndarray:
-    raw = base64.b64decode(doc["permutations"])
+    raw = base64.b64decode(doc["simple_images"])
     return np.frombuffer(raw, dtype=PERM_DTYPE).reshape(doc["perm_shape"]).copy()
 
 
-def _encode_table(perms: np.ndarray) -> str:
-    return base64.b64encode(perms.astype(PERM_DTYPE).tobytes()).decode("ascii")
+def _encode_table(images: np.ndarray) -> str:
+    return base64.b64encode(images.astype(PERM_DTYPE).tobytes()).decode("ascii")
 
 
 def test_cache_save_load_identical(tmp_path):
@@ -269,6 +269,23 @@ def test_cache_save_load_identical(tmp_path):
     assert np.array_equal(g2.matrix_stack, g.matrix_stack)
     assert g2.counts_by_fixed_dim == g.counts_by_fixed_dim
     assert np.array_equal(g2.perm_stack, g.perm_stack)
+
+
+@pytest.mark.parametrize("t", ccl.SUPPORTED_TYPES, ids=str)
+def test_cache_round_trip_every_group(t, tmp_path, built):
+    rs, g = built(str(t))
+    path = tmp_path / "g.json"
+    save_group(g, path)
+    # the table holds the n simple-root images of each element, nothing more
+    assert json.loads(path.read_text())["perm_shape"] == [g.order, rs.n]
+    g2 = load_group(ccl.build(t), path)
+    assert g2.order == g.order
+    assert g2.perm_stack.dtype == g.perm_stack.dtype
+    assert np.array_equal(g2.perm_stack, g.perm_stack)
+    assert np.array_equal(g2.matrix_stack, g.matrix_stack)
+    assert np.array_equal(g2.fixed_dims, g.fixed_dims)
+    assert np.array_equal(g2.left_mult, g.left_mult)
+    assert g2.counts_by_fixed_dim == g.counts_by_fixed_dim
 
 
 def test_cache_rejects_version_mismatch(tmp_path):
@@ -298,33 +315,37 @@ def test_cache_rejects_tampered_perms(tmp_path):
     path = tmp_path / "a2.json"
     save_group(g, path)
     doc = json.loads(path.read_text())
-    perms = _decode_table(doc)
-    perms[[1, 2]] = perms[[2, 1]]
-    doc["permutations"] = _encode_table(perms)
+    images = _decode_table(doc)
+    images[[1, 2]] = images[[2, 1]]
+    doc["simple_images"] = _encode_table(images)
     # swapping two layer-1 elements breaks the documented BFS tie-break
     # order but still forms the same set; counts stay valid, so loading
     # succeeds only if the stored order is reproduced exactly
     path.write_text(json.dumps(doc))
     g2 = load_group(rs, path)
     assert not np.array_equal(g2.perm_stack, g.perm_stack)
+    assert np.array_equal(g2.perm_stack[[1, 2]], g.perm_stack[[2, 1]])
 
 
-def test_cache_rejects_row_changed_outside_simple_roots(tmp_path):
-    # the images of the simple roots still name a valid element, so only a
-    # closure check that compares whole rows can see the change
+def test_cache_rejects_changed_simple_root_image(tmp_path):
+    # any other root index in one stored image names a different element,
+    # a duplicate or no element at all; each breaks a checked fact
     rs = ccl.build(ccl.GroupType.parse("B3"))
     g = ccl.enumerate_group(rs)
     path = tmp_path / "b3.json"
     save_group(g, path)
     doc = json.loads(path.read_text())
-    perms = _decode_table(doc)
-    simple = {rs.match_root(a) for a in rs.simple_roots}
-    a, b = [c for c in range(rs.num_roots) if c not in simple][:2]
-    perms[5, [a, b]] = perms[5, [b, a]]
-    doc["permutations"] = _encode_table(perms)
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ccl.CacheError, match="not closed"):
-        load_group(rs, path)
+    images = _decode_table(doc)
+    for row, col in [(0, 0), (5, 1), (g.order - 1, 2)]:
+        for root in range(rs.num_roots):
+            if root == images[row, col]:
+                continue
+            changed = images.copy()
+            changed[row, col] = root
+            doc["simple_images"] = _encode_table(changed)
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ccl.CacheError):
+                load_group(rs, path)
 
 
 def test_cache_rejects_corrupt_counts(tmp_path):
@@ -344,6 +365,9 @@ def test_cache_round_trip_h4(tmp_path):
     g = ccl.enumerate_group(rs)
     path = tmp_path / "h4.json"
     save_group(g, path)
+    # 14 400 x 4 uint16 images in base64 are 0.15 MiB; the full
+    # 14 400 x 120 table of schema 2 took 4.4 MiB
+    assert path.stat().st_size < 0.25 * 2 ** 20
     g2 = load_group(rs, path)
     assert g2.perm_stack.dtype == g.perm_stack.dtype
     assert np.array_equal(g2.perm_stack, g.perm_stack)
@@ -352,7 +376,7 @@ def test_cache_round_trip_h4(tmp_path):
 
 
 def _truncate(doc):
-    doc["permutations"] = doc["permutations"][:-3]
+    doc["simple_images"] = doc["simple_images"][:-3]
 
 
 def _wrong_shape(doc):
@@ -360,25 +384,39 @@ def _wrong_shape(doc):
 
 
 def _out_of_range(doc):
-    perms = _decode_table(doc)
-    perms[3, 0] = perms.shape[1]
-    doc["permutations"] = _encode_table(perms)
+    images = _decode_table(doc)
+    images[3, 0] = np.iinfo(np.uint16).max
+    doc["simple_images"] = _encode_table(images)
 
 
 def _no_roots(doc):
     del doc["roots"]
 
 
+def _full_table(doc):
+    """The (order, num_roots) permutation table earlier schemas stored."""
+    rs = ccl.build(ccl.GroupType.parse(doc["group"]))
+    return ccl.enumerate_group(rs).perm_stack
+
+
 def _schema_one(doc):
     doc["schema_version"] = 1
-    doc["permutations"] = _decode_table(doc).tolist()
-    del doc["perm_shape"]
+    doc["permutations"] = _full_table(doc).tolist()
+    del doc["perm_shape"], doc["simple_images"]
+
+
+def _schema_two(doc):
+    perms = _full_table(doc)
+    doc["schema_version"] = 2
+    doc["permutations"] = _encode_table(perms)
+    doc["perm_shape"] = list(perms.shape)
+    del doc["simple_images"]
 
 
 @pytest.mark.parametrize("tamper", [_truncate, _wrong_shape, _out_of_range,
-                                    _no_roots, _schema_one],
+                                    _no_roots, _schema_one, _schema_two],
                          ids=["truncated", "wrong-shape", "out-of-range",
-                              "no-roots", "schema-1"])
+                              "no-roots", "schema-1", "schema-2"])
 def test_cache_rejects_malformed_table(tmp_path, tamper):
     rs = ccl.build(ccl.GroupType.parse("B3"))
     path = tmp_path / "b3.json"
@@ -401,17 +439,20 @@ def test_cache_rejects_non_object(tmp_path):
 def test_rejected_cache_is_named_on_stderr(tmp_path):
     rs = ccl.build(ccl.GroupType.parse("B3"))
     path = cache_path_for(rs.group_type, tmp_path / "cache")
-    save_group(ccl.enumerate_group(rs), path)
-    doc = json.loads(path.read_text())
-    _schema_one(doc)
-    path.write_text(json.dumps(doc))
     args = ["verify", "curious", "--group", "B3", "--format", "json"]
-    stale = run_cli(args, tmp_path)
     fresh = run_cli(args + ["--no-cache"], tmp_path)
-    assert stale.returncode == 0 and fresh.returncode == 0
-    assert stale.stdout == fresh.stdout
-    assert str(path) in stale.stderr and "ccl build" in stale.stderr
-    assert fresh.stderr == ""
+    assert fresh.returncode == 0 and fresh.stderr == ""
+    for old_schema in (_schema_one, _schema_two):
+        save_group(ccl.enumerate_group(rs), path)
+        doc = json.loads(path.read_text())
+        old_schema(doc)
+        path.write_text(json.dumps(doc))
+        stale = run_cli(args, tmp_path)
+        assert stale.returncode == 0
+        assert stale.stdout == fresh.stdout
+        (line,) = stale.stderr.splitlines()
+        assert str(path) in line and "ccl build" in line
+        assert f"cache schema {doc['schema_version']} != 3" in line
 
 
 def test_cache_hit_report_identical(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 import ccl
 from ccl.cones import chamber
-from ccl.groups import (enumerate_group, group_from_perm_stack,
+from ccl.groups import (enumerate_group, group_from_simple_images,
                         normalizer_of_span, parabolic_subgroup, regular_count,
                         solomon_check, subspace_orbits)
 from ccl.linalg import Subspace, kernel_dimension
@@ -200,25 +200,55 @@ def test_element_cap():
         enumerate_group(rs, cap=50)
 
 
-def test_group_from_perm_stack_round_trip(built):
+def test_group_from_simple_images_round_trip(built):
     rs, g = built("B3")
-    g2 = group_from_perm_stack(rs, g.perm_stack)
+    g2 = group_from_simple_images(rs, g.perm_stack[:, rs.simple_ids])
     assert np.array_equal(g2.perm_stack, g.perm_stack)
     assert g2.counts_by_fixed_dim == g.counts_by_fixed_dim
     with pytest.raises(ccl.InvalidArgumentError):
-        group_from_perm_stack(rs, g.perm_stack[1:])  # identity not first
+        # identity not first
+        group_from_simple_images(rs, g.perm_stack[1:, rs.simple_ids])
 
 
-def test_group_from_perm_stack_rejects_unclosed_and_ungenerated(built):
+def test_group_from_simple_images_rejects_unclosed_and_ungenerated(built):
     rs, g = built("A2")
+    images = g.perm_stack[:, rs.simple_ids]
     with pytest.raises(ccl.InvalidArgumentError, match="not closed"):
-        group_from_perm_stack(rs, g.perm_stack[:-1])
+        group_from_simple_images(rs, images[:-1])
     # -1 permutes the roots but is not in W(A2); W and its coset W(-1)
     # together are closed under the generators yet not generated by them
     neg = np.array([rs.match_root(-v) for v in rs.all_roots])
     both = np.vstack([g.perm_stack, g.perm_stack[:, neg]])
     with pytest.raises(ccl.InvalidArgumentError, match="not generated"):
-        group_from_perm_stack(rs, both)
+        group_from_simple_images(rs, both[:, rs.simple_ids])
+
+
+def test_group_from_simple_images_rejects_non_root_entries(built):
+    rs, g = built("A2")
+    images = g.perm_stack[:, rs.simple_ids].copy()
+    with pytest.raises(ccl.InvalidArgumentError, match="columns"):
+        group_from_simple_images(rs, g.perm_stack)
+    images[3, 1] = rs.num_roots
+    with pytest.raises(ccl.InvalidArgumentError, match="not a root index"):
+        group_from_simple_images(rs, images)
+    images[3, 1] = -1
+    with pytest.raises(ccl.InvalidArgumentError, match="not a root index"):
+        group_from_simple_images(rs, images)
+
+
+def test_build_enumerate_and_load_make_no_match_root_calls(tmp_path, monkeypatch):
+    # root indices of reflections come from one vectorized table per root
+    # system, not from a nearest-root search per vector
+    from ccl.cache import load_group, save_group
+    calls = []
+    match_root = ccl.RootSystem.match_root
+    monkeypatch.setattr(ccl.RootSystem, "match_root",
+                        lambda self, v: calls.append(1) or match_root(self, v))
+    rs = ccl.build(ccl.GroupType.parse("H3"))
+    g = enumerate_group(rs)
+    save_group(g, tmp_path / "h3.json")
+    load_group(ccl.build(rs.group_type), tmp_path / "h3.json")
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

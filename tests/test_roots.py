@@ -109,6 +109,7 @@ def test_simple_reflections_permute_roots(t):
         images = rs.all_roots - 2.0 * np.outer(rs.all_roots @ a, a)
         perm = [rs.match_root(v) for v in images]
         assert sorted(perm) == list(range(rs.num_roots))
+        assert rs.reflection_perms[j].tolist() == perm
 
 
 @pytest.mark.parametrize("t", SUPPORTED_TYPES, ids=str)
