@@ -21,10 +21,16 @@ the same variates in the same order as m one-point draws.  Rejected rows
 are counted in order, and the next block asks for the rest.  So a check
 consumes exactly the variates, and reports exactly the counts and
 resamples, of drawing one point at a time, whatever the block size.
+
+The verifiers of one ``run_suite`` call share one :class:`Geometry`, which
+builds each chamber face, quotient cone, subgroup and measure of the group
+on first use, so each is built and checked once.  ``run_suite`` reads the
+identities from one table of (k-indexed?, runner) entries.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -33,15 +39,15 @@ from fractions import Fraction
 import numpy as np
 
 from .angles import DEFAULT_MC, MC_SIGMAS, AngleEstimate, McConfig, measure
-from .cones import chamber, dual, face, quotient, quotient_dual
+from .cones import SimplicialCone, chamber, dual, face, quotient, quotient_dual
 from .errors import GenericityError, InvalidArgumentError, NumericalError
-from .groups import (Group, normalizer_of_span, parabolic_subgroup,
+from .groups import (Group, Subgroup, normalizer_of_span, parabolic_subgroup,
                      regular_count, span_carriers, subspace_orbits)
-from .linalg import DEFAULT_TOL, Subspace, ToleranceConfig
+from .linalg import DEFAULT_TOL, ToleranceConfig
 from .roots import RootSystem
 
-__all__ = ["VerificationReport", "GenericPointSampler", "verify_curious",
-           "verify_main", "verify_waldspurger_partition",
+__all__ = ["VerificationReport", "GenericPointSampler", "Geometry",
+           "verify_curious", "verify_main", "verify_waldspurger_partition",
            "verify_covering_count", "verify_face_oplus_covering",
            "verify_face_decomposition", "verify_parabolic_quotient",
            "verify_equiv_measure", "verify_class_sum", "run_suite",
@@ -260,14 +266,130 @@ def _fmt_subset(I) -> str:
     return "{" + ",".join(str(i) for i in sorted(I)) + "}"
 
 
+def _subset(I) -> tuple[int, ...]:
+    return tuple(sorted(int(i) for i in I))
+
+
+# ---------------------------------------------------------------------------
+# chamber geometry
+
+
+def _pairs_spanning(rs: RootSystem, g: Group, I,
+                    within: np.ndarray | bool = True) -> dict[tuple[int, ...], np.ndarray]:
+    """The elements w with w . span(F_J) = span(F_I), as index arrays by
+    face type J (|J| = |I|, in lexicographic order), for every J that has
+    one; with a root mask ``within``, only those that send the simple roots
+    outside J into it."""
+    pairs: dict[tuple[int, ...], np.ndarray] = {}
+    for J in itertools.combinations(range(rs.n), len(I)):
+        ws = np.flatnonzero(span_carriers(g, I, J, within))
+        if ws.size:
+            pairs[J] = ws
+    return pairs
+
+
+def _pieces_in_span(rs: RootSystem, g: Group, I) -> dict[tuple[int, ...], np.ndarray]:
+    """The distinct chamber faces w . F_J spanning span(F_I), as indices w
+    by face type J.  A face is a coset w W_J (W_J fixes F_J); its shortest
+    element keeps every simple root outside J positive and, as enumeration
+    is by word length, has the smallest index in the coset."""
+    # every root has |(beta, omega_1 + ... + omega_n)| >= 1: no sign is close to 0
+    positive = rs.all_roots @ rs.fundamental_weights.sum(axis=0) > 0
+    return _pairs_spanning(rs, g, I, positive)
+
+
+class Geometry:
+    """The chamber geometry of one (root system, group, tolerances), each
+    piece built on first use and kept for the life of the object.
+
+    For a face subset I (a sorted tuple of generator indices): ``face(I)``
+    is F_I, ``quotient(I)`` the quotient cone C/F_I and ``quotient_dual(I)``
+    its dual; ``parabolic(I)`` is W_I and ``normalizer(I)`` the elements
+    mapping span(F_I) onto itself; ``pairs(I)`` and ``pieces(I)`` are the
+    elements carrying a face span onto span(F_I), and the shortest ones
+    among them, by face type J; ``orbits(k)`` are the classes of face spans
+    of dimension k.  ``measure(kind, I, mc)`` measures a cone once per
+    (kind, subset, McConfig).  The checks made while building a piece (face
+    span, quotient dual, Steinberg fixator) run once per distinct input.
+
+    ``run_suite`` builds one per call and drops it when it returns; a
+    verifier called without one builds its own.
+    """
+
+    def __init__(self, rs: RootSystem, g: Group, tol: ToleranceConfig = DEFAULT_TOL):
+        self.rs, self.g, self.tol = rs, g, tol
+        self._memo: dict[tuple, object] = {}
+
+    def _once(self, key: tuple, build, *args):
+        if key not in self._memo:
+            self._memo[key] = build(*args)
+        return self._memo[key]
+
+    @functools.cached_property
+    def chamber(self) -> SimplicialCone:
+        return chamber(self.rs)
+
+    @functools.cached_property
+    def dual(self) -> SimplicialCone:
+        return dual(self.chamber, self.tol)
+
+    def face(self, I) -> SimplicialCone:
+        return self._once(("face", I), face, self.chamber, I, self.tol)
+
+    def quotient(self, I) -> SimplicialCone:
+        return self._once(("quotient", I), quotient, self.chamber, I, self.tol)
+
+    def quotient_dual(self, I) -> SimplicialCone:
+        return self._once(("quotient_dual", I), quotient_dual, self.chamber, I,
+                          self.tol)
+
+    def parabolic(self, I) -> Subgroup:
+        return self._once(("parabolic", I), parabolic_subgroup, self.g, I)
+
+    def normalizer(self, I) -> Subgroup:
+        return self._once(("normalizer", I), normalizer_of_span, self.g, I)
+
+    def pairs(self, I) -> dict[tuple[int, ...], np.ndarray]:
+        return self._once(("pairs", I), _pairs_spanning, self.rs, self.g, I)
+
+    def pieces(self, I) -> dict[tuple[int, ...], np.ndarray]:
+        return self._once(("pieces", I), _pieces_in_span, self.rs, self.g, I)
+
+    def orbits(self, k: int) -> list[list[tuple[int, ...]]]:
+        return self._once(("orbits", k), subspace_orbits, self.g, k)
+
+    def measure(self, kind: str, I, mc: McConfig) -> AngleEstimate:
+        """Measure of the dual chamber (kind "dual", I = ()), of F_I (kind
+        "face") or of (C/F_I)* (kind "quotient_dual")."""
+        key = ("measure", kind, I, mc)
+        if key not in self._memo:
+            cone = self.dual if kind == "dual" else getattr(self, kind)(I)
+            self._memo[key] = measure(cone, mc, self.tol)
+        return self._memo[key]
+
+
+def _geometry(rs: RootSystem, g: Group, geometry: Geometry | None,
+              tol: ToleranceConfig | None) -> Geometry:
+    """``geometry``, checked to describe rs and g (and tol, when given), or
+    a new one when it is None."""
+    if geometry is None:
+        return Geometry(rs, g, tol or DEFAULT_TOL)
+    if geometry.rs is not rs or geometry.g is not g or (
+            tol is not None and geometry.tol != tol):
+        raise InvalidArgumentError(
+            "geometry was built for another group or other tolerances")
+    return geometry
+
+
 # ---------------------------------------------------------------------------
 # measure-valued identities
 
 
 def verify_curious(rs: RootSystem, g: Group, mc: McConfig = DEFAULT_MC,
-                   tol: ToleranceConfig = DEFAULT_TOL) -> VerificationReport:
+                   tol: ToleranceConfig = DEFAULT_TOL, *,
+                   geometry: Geometry | None = None) -> VerificationReport:
     """sigma(C*) = (number of fixed-point-free elements) / |W|."""
-    est = measure(dual(chamber(rs), tol), mc, tol)
+    est = _geometry(rs, g, geometry, tol).measure("dual", (), mc)
     rhs = (g.counts_by_fixed_dim[0], g.order)
     return _measure_report(
         "curious", rs, None, est.value, rhs, est.stderr, mc.seed, est.samples,
@@ -275,19 +397,20 @@ def verify_curious(rs: RootSystem, g: Group, mc: McConfig = DEFAULT_MC,
 
 
 def verify_main(rs: RootSystem, g: Group, k: int, mc: McConfig = DEFAULT_MC,
-                tol: ToleranceConfig = DEFAULT_TOL) -> VerificationReport:
+                tol: ToleranceConfig = DEFAULT_TOL, *,
+                geometry: Geometry | None = None) -> VerificationReport:
     """sum over k-dim chamber faces F of sigma(F) * sigma((C/F)*) equals
     |W^k| / |W|."""
     n = rs.n
     if not 0 <= k <= n:
         raise InvalidArgumentError(f"k must be in 0..{n}")
-    ch = chamber(rs)
+    geo = _geometry(rs, g, geometry, tol)
     lhs, samples = 0.0, 0
     terms: list[tuple[float, AngleEstimate]] = []
     breakdown = []
     for I in itertools.combinations(range(n), k):
-        a = measure(face(ch, I, tol), mc, tol)
-        b = measure(quotient_dual(ch, I, tol), mc, tol)
+        a = geo.measure("face", I, mc)
+        b = geo.measure("quotient_dual", I, mc)
         term = a.value * b.value
         # linearized: d(ab) = b da + a db
         terms += [(b.value, a), (a.value, b)]
@@ -301,25 +424,26 @@ def verify_main(rs: RootSystem, g: Group, k: int, mc: McConfig = DEFAULT_MC,
 
 
 def verify_equiv_measure(rs: RootSystem, g: Group, cls, mc: McConfig = DEFAULT_MC,
-                         tol: ToleranceConfig = DEFAULT_TOL) -> VerificationReport:
+                         tol: ToleranceConfig = DEFAULT_TOL, *,
+                         geometry: Geometry | None = None) -> VerificationReport:
     """Sum of sigma over one equivalence class of chamber faces equals
     |W_F| / |N_F| for the class representative."""
-    cls = sorted(tuple(sorted(int(i) for i in J)) for J in cls)
-    ch = chamber(rs)
-    ests = [measure(face(ch, J, tol), mc, tol) for J in cls]
+    cls = sorted(_subset(J) for J in cls)
+    geo = _geometry(rs, g, geometry, tol)
+    ests = [geo.measure("face", J, mc) for J in cls]
     lhs = sum(est.value for est in ests)
     samples = max(est.samples for est in ests)
     breakdown = [(f"sigma(F_{_fmt_subset(J)})", est.value, est.stderr)
                  for J, est in zip(cls, ests)]
     rep = cls[0]
-    rhs = (len(parabolic_subgroup(g, rep)), len(normalizer_of_span(g, rep)))
+    rhs = (len(geo.parabolic(rep)), len(geo.normalizer(rep)))
     return _measure_report("equiv-measure", rs, len(rep), lhs, rhs,
                            _combined_stderr((1.0, est) for est in ests),
                            mc.seed, samples, breakdown)
 
 
-def verify_class_sum(rs: RootSystem, g: Group, k: int,
-                     seed: int = 0) -> VerificationReport:
+def verify_class_sum(rs: RootSystem, g: Group, k: int, seed: int = 0, *,
+                     geometry: Geometry | None = None) -> VerificationReport:
     """Exact rational identity: sum over face-equivalence classes of
     |W^reg_F| / |N_F| equals |W^k| / |W|.
 
@@ -328,12 +452,13 @@ def verify_class_sum(rs: RootSystem, g: Group, k: int,
     n = rs.n
     if not 0 <= k <= n:
         raise InvalidArgumentError(f"k must be in 0..{n}")
+    geo = _geometry(rs, g, geometry, None)
     total = Fraction(0)
     breakdown = []
-    for cls in subspace_orbits(g, k):
+    for cls in geo.orbits(k):
         rep = cls[0]
-        sub = parabolic_subgroup(g, rep)
-        term = Fraction(regular_count(sub, n - k), len(normalizer_of_span(g, rep)))
+        sub = geo.parabolic(rep)
+        term = Fraction(regular_count(sub, n - k), len(geo.normalizer(rep)))
         total += term
         breakdown.append((f"class rep {_fmt_subset(rep)}", float(term), 0.0))
     rhs = Fraction(g.counts_by_fixed_dim[k], g.order)
@@ -354,9 +479,15 @@ def verify_class_sum(rs: RootSystem, g: Group, k: int,
 def verify_waldspurger_partition(rs: RootSystem, g: Group,
                                  sampler: GenericPointSampler | None = None,
                                  trials: int = DEFAULT_TRIALS,
-                                 tol: ToleranceConfig = DEFAULT_TOL) -> VerificationReport:
+                                 tol: ToleranceConfig = DEFAULT_TOL, *,
+                                 geometry: Geometry | None = None) -> VerificationReport:
     """Every generic interior point of C* lies in (1 - w) C-interior for
-    exactly one group element w (necessarily fixed-point free)."""
+    exactly one group element w (necessarily fixed-point free).
+
+    It reads only the group, so ``geometry`` is only checked to describe
+    rs, g and tol.
+    """
+    _geometry(rs, g, geometry, tol)
     sampler = sampler or GenericPointSampler(generic_margin=tol.generic_margin)
     n, margin = rs.n, sampler.generic_margin
     alpha = rs.simple_roots
@@ -392,12 +523,13 @@ def verify_waldspurger_partition(rs: RootSystem, g: Group,
 def verify_covering_count(rs: RootSystem, g: Group,
                           sampler: GenericPointSampler | None = None,
                           trials: int = DEFAULT_TRIALS,
-                          tol: ToleranceConfig = DEFAULT_TOL) -> VerificationReport:
+                          tol: ToleranceConfig = DEFAULT_TOL, *,
+                          geometry: Geometry | None = None) -> VerificationReport:
     """A generic point of V is covered by exactly |W^0| of the |W| dual
     chamber copies w C*."""
     sampler = sampler or GenericPointSampler(generic_margin=tol.generic_margin)
     n, margin = rs.n, sampler.generic_margin
-    dc = dual(chamber(rs), tol)
+    dc = _geometry(rs, g, geometry, tol).dual
     omega_hat = dc.dual_basis / np.linalg.norm(dc.dual_basis, axis=1, keepdims=True)
     # facet normals of w C* are w omega_hat: (|W|, n, n)
     normals = omega_hat @ np.transpose(g.matrix_stack, (0, 2, 1))
@@ -413,44 +545,40 @@ def verify_covering_count(rs: RootSystem, g: Group,
         [("resamples", float(sampler.resamples), 0.0)])
 
 
-def _pairs_spanning(rs: RootSystem, g: Group, I) -> list[tuple[int, tuple[int, ...]]]:
-    """All pairs (element index, subset J) with w . span(F_J) = span(F_I)."""
-    return [(int(w), J) for J in itertools.combinations(range(rs.n), len(I))
-            for w in np.flatnonzero(span_carriers(g, I, J))]
-
-
 def verify_face_oplus_covering(rs: RootSystem, g: Group, I,
                                sampler: GenericPointSampler | None = None,
                                trials: int = DEFAULT_TRIALS,
-                               tol: ToleranceConfig = DEFAULT_TOL) -> VerificationReport:
+                               tol: ToleranceConfig = DEFAULT_TOL, *,
+                               geometry: Geometry | None = None) -> VerificationReport:
     """A generic point of V is covered by |W^reg_U| of the full-dimensional
     cones w(F_J + orthogonal dual quotient) whose face part spans U."""
     sampler = sampler or GenericPointSampler(generic_margin=tol.generic_margin)
     n, margin = rs.n, sampler.generic_margin
-    I = tuple(sorted(int(i) for i in I))
+    I = _subset(I)
     k = len(I)
-    pairs = _pairs_spanning(rs, g, I)
-    ch = chamber(rs)
+    geo = _geometry(rs, g, geometry, tol)
+    weights, alpha = rs.fundamental_weights, geo.chamber.dual_basis
 
-    # generator matrix of F_J + (C/F_J)* is weights[J] stacked with alpha[not J]
-    base: dict[tuple[int, ...], np.ndarray] = {}
-    for J in {J for _, J in pairs}:
-        rest = [j for j in range(n) if j not in J]
-        base[J] = np.vstack([rs.fundamental_weights[list(J)], ch.dual_basis[rest]])
-    gens = np.array([base[J] @ g.matrix_stack[w].T for w, J in pairs])
+    # generator matrix of F_J + (C/F_J)* is weights[J] stacked with
+    # alpha[not J]; its images under the elements w carrying span(F_J) onto
+    # U, one batched product per face type J
+    gens = np.concatenate([
+        np.vstack([weights[list(J)], alpha[[j for j in range(n) if j not in J]]])
+        @ np.transpose(g.matrix_stack[ws], (0, 2, 1))
+        for J, ws in geo.pairs(I).items()])
     duals = np.linalg.inv(np.transpose(gens, (0, 2, 1)))  # rows = facet normals
     duals /= np.linalg.norm(duals, axis=2, keepdims=True)
 
-    expected = regular_count(parabolic_subgroup(g, I), n - k)
+    expected = regular_count(geo.parabolic(I), n - k)
 
     def draw(rng, m):
         return rng.standard_normal((m, n))
 
     counts = sampler.sample(draw, _cone_classifier(duals, margin, rs.all_roots),
-                            trials, len(pairs) * n)
+                            trials, len(duals) * n)
     return _count_report(
         "oplus", rs, k, expected, counts, sampler.seed, trials,
-        [(f"I={_fmt_subset(I)} pairs", float(len(pairs)), 0.0),
+        [(f"I={_fmt_subset(I)} pairs", float(len(duals)), 0.0),
          ("resamples", float(sampler.resamples), 0.0)])
 
 
@@ -458,33 +586,20 @@ def verify_face_oplus_covering(rs: RootSystem, g: Group, I,
 # decomposition / quotient structure
 
 
-def _pieces_in_span(rs: RootSystem, g: Group, I) -> dict[tuple[int, ...], list[int]]:
-    """The distinct chamber faces w . F_J spanning span(F_I), as indices w
-    by face type J.  A face is a coset w W_J (W_J fixes F_J); its shortest
-    element keeps every simple root outside J positive and, as enumeration
-    is by word length, has the smallest index in the coset."""
-    # every root has |(beta, omega_1 + ... + omega_n)| >= 1: no sign is close to 0
-    positive = rs.all_roots @ rs.fundamental_weights.sum(axis=0) > 0
-    pieces: dict[tuple[int, ...], list[int]] = {}
-    for J in itertools.combinations(range(rs.n), len(I)):
-        ws = np.flatnonzero(span_carriers(g, I, J, within=positive))
-        if ws.size:
-            pieces[J] = ws.tolist()
-    return pieces
-
-
 def verify_face_decomposition(rs: RootSystem, g: Group, I,
                               mc: McConfig = DEFAULT_MC,
                               sampler: GenericPointSampler | None = None,
                               trials: int = DEFAULT_TRIALS,
-                              tol: ToleranceConfig = DEFAULT_TOL) -> VerificationReport:
+                              tol: ToleranceConfig = DEFAULT_TOL, *,
+                              geometry: Geometry | None = None) -> VerificationReport:
     """The distinct chamber faces lying in U = span(F_I) tile U: their
     measures sum to 1 and a generic point of U sits inside exactly one.
     Each piece w . F_J is congruent to F_J, which is measured once."""
     sampler = sampler or GenericPointSampler(generic_margin=tol.generic_margin)
     n, margin = rs.n, sampler.generic_margin
-    I = tuple(sorted(int(i) for i in I))
+    I = _subset(I)
     k = len(I)
+    geo = _geometry(rs, g, geometry, tol)
 
     if k == 0:
         # U = {0}: the single face is the zero cone, measure 1 by convention
@@ -492,10 +607,8 @@ def verify_face_decomposition(rs: RootSystem, g: Group, I,
             "decomposition", rs, 0, 1.0, (1, 1), 0.0, sampler.seed, 0,
             [("zero cone", 1.0, 0.0)], rule_suffix="; unique containment trivial")
 
-    pieces = _pieces_in_span(rs, g, I)
-    ch = chamber(rs)
-    faces = {J: face(ch, J, tol) for J in pieces}
-    by_type = {J: measure(f, mc, tol) for J, f in faces.items()}
+    pieces = geo.pieces(I)
+    by_type = {J: geo.measure("face", J, mc) for J in pieces}
     ests = [by_type[J] for J, ws in pieces.items() for _ in ws]
     lhs = sum(est.value for est in ests)
     samples = max(est.samples for est in by_type.values())
@@ -503,11 +616,11 @@ def verify_face_decomposition(rs: RootSystem, g: Group, I,
     breakdown += [(f"piece {i}", est.value, est.stderr)
                   for i, est in enumerate(ests)]
 
-    U = Subspace.from_spanning(rs.fundamental_weights[list(I)], ambient_dim=n)
-    B = U.orthonormal_basis
+    # the identity is a piece of type I, so F_I is built and spans U
+    B = geo.face(I).span.orthonormal_basis
     # orthogonal maps send facet normals to facet normals: (p, k, n)
     duals = np.concatenate([
-        faces[J].dual_basis @ np.transpose(g.matrix_stack[ws], (0, 2, 1))
+        geo.face(J).dual_basis @ np.transpose(g.matrix_stack[ws], (0, 2, 1))
         for J, ws in pieces.items()])
     duals = duals / np.linalg.norm(duals, axis=2, keepdims=True)
 
@@ -530,21 +643,22 @@ def verify_parabolic_quotient(rs: RootSystem, g: Group, I,
                               mc: McConfig = DEFAULT_MC,
                               sampler: GenericPointSampler | None = None,
                               trials: int = DEFAULT_TRIALS,
-                              tol: ToleranceConfig = DEFAULT_TOL) -> VerificationReport:
+                              tol: ToleranceConfig = DEFAULT_TOL, *,
+                              geometry: Geometry | None = None) -> VerificationReport:
     """The projected chamber C/F is a fundamental cone for the face fixator
     acting on span(F)-perp, and sigma((C/F)*) = |W^reg_F| / |W_F|."""
     sampler = sampler or GenericPointSampler(generic_margin=tol.generic_margin)
     n, margin = rs.n, sampler.generic_margin
-    I = tuple(sorted(int(i) for i in I))
+    I = _subset(I)
     d = n - len(I)
-    sub = parabolic_subgroup(g, I)
-    ch = chamber(rs)
+    geo = _geometry(rs, g, geometry, tol)
+    sub = geo.parabolic(I)
     breakdown = [(f"I={_fmt_subset(I)}", float(len(I)), 0.0)]
 
     # (a) the |W_F| translates of C/F tile span(F)-perp
     bad = 0
     if d > 0:
-        q = quotient(ch, I, tol)
+        q = geo.quotient(I)
         B = q.span.orthonormal_basis
         mats = sub.matrices()
         # dual bases of the translates: orthogonal maps send duals to duals
@@ -561,7 +675,7 @@ def verify_parabolic_quotient(rs: RootSystem, g: Group, I,
     breakdown.append(("tiling_failures", float(bad), 0.0))
 
     # (b) sigma((C/F)*) equals the fixed-point-free fraction of W_F
-    est = measure(quotient_dual(ch, I, tol), mc, tol)
+    est = geo.measure("quotient_dual", I, mc)
     rhs = (regular_count(sub, d), len(sub))
     breakdown.append(("sigma(quotient dual)", est.value, est.stderr))
     return _measure_report(
@@ -573,8 +687,58 @@ def verify_parabolic_quotient(rs: RootSystem, g: Group, I,
 # ---------------------------------------------------------------------------
 # full suite
 
-SUITE_IDENTITIES = ("curious", "main", "waldspurger", "covering", "oplus",
-                    "decomposition", "parabolic", "equiv-measure", "class-sum")
+
+@dataclass(frozen=True)
+class _SuiteRun:
+    """The arguments one run_suite call gives every verifier."""
+
+    rs: RootSystem
+    g: Group
+    mc: McConfig
+    trials: int
+    seed: int
+    tol: ToleranceConfig
+    geometry: Geometry
+
+    def call(self, verifier, *args) -> VerificationReport:
+        return verifier(self.rs, self.g, *args, geometry=self.geometry)
+
+    def sampler(self) -> GenericPointSampler:
+        """A fresh sampler: every counting check starts the same stream."""
+        return GenericPointSampler(seed=self.seed,
+                                   generic_margin=self.tol.generic_margin)
+
+    def subsets(self, k: int):
+        return itertools.combinations(range(self.rs.n), k)
+
+
+# The identities in report order: name -> (k-indexed?, runner).  A runner
+# returns the reports of one k (None when not k-indexed).  It looks its
+# verify_* function up when it runs, so a name wrapped after import is the
+# one called.
+_SUITE = {
+    "curious": (False, lambda r, k: [r.call(verify_curious, r.mc, r.tol)]),
+    "main": (True, lambda r, k: [r.call(verify_main, k, r.mc, r.tol)]),
+    "waldspurger": (False, lambda r, k: [
+        r.call(verify_waldspurger_partition, r.sampler(), r.trials, r.tol)]),
+    "covering": (False, lambda r, k: [
+        r.call(verify_covering_count, r.sampler(), r.trials, r.tol)]),
+    "oplus": (True, lambda r, k: [
+        r.call(verify_face_oplus_covering, I, r.sampler(), r.trials, r.tol)
+        for I in r.subsets(k)]),
+    "decomposition": (True, lambda r, k: [
+        r.call(verify_face_decomposition, I, r.mc, r.sampler(), r.trials, r.tol)
+        for I in r.subsets(k)]),
+    "parabolic": (True, lambda r, k: [
+        r.call(verify_parabolic_quotient, I, r.mc, r.sampler(), r.trials, r.tol)
+        for I in r.subsets(k)]),
+    "equiv-measure": (True, lambda r, k: [
+        r.call(verify_equiv_measure, cls, r.mc, r.tol)
+        for cls in r.geometry.orbits(k)]),
+    "class-sum": (True, lambda r, k: [r.call(verify_class_sum, k, r.seed)]),
+}
+
+SUITE_IDENTITIES = tuple(_SUITE)
 
 
 def run_suite(rs: RootSystem, g: Group, identities=SUITE_IDENTITIES,
@@ -587,6 +751,8 @@ def run_suite(rs: RootSystem, g: Group, identities=SUITE_IDENTITIES,
     given.  ``trials`` must be at least 1, even for identities that draw
     no point.  Every sampling verifier gets a fresh sampler with the same
     seed, so the output is independent of which identities run together.
+    The verifiers share one Geometry, so each cone, subgroup and measure
+    is built once per call.
     """
     seed = mc.seed if seed is None else seed
     n = rs.n
@@ -594,41 +760,14 @@ def run_suite(rs: RootSystem, g: Group, identities=SUITE_IDENTITIES,
         raise InvalidArgumentError(f"k must be in 0..{n}")
     if trials < 1:
         raise InvalidArgumentError("trials must be >= 1")
+    for name in identities:
+        if name not in _SUITE:
+            raise InvalidArgumentError(f"unknown identity {name!r}")
     ks = range(n + 1) if k is None else [k]
-    subsets = [J for r in ks for J in itertools.combinations(range(n), r)]
-
-    def new_sampler():
-        return GenericPointSampler(seed=seed, generic_margin=tol.generic_margin)
-
+    run = _SuiteRun(rs, g, mc, trials, seed, tol, Geometry(rs, g, tol))
     reports: list[VerificationReport] = []
     for name in identities:
-        if name == "curious":
-            reports.append(verify_curious(rs, g, mc, tol))
-        elif name == "main":
-            reports.extend(verify_main(rs, g, kk, mc, tol) for kk in ks)
-        elif name == "waldspurger":
-            reports.append(verify_waldspurger_partition(rs, g, new_sampler(),
-                                                        trials, tol))
-        elif name == "covering":
-            reports.append(verify_covering_count(rs, g, new_sampler(), trials, tol))
-        elif name == "oplus":
-            reports.extend(
-                verify_face_oplus_covering(rs, g, J, new_sampler(), trials, tol)
-                for J in subsets)
-        elif name == "decomposition":
-            reports.extend(
-                verify_face_decomposition(rs, g, J, mc, new_sampler(), trials, tol)
-                for J in subsets)
-        elif name == "parabolic":
-            reports.extend(
-                verify_parabolic_quotient(rs, g, J, mc, new_sampler(), trials, tol)
-                for J in subsets)
-        elif name == "equiv-measure":
-            for kk in ks:
-                reports.extend(verify_equiv_measure(rs, g, cls, mc, tol)
-                               for cls in subspace_orbits(g, kk))
-        elif name == "class-sum":
-            reports.extend(verify_class_sum(rs, g, kk, seed=seed) for kk in ks)
-        else:
-            raise InvalidArgumentError(f"unknown identity {name!r}")
+        k_indexed, runner = _SUITE[name]
+        for kk in ks if k_indexed else [None]:
+            reports.extend(runner(run, kk))
     return reports

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import ccl
-from ccl.roots import (SUPPORTED_TYPES, GroupType, build, fundamental_weights,
-                       generate_roots)
+from ccl.roots import (ROOT_SORT_DECIMALS, SUPPORTED_TYPES, GroupType, build,
+                       fundamental_weights, generate_roots)
 
 ROOT_COUNTS = {
     "A1": 2, "A2": 6, "A3": 12, "A4": 20, "A5": 30,
@@ -122,6 +122,33 @@ def test_biorthogonality_and_chamber_duality(t):
     # the dual basis of the simple-root rows reconstructs the weights
     recon = np.linalg.inv(rs.simple_roots).T
     assert np.abs(recon - rs.fundamental_weights).max() <= 1e-9
+
+
+def sequential_closure(simple, eps):
+    """Reference root closure: reflect one root by one generator at a time,
+    keep an image unless a root kept so far lies within eps of it, and sort
+    on the rounded coordinates."""
+    roots = [row.copy() for row in simple]
+    frontier = list(range(len(roots)))
+    while frontier:
+        fresh = []
+        for idx in frontier:
+            for a in simple:
+                img = roots[idx] - 2.0 * (roots[idx] @ a) * a
+                if np.linalg.norm(np.array(roots) - img, axis=1).min() > eps:
+                    roots.append(img)
+                    fresh.append(len(roots) - 1)
+        frontier = fresh
+    roots.sort(key=lambda v: tuple(np.round(v, ROOT_SORT_DECIMALS)))
+    return np.array(roots)
+
+
+@pytest.mark.parametrize("t", SUPPORTED_TYPES, ids=str)
+def test_generate_roots_matches_sequential_closure(t):
+    rs = build(t)
+    expected = sequential_closure(rs.simple_roots, rs.tol.eps_root_match)
+    assert rs.all_roots.shape == expected.shape
+    assert rs.all_roots.tobytes() == expected.tobytes()
 
 
 def test_generate_roots_a1():

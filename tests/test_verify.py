@@ -12,8 +12,8 @@ from ccl.cones import SimplicialCone, chamber
 from ccl.groups import normalizer_of_span
 from ccl.linalg import DEFAULT_TOL, Subspace
 from ccl.roots import SUPPORTED_TYPES
-from ccl.verify import (GenericPointSampler, _pairs_spanning, _pieces_in_span,
-                        run_suite, verify_class_sum,
+from ccl.verify import (GenericPointSampler, Geometry, _pairs_spanning,
+                        _pieces_in_span, run_suite, verify_class_sum,
                         verify_covering_count, verify_curious,
                         verify_equiv_measure, verify_face_decomposition,
                         verify_face_oplus_covering, verify_main,
@@ -233,7 +233,8 @@ def test_span_pairs_and_normalizers_match_projector_oracle(spec, built):
             target = projector(I)
             expected = [(int(w), J) for J in types for w in np.flatnonzero(
                 np.abs(images[J] - target).max(axis=(1, 2)) <= 1e-8)]
-            assert _pairs_spanning(rs, g, I) == expected
+            assert [(int(w), J) for J, ws in _pairs_spanning(rs, g, I).items()
+                    for w in ws] == expected
             assert normalizer_of_span(g, I).indices == tuple(
                 w for w, J in expected if J == I)
 
@@ -402,6 +403,115 @@ def test_calibration_seed_sweep(built):
             err = r.lhs - r.rhs_numerator / r.rhs_denominator
             ratios.append(err / r.combined_stderr)
     assert 0.5 <= statistics.pstdev(ratios) <= 1.6
+
+
+def standalone_suite(rs, g, mc, trials=100, seed=42):
+    """The reports of run_suite(rs, g, mc=mc), from one standalone verify_*
+    call per verdict, in report order."""
+    subsets = [I for k in range(rs.n + 1)
+               for I in itertools.combinations(range(rs.n), k)]
+
+    def new_sampler():
+        return GenericPointSampler(seed=seed)
+
+    reports = [verify_curious(rs, g, mc)]
+    reports += [verify_main(rs, g, k, mc) for k in range(rs.n + 1)]
+    reports.append(verify_waldspurger_partition(rs, g, new_sampler(), trials))
+    reports.append(verify_covering_count(rs, g, new_sampler(), trials))
+    reports += [verify_face_oplus_covering(rs, g, I, new_sampler(), trials)
+                for I in subsets]
+    reports += [verify_face_decomposition(rs, g, I, mc, new_sampler(), trials)
+                for I in subsets]
+    reports += [verify_parabolic_quotient(rs, g, I, mc, new_sampler(), trials)
+                for I in subsets]
+    reports += [verify_equiv_measure(rs, g, cls, mc)
+                for k in range(rs.n + 1) for cls in ccl.subspace_orbits(g, k)]
+    reports += [verify_class_sum(rs, g, k, seed=seed) for k in range(rs.n + 1)]
+    return reports
+
+
+@pytest.mark.parametrize("samples", [None, 20_000])
+@pytest.mark.parametrize("spec", ["A3", "B4", "H3", "F4"])
+def test_run_suite_equals_standalone_verifiers(spec, samples, built):
+    # the shared geometry changes what is built, never what is reported
+    rs, g = built(spec)
+    mc = McConfig(samples=samples)
+    suite = [r.to_dict() for r in run_suite(rs, g, mc=mc)]
+    assert suite == [r.to_dict() for r in standalone_suite(rs, g, mc)]
+
+
+def test_run_suite_builds_each_piece_of_geometry_once(built, monkeypatch):
+    # default run_suite over the catalog: one chamber per group, and one
+    # face, quotient cone, quotient dual, parabolic subgroup, normalizer,
+    # orbit set and exact quadrature per distinct input (without the shared
+    # geometry: 786 chambers, 752 faces, 622 parabolic subgroups, 81
+    # quadratures)
+    import ccl.angles
+    calls = {}
+
+    def counted(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*args):
+            calls.setdefault(name, []).append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("chamber", "face", "quotient", "quotient_dual",
+                 "parabolic_subgroup", "normalizer_of_span", "subspace_orbits"):
+        counted(ccl.verify, name)
+    counted(ccl.angles, "_measure_plackett")
+    groups = [built(str(t)) for t in SUPPORTED_TYPES]
+    for rs, g in groups:
+        assert all(r.passed for r in run_suite(rs, g))
+    counts = {name: len(args) for name, args in calls.items()}
+    assert counts == {"chamber": 22, "face": 186, "quotient": 164,
+                      "quotient_dual": 186, "parabolic_subgroup": 186,
+                      "normalizer_of_span": 125, "subspace_orbits": 81,
+                      "_measure_plackett": 28}
+    # 186 = the 2^n face subsets of the 22 groups; the quotient is built
+    # for the 164 proper ones; 81 = the values 0..n of k
+    assert sum(2 ** rs.n for rs, _ in groups) == 186
+    assert sum(rs.n + 1 for rs, _ in groups) == 81
+    for name in ("face", "quotient", "quotient_dual"):
+        assert len({(id(c), I) for c, I, _ in calls[name]}) == counts[name]
+    for name in ("parabolic_subgroup", "normalizer_of_span", "subspace_orbits"):
+        assert len({(id(g), key) for g, key in calls[name]}) == counts[name]
+    # the 28 cones of dimension 4 and 5: per rank-4 group the chamber, the
+    # dual chamber and (C/F_{})*; for A5 the chamber, the dual chamber,
+    # (C/F_{})*, the five faces of dimension 4 and the five (C/F_{i})*
+    assert counts["_measure_plackett"] == 5 * 3 + 13
+
+
+def test_geometry_must_describe_the_verified_group(built):
+    rs, g = built("A2")
+    rs3, g3 = built("B3")
+    geometry = Geometry(rs, g)
+    assert (verify_curious(rs, g, geometry=geometry)
+            == verify_curious(rs, g))
+    for other in (Geometry(rs3, g3),
+                  Geometry(rs, g, ccl.ToleranceConfig(eps_rank=1e-6))):
+        with pytest.raises(ccl.InvalidArgumentError, match="geometry"):
+            verify_curious(rs, g, geometry=other)
+        with pytest.raises(ccl.InvalidArgumentError, match="geometry"):
+            verify_face_oplus_covering(rs, g, (0,), sampler(), 10,
+                                       geometry=other)
+    with pytest.raises(ccl.InvalidArgumentError, match="geometry"):
+        verify_class_sum(rs, g, 1, geometry=Geometry(rs3, g3))
+
+
+def test_run_suite_rejects_unknown_identity_before_running(built, monkeypatch):
+    rs, g = built("A2")
+    ran = []
+    inner = ccl.verify.verify_curious
+    monkeypatch.setattr(ccl.verify, "verify_curious",
+                        lambda *a, **kw: ran.append(1) or inner(*a, **kw))
+    with pytest.raises(ccl.InvalidArgumentError, match="unknown identity"):
+        run_suite(rs, g, identities=("curious", "bogus"))
+    assert ran == []
+    # the runners look the verifiers up when they run
+    assert len(run_suite(rs, g, identities=("curious",))) == 1 and ran == [1]
 
 
 def test_run_suite_restricted_k(built):
