@@ -6,10 +6,11 @@ one base64 string of little-endian uint16 root indices (``PERM_DTYPE``) of
 shape ``perm_shape`` = (order, n): row w holds the indices of w's images of
 the simple roots, which determine w.  Reloading checks that the table
 starts with the identity, holds only root indices, has no duplicates, is
-closed under the simple reflections and is generated by them; it rebuilds the permutation rows
-along the generator tree, so the group is reproduced
-permutation-for-permutation, and recomputes matrices and fixed-space
-dimensions from the stored roots and images.  A file of another schema
+closed under the simple reflections and is generated by them; it rebuilds
+the permutation rows along the generator tree, so the group is reproduced
+permutation-for-permutation, and recomputes the matrices from the stored
+roots and images and the fixed-space dimensions by one SVD per conjugacy
+class, whose counts must equal the stored ones.  A file of another schema
 version (schema 1 stored every permutation as nested integer lists, schema
 2 as a base64 table of all num_roots columns) or any malformed payload
 raises CacheError; ``load_or_enumerate`` then says on stderr why the file

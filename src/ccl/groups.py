@@ -2,16 +2,19 @@
 
 Elements are identified by their permutation of the root list, which is
 exact even though the matrices are floating point.  Enumeration is a
-breadth-first closure of the simple reflections with a fixed generator
-order and lexicographic tie-breaking inside each word-length layer, so
-element indices are stable across runs.
+breadth-first closure of the simple reflections, one whole word-length
+layer per array pass, with each layer in lexicographic order of its
+permutation rows, so element indices are stable across runs.
 
 A Group holds its elements as stacked arrays (permutations, matrices,
 fixed-space dimensions) and the table ``left_mult`` of the index of s_j w,
 looked up by sorting on the simple-root images, which determine an element.
 A cache reload starts from those images alone and rebuilds the permutation
-rows along the breadth-first generator tree; parabolic subgroups are array
-closures over the rows of ``left_mult``.
+rows along the breadth-first generator tree.  dim ker(1 - w) is a class
+function, so it is computed by one SVD per conjugacy class, the classes
+being found by the same lookup of s_j w s_j.  Parabolic subgroups are array
+closures over the rows of ``left_mult``, checked against one per-group
+table of the elements fixing each fundamental weight.
 Face spans are matched as root subsets on the permutation table: w carries
 span(F_J) onto span(F_I) when it sends the simple roots outside J into
 span(F_I)-perp.
@@ -19,6 +22,7 @@ span(F_I)-perp.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -61,6 +65,17 @@ class Group:
     def simple_reflection_ids(self) -> tuple[int, ...]:
         return tuple(int(i) for i in self.left_mult[:, 0])
 
+    @functools.cached_property
+    def fixes_weight(self) -> np.ndarray:
+        """(order, n) read-only mask: entry (w, i) says that w moves no
+        coordinate of omega_i by more than SPAN_MATCH_TOL.  Built on first
+        use, from one product with the whole matrix stack."""
+        weights = self.root_system.fundamental_weights
+        moved = np.abs(self.matrix_stack @ weights.T - weights.T).max(axis=1)
+        fixes = moved <= SPAN_MATCH_TOL
+        fixes.setflags(write=False)
+        return fixes
+
 
 @dataclass(frozen=True)
 class Subgroup:
@@ -81,41 +96,46 @@ class Subgroup:
 
 def enumerate_group(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP,
                     tol: ToleranceConfig | None = None) -> Group:
-    """Breadth-first closure of the simple reflections.
+    """Breadth-first closure of the simple reflections, one word-length
+    layer at a time.
 
-    Raises GroupTooLargeError when more than ``cap`` elements appear.
+    Every generator is applied to the whole frontier at once; a child is
+    keyed on its simple-root images, and the keys of earlier layers and
+    repeats within the layer are dropped.  Each layer is ordered
+    lexicographically on its full permutation rows.  Raises
+    GroupTooLargeError when more than ``cap`` elements appear.
     """
     tol = tol or rs.tol
-    nroots = rs.num_roots
-    gen_perms = rs.reflection_perms
+    gens = rs.reflection_perms
+    identity = np.arange(rs.num_roots, dtype=np.int32)[None]
+    layers = [identity]
+    seen = _image_keys(rs, identity[:, rs.simple_ids])   # sorted
+    size = 1
+    frontier = identity
+    while len(frontier):
+        # keys of s_j w for every generator j and frontier element w
+        keys = _image_keys(rs, gens[:, frontier[:, rs.simple_ids]]).ravel()
+        by_key = np.argsort(keys)
+        keys = keys[by_key]
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        by_key, keys = by_key[first], keys[first]
+        at = np.searchsorted(seen, keys)
+        new = seen[np.minimum(at, len(seen) - 1)] != keys
+        size += np.count_nonzero(new)
+        if size > cap:
+            raise GroupTooLargeError(f"group exceeds element cap {cap}")
+        seen = np.insert(seen, at[new], keys[new])
+        j, w = np.divmod(by_key[new], len(frontier))
+        frontier = np.take(gens, (j * rs.num_roots)[:, None] + frontier[w])
+        frontier = frontier[np.argsort(_row_bytes(frontier))]
+        layers.append(frontier)
 
-    identity = np.arange(nroots, dtype=np.int32)
-    perms: list[np.ndarray] = [identity]
-    index: dict[bytes, int] = {identity.tobytes(): 0}
-
-    layer = [0]
-    while layer:
-        discovered: dict[bytes, np.ndarray] = {}
-        for idx in layer:
-            base = perms[idx]
-            for g in gen_perms:
-                new = g[base]  # left-multiply by the generator
-                key = new.tobytes()
-                if key not in index and key not in discovered:
-                    discovered[key] = new
-        fresh = sorted(discovered.values(), key=lambda p: p.tolist())
-        layer = []
-        for p in fresh:
-            if len(perms) >= cap:
-                raise GroupTooLargeError(f"group exceeds element cap {cap}")
-            index[p.tobytes()] = len(perms)
-            perms.append(p)
-            layer.append(len(perms) - 1)
-
-    perm_stack = np.array(perms, dtype=np.int32)
+    perm_stack = np.concatenate(layers)
     simple_images = perm_stack[:, rs.simple_ids]
+    find = _element_index(rs, simple_images)
     return _assemble_group(rs, simple_images, perm_stack,
-                           _left_mult(rs, simple_images), tol)
+                           find(gens[:, simple_images]), find, tol)
 
 
 def group_from_simple_images(rs: RootSystem, simple_images: np.ndarray,
@@ -140,9 +160,10 @@ def group_from_simple_images(rs: RootSystem, simple_images: np.ndarray,
         raise InvalidArgumentError("simple-root image is not a root index")
     if not len(simple_images) or (simple_images[0] != rs.simple_ids).any():
         raise InvalidArgumentError("element 0 must be the identity")
-    left_mult = _left_mult(rs, simple_images)
-
     gen_perms = rs.reflection_perms
+    find = _element_index(rs, simple_images)
+    left_mult = find(gen_perms[:, simple_images])
+
     order = len(simple_images)
     perm_stack = np.empty((order, rs.num_roots), dtype=np.int32)
     perm_stack[0] = np.arange(rs.num_roots)
@@ -163,7 +184,7 @@ def group_from_simple_images(rs: RootSystem, simple_images: np.ndarray,
     if not reached.all():
         raise InvalidArgumentError("element list is not generated by the "
                                    "simple reflections")
-    return _assemble_group(rs, simple_images, perm_stack, left_mult, tol)
+    return _assemble_group(rs, simple_images, perm_stack, left_mult, find, tol)
 
 
 def _closure(table: np.ndarray) -> np.ndarray:
@@ -182,26 +203,66 @@ def _closure(table: np.ndarray) -> np.ndarray:
     return reached
 
 
-def _left_mult(rs: RootSystem, simple_images: np.ndarray) -> np.ndarray:
-    """(n, order) table of the index of s_j w, found by sorting on the
-    simple-root images read as base-num_roots digits, which key an element.
-    Raises InvalidArgumentError on duplicate keys or a missing product."""
-    order, n = simple_images.shape
-    digits = rs.num_roots ** np.arange(n, dtype=np.int64)
-    keys = simple_images.astype(np.int64) @ digits
+def _image_keys(rs: RootSystem, images: np.ndarray) -> np.ndarray:
+    """int64 key of each (..., n) row of simple-root images, read as
+    base-num_roots digits; an element is determined by its images."""
+    digits = rs.num_roots ** np.arange(rs.n, dtype=np.int64)
+    return images.astype(np.int64) @ digits
+
+
+def _row_bytes(rows: np.ndarray) -> np.ndarray:
+    """Each row of root indices as one big-endian uint16 byte string, so
+    that the strings sort like the rows (root lists stay far below 2**16
+    entries)."""
+    return rows.astype(">u2").view(np.dtype((np.void, 2 * rows.shape[1])))[:, 0]
+
+
+def _element_index(rs: RootSystem, simple_images: np.ndarray):
+    """Function mapping tables of simple-root images (..., n) to the indices
+    of the elements with those images, by one sort of the elements' keys.
+    Raises InvalidArgumentError on duplicate elements, and the function
+    raises it on images of no element."""
+    keys = _image_keys(rs, simple_images)
     by_key = np.argsort(keys)
     sorted_keys = keys[by_key]
     if (sorted_keys[1:] == sorted_keys[:-1]).any():
         raise InvalidArgumentError("duplicate permutations in element list")
-    prods = rs.reflection_perms[:, simple_images].astype(np.int64) @ digits
-    pos = np.minimum(np.searchsorted(sorted_keys, prods), order - 1)
-    if (sorted_keys[pos] != prods).any():
-        raise InvalidArgumentError("element list is not closed under the generators")
-    return by_key[pos]
+
+    def find(images: np.ndarray) -> np.ndarray:
+        wanted = _image_keys(rs, images)
+        # sorted queries make the binary searches cache-friendly
+        order = np.argsort(wanted, axis=None)
+        queries = wanted.ravel()[order]
+        pos = np.minimum(np.searchsorted(sorted_keys, queries), len(keys) - 1)
+        if (sorted_keys[pos] != queries).any():
+            raise InvalidArgumentError(
+                "element list is not closed under the generators")
+        found = np.empty_like(order)
+        found[order] = by_key[pos]
+        return found.reshape(wanted.shape)
+
+    return find
+
+
+def _conjugacy_labels(rs: RootSystem, perm_stack: np.ndarray, find) -> np.ndarray:
+    """Index of the first element of each element's conjugacy class: the
+    classes are the components of w ~ s_j w s_j, labelled by propagating
+    the least index along those edges."""
+    gens = rs.reflection_perms
+    # simple-root images of s_j w s_j: s_j[w[s_j[alpha_i]]]
+    conj = find(gens[np.arange(rs.n)[:, None, None],
+                     perm_stack[:, gens[:, rs.simple_ids]].transpose(1, 0, 2)])
+    labels = np.arange(len(perm_stack))
+    while True:
+        new = np.minimum.reduce([labels, *labels[conj]])
+        new = new[new]
+        if (new == labels).all():
+            return labels
+        labels = new
 
 
 def _assemble_group(rs: RootSystem, simple_images: np.ndarray,
-                    perm_stack: np.ndarray, left_mult: np.ndarray,
+                    perm_stack: np.ndarray, left_mult: np.ndarray, find,
                     tol: ToleranceConfig) -> Group:
     n = rs.n
     order = perm_stack.shape[0]
@@ -213,15 +274,20 @@ def _assemble_group(rs: RootSystem, simple_images: np.ndarray,
     # mats[k] = images[k].T @ A_inv.T  ==  (A_inv @ images[k]).T
 
     eye = np.eye(n)
-    ortho_err = np.abs(np.einsum("kij,kil->kjl", mats, mats) - eye).max()
+    ortho_err = np.abs(np.swapaxes(mats, 1, 2) @ mats - eye).max()
     if ortho_err > ORTHOGONALITY_TOL:
         raise NumericalError(
             f"reconstructed matrices not orthogonal (err {ortho_err:.2e})")
     mats.setflags(write=False)
 
-    # dim ker(1 - w) for every w at once, by the rule of kernel_dimension
-    sv = np.linalg.svd(eye - mats, compute_uv=False)
-    fixed = (sv < tol.eps_rank).sum(axis=1)
+    # dim ker(1 - w) is a class function: one SVD per conjugacy class, by
+    # the rule of kernel_dimension, copied to the rest of the class
+    labels = _conjugacy_labels(rs, perm_stack, find)
+    reps = np.flatnonzero(labels == np.arange(order))
+    sv = np.linalg.svd(eye - mats[reps], compute_uv=False)
+    fixed = np.zeros(order, dtype=np.int64)
+    fixed[reps] = (sv < tol.eps_rank).sum(axis=1)
+    fixed = fixed[labels]
     counts = tuple(int(c) for c in np.bincount(fixed, minlength=n + 1))
 
     return Group(
@@ -263,20 +329,14 @@ def parabolic_subgroup(g: Group, I) -> Subgroup:
     """
     I = _face_subset(g, I)
     gens = [j for j in range(g.n) if j not in I]
-    indices = tuple(int(i) for i in np.flatnonzero(_closure(g.left_mult[gens])))
+    indices = np.flatnonzero(_closure(g.left_mult[gens]))
 
     # Steinberg: generated subgroup == pointwise fixator of the face span.
-    fixed_pts = g.root_system.fundamental_weights[sorted(I)]
-    if fixed_pts.shape[0]:
-        moved = np.abs(g.matrix_stack @ fixed_pts.T
-                       - fixed_pts.T[None, :, :]).max(axis=(1, 2))
-        fixator = tuple(int(i) for i in np.flatnonzero(moved <= SPAN_MATCH_TOL))
-    else:
-        fixator = tuple(range(g.order))
-    if fixator != indices:
+    fixator = np.flatnonzero(g.fixes_weight[:, sorted(I)].all(axis=1))
+    if not np.array_equal(fixator, indices):
         raise NumericalError(
             "parabolic subgroup does not match the pointwise fixator")
-    return Subgroup(g, indices)
+    return Subgroup(g, tuple(indices.tolist()))
 
 
 def regular_count(sub: Subgroup, ambient_subspace_dim: int) -> int:

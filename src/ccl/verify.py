@@ -360,7 +360,10 @@ class Geometry:
 
     def measure(self, kind: str, I, mc: McConfig) -> AngleEstimate:
         """Measure of the dual chamber (kind "dual", I = ()), of F_I (kind
-        "face") or of (C/F_I)* (kind "quotient_dual")."""
+        "face") or of (C/F_I)* (kind "quotient_dual").  (C/F_{})* has the
+        generators of the dual chamber, so it is measured as the dual."""
+        if kind == "quotient_dual" and not I:
+            kind, I = "dual", ()
         key = ("measure", kind, I, mc)
         if key not in self._memo:
             cone = self.dual if kind == "dual" else getattr(self, kind)(I)

@@ -1,13 +1,16 @@
 import dataclasses
+import gzip
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ccl
+from ccl.cache import load_group
 from ccl.cones import chamber
-from ccl.groups import (enumerate_group, group_from_simple_images,
+from ccl.groups import (Group, enumerate_group, group_from_simple_images,
                         normalizer_of_span, parabolic_subgroup, regular_count,
                         solomon_check, subspace_orbits)
 from ccl.linalg import Subspace, kernel_dimension
@@ -18,6 +21,15 @@ ORDERS = {
     "B2": 8, "B3": 48, "B4": 384, "D4": 192,
     "I2(5)": 10, "I2(9)": 18, "H3": 120, "F4": 1152,
 }
+
+
+def h4_schema3_file(directory):
+    """H4's cache file as `ccl build --group H4` wrote it (schema 3) when the
+    group was enumerated one element and one generator at a time."""
+    path = directory / "H4.json"
+    packed = Path(__file__).parent / "data" / "H4-schema3.json.gz"
+    path.write_bytes(gzip.decompress(packed.read_bytes()))
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +108,51 @@ def dihedral_counts(m):
             s = np.linalg.svd(np.eye(2) - M, compute_uv=False)
             counts[int((s < 1e-9).sum())] += 1
     return counts
+
+
+def sequential_bfs(rs):
+    """Reference enumeration: apply one generator to one element at a time,
+    keep each permutation row not met before and order each word-length
+    layer lexicographically on its rows."""
+    gens = [p.astype(np.int32) for p in simple_reflection_perms(rs)]
+    perms = [np.arange(rs.num_roots, dtype=np.int32)]
+    index = {perms[0].tobytes()}
+    layer = perms[:]
+    while layer:
+        discovered = {}
+        for base in layer:
+            for gen in gens:
+                new = gen[base]
+                if new.tobytes() not in index:
+                    discovered[new.tobytes()] = new
+        layer = sorted(discovered.values(), key=lambda p: p.tolist())
+        index.update(discovered)
+        perms.extend(layer)
+    return np.array(perms, dtype=np.int32)
+
+
+def partition_count(n):
+    """Number of partitions of n."""
+    ways = [1] + [0] * n
+    for part in range(1, n + 1):
+        for total in range(part, n + 1):
+            ways[total] += ways[total - part]
+    return ways[n]
+
+
+def class_number(t):
+    """Number of conjugacy classes: partitions of n+1 for A_n (cycle
+    types), pairs of partitions of sizes summing to n for B_n (signed cycle
+    types), and the tabulated values of the dihedral and exceptional
+    groups."""
+    if t.family == "A":
+        return partition_count(t.rank + 1)
+    if t.family == "B":
+        return sum(partition_count(k) * partition_count(t.rank - k)
+                   for k in range(t.rank + 1))
+    if t.family == "I2":
+        return (t.m + 3) // 2 if t.m % 2 else (t.m + 6) // 2
+    return {"D": 13, "H3": 10, "F4": 25, "H4": 34}[t.family]
 
 
 def solomon_poly(exps):
@@ -198,6 +255,34 @@ def test_element_cap():
     rs = ccl.build(ccl.GroupType.parse("A4"))
     with pytest.raises(ccl.GroupTooLargeError):
         enumerate_group(rs, cap=50)
+    # the cap admits exactly the group order
+    for spec in ("A4", "H3"):
+        rs = ccl.build(ccl.GroupType.parse(spec))
+        order = rs.expected_order()
+        assert enumerate_group(rs, cap=order).order == order
+        with pytest.raises(ccl.GroupTooLargeError):
+            enumerate_group(rs, cap=order - 1)
+
+
+@pytest.mark.parametrize("t", SUPPORTED_TYPES, ids=str)
+def test_enumeration_matches_sequential_bfs(t, built):
+    # element order: breadth-first by word length, each layer sorted on the
+    # full permutation rows; cache files and reports depend on it
+    _, g = built(str(t))
+    expected = sequential_bfs(g.root_system)
+    assert g.perm_stack.dtype == expected.dtype
+    assert g.perm_stack.tobytes() == expected.tobytes()
+
+
+def test_h4_schema3_file_written_before_loads_as_enumerated(tmp_path, built):
+    rs, g = built("H4")
+    loaded = load_group(rs, h4_schema3_file(tmp_path))
+    for f in dataclasses.fields(Group):
+        a, b = getattr(loaded, f.name), getattr(g, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
 
 
 def test_group_from_simple_images_round_trip(built):
@@ -279,6 +364,35 @@ def test_batched_fixed_dims_match_kernel_dimension(spec, built):
     assert g.fixed_dims.tolist() == per_element
 
 
+def wrap_svd(monkeypatch):
+    """List that records the shape of every np.linalg.svd argument."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return shapes
+
+
+@pytest.mark.parametrize("t", SUPPORTED_TYPES, ids=str)
+def test_one_fixed_space_svd_per_conjugacy_class(t, monkeypatch):
+    rs = ccl.build(t)
+    shapes = wrap_svd(monkeypatch)
+    enumerate_group(rs)
+    assert shapes == [(class_number(t), rs.n, rs.n)]
+
+
+def test_h4_cache_load_makes_one_svd_of_34_matrices(tmp_path, monkeypatch):
+    rs = ccl.build(ccl.GroupType.parse("H4"))
+    path = h4_schema3_file(tmp_path)
+    shapes = wrap_svd(monkeypatch)
+    load_group(rs, path)
+    assert shapes == [(34, 4, 4)]
+
+
 def test_matrix_stack_read_only(built):
     rs, _ = built("B3")
     g = enumerate_group(rs)
@@ -330,6 +444,39 @@ def test_parabolic_fixator_mismatch_is_numerical_error(built):
     wrong = dataclasses.replace(g, left_mult=g.left_mult[::-1])
     with pytest.raises(ccl.NumericalError):
         parabolic_subgroup(wrong, {0})
+
+
+class CountingStack(np.ndarray):
+    """Matrix stack that counts the products it takes part in."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            CountingStack.products += 1
+        inputs = tuple(x.view(np.ndarray) if isinstance(x, CountingStack) else x
+                       for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func in (np.einsum, np.dot, np.tensordot, np.inner):
+            CountingStack.products += 1
+        return super().__array_function__(func, types, args, kwargs)
+
+
+def test_parabolic_subgroups_multiply_the_matrix_stack_once(built, monkeypatch):
+    # the Steinberg fixators of all 16 subsets come from one table per group
+    _, g = built("H4")
+    fresh = dataclasses.replace(g, matrix_stack=g.matrix_stack.view(CountingStack))
+    monkeypatch.setattr(CountingStack, "products", 0)
+    subsets = [I for k in range(5) for I in itertools.combinations(range(4), k)]
+    subgroups = [parabolic_subgroup(fresh, I) for I in subsets]
+    assert CountingStack.products == 1
+    assert subgroups[0].indices == tuple(range(g.order))
+    # W_I is generated by s_j, j not in I, on the path 0 -5- 1 -3- 2 -3- 3:
+    # H4, A3, A1xA2, I2(5)xA1, H3, A2, A1xA1, A2, A1xA1 (twice), I2(5), ...
+    assert [len(sub) for sub in subgroups] == [
+        14400, 24, 12, 20, 120, 6, 4, 6, 4, 4, 10, 2, 2, 2, 2, 1]
 
 
 def test_parabolic_a2_single_index(built):

@@ -467,21 +467,23 @@ def test_run_suite_builds_each_piece_of_geometry_once(built, monkeypatch):
         assert all(r.passed for r in run_suite(rs, g))
     counts = {name: len(args) for name, args in calls.items()}
     assert counts == {"chamber": 22, "face": 186, "quotient": 164,
-                      "quotient_dual": 186, "parabolic_subgroup": 186,
+                      "quotient_dual": 164, "parabolic_subgroup": 186,
                       "normalizer_of_span": 125, "subspace_orbits": 81,
-                      "_measure_plackett": 28}
+                      "_measure_plackett": 22}
     # 186 = the 2^n face subsets of the 22 groups; the quotient is built
-    # for the 164 proper ones; 81 = the values 0..n of k
+    # for the 164 subsets I other than {0..n-1} and the quotient dual for
+    # the 164 other than {}, measured as the dual chamber; 81 = the values
+    # 0..n of k
     assert sum(2 ** rs.n for rs, _ in groups) == 186
     assert sum(rs.n + 1 for rs, _ in groups) == 81
     for name in ("face", "quotient", "quotient_dual"):
         assert len({(id(c), I) for c, I, _ in calls[name]}) == counts[name]
     for name in ("parabolic_subgroup", "normalizer_of_span", "subspace_orbits"):
         assert len({(id(g), key) for g, key in calls[name]}) == counts[name]
-    # the 28 cones of dimension 4 and 5: per rank-4 group the chamber, the
-    # dual chamber and (C/F_{})*; for A5 the chamber, the dual chamber,
-    # (C/F_{})*, the five faces of dimension 4 and the five (C/F_{i})*
-    assert counts["_measure_plackett"] == 5 * 3 + 13
+    # the 22 cones of dimension 4 and 5: per rank-4 group the chamber and
+    # the dual chamber, which is also (C/F_{})*; for A5 the chamber, the
+    # dual chamber, the five faces of dimension 4 and the five (C/F_{i})*
+    assert counts["_measure_plackett"] == 5 * 2 + 12
 
 
 def test_geometry_must_describe_the_verified_group(built):
