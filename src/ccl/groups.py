@@ -90,9 +90,6 @@ class Subgroup:
     def __iter__(self):
         return iter(self.indices)
 
-    def matrices(self) -> np.ndarray:
-        return self.parent.matrix_stack[list(self.indices)]
-
 
 def enumerate_group(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP,
                     tol: ToleranceConfig | None = None) -> Group:

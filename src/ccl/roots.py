@@ -275,10 +275,6 @@ class RootSystem:
             raise InvalidArgumentError("vector does not match any root")
         return d.argmin(axis=1)
 
-    def reflection_matrix(self, root: np.ndarray) -> np.ndarray:
-        a = np.asarray(root, dtype=float)
-        return np.eye(self.n) - 2.0 * np.outer(a, a) / (a @ a)
-
 
 def _reflect(roots: np.ndarray, a: np.ndarray) -> np.ndarray:
     return roots - 2.0 * np.outer(roots @ a, a)

@@ -10,6 +10,12 @@ classes, which draw independent streams, add variances.  Count-valued
 identities must hit their expected integer on every generic trial, with no
 tolerance.
 
+The five counting checks (waldspurger, covering, oplus, decomposition,
+parabolic) ask one question: how many of a set of cones contain a point.
+Each builds the unit inward facet normals of its cones as one (cones,
+facets, n) stack, draws its points in one subspace, and classifies them
+with ``_cone_classifier``.
+
 Genericity is enforced by margin-and-resample: a trial point that lands
 within the configured relative margin of any reflection hyperplane or any
 facet of a cone under test is discarded and redrawn deterministically.
@@ -101,11 +107,11 @@ class VerificationReport:
 # definition makes results independent of the block size.
 BLOCK_ENTRIES = 1 << 16
 
-# Largest entry of the residual |(1 - w) x - v|, relative to |v|, accepted
-# from the Waldspurger preimage x = (1 - w)^-1 v.  (1 - w) is invertible for
-# a fixed-point-free w, and its inverse is computed once per group; over
-# every supported group residuals stay below 2e-15 |v| (1.7e-15 for H4; 100
-# uniform points, seed 42), so a larger one means the inverse failed.
+# Largest entry of (1 - w)(1 - w)^-1 - 1 accepted for the Waldspurger
+# inverses, computed once per group.  (1 - w) is invertible for a
+# fixed-point-free w; over every supported group the entries stay below
+# 1.2e-15 (H4), so a larger one means the inverse failed.  The residual of
+# any preimage (1 - w)^-1 v is then at most n times this bound times |v|.
 SOLVE_RESIDUAL_TOL = 1e-8
 
 
@@ -164,14 +170,6 @@ class GenericPointSampler:
         return np.concatenate(kept)
 
 
-def _off_hyperplanes(points: np.ndarray, roots: np.ndarray,
-                     margin: float) -> np.ndarray:
-    """Per row: True when the point is farther than the relative margin
-    from every reflection hyperplane."""
-    return (np.abs(points @ roots.T).min(axis=1)
-            > margin * np.linalg.norm(points, axis=1))
-
-
 def _count_inside(coords: np.ndarray, band) -> np.ndarray:
     """Number of cones containing each point, from its facet coordinates.
 
@@ -196,13 +194,44 @@ def _cone_classifier(normals: np.ndarray, margin: float, roots=None):
 
     def classify(points):
         coords = (points @ frame).reshape(len(points), cones, facets)
-        band = margin * np.linalg.norm(points, axis=1)[:, None, None]
-        counts = _count_inside(coords, band)
+        band = margin * np.linalg.norm(points, axis=1)
+        counts = _count_inside(coords, band[:, None, None])
         if roots is not None:
-            counts[~_off_hyperplanes(points, roots, margin)] = -1
+            counts[np.abs(points @ roots.T).min(axis=1) <= band] = -1
         return counts
 
     return classify
+
+
+def _translates(g: Group, blocks) -> np.ndarray:
+    """Unit inward facet normals of the cones w K, as one (cones, facets, n)
+    stack, from (dual basis of K, element indices of the w) pairs.  Each K's
+    normals are normalized once; the elements are orthogonal, so they map
+    unit normals of K to unit normals of w K."""
+    return np.concatenate([
+        (duals / np.linalg.norm(duals, axis=1, keepdims=True))
+        @ np.transpose(g.matrix_stack[ws], (0, 2, 1))
+        for duals, ws in blocks])
+
+
+def _containment_counts(sampler: GenericPointSampler, trials: int,
+                        normals: np.ndarray, basis: np.ndarray | None = None,
+                        roots: np.ndarray | None = None) -> np.ndarray:
+    """For each of ``trials`` generic Gaussian points, the number of cones
+    with unit facet normals ``normals`` (cones, facets, n) containing it.
+    The points are drawn in the span of the orthonormal rows of ``basis``,
+    or in all of V when it is None; with ``roots``, points near a
+    reflection hyperplane are resampled too."""
+    cones, facets, n = normals.shape
+    d = n if basis is None else len(basis)
+
+    def draw(rng, m):
+        points = rng.standard_normal((m, d))
+        return points if basis is None else points @ basis
+
+    return sampler.sample(
+        draw, _cone_classifier(normals, sampler.generic_margin, roots),
+        trials, cones * facets)
 
 
 def _pass_rule(abs_error: float, stderr: float,
@@ -487,8 +516,11 @@ def verify_waldspurger_partition(rs: RootSystem, g: Group,
     """Every generic interior point of C* lies in (1 - w) C-interior for
     exactly one group element w (necessarily fixed-point free).
 
-    It reads only the group, so ``geometry`` is only checked to describe
-    rs, g and tol.
+    A point v = u alpha of C* is drawn with u uniform in the unit cube, and
+    resampled when a coordinate of u is within the margin of 0 or v is
+    within the relative margin of a reflection hyperplane or of a facet of
+    a piece (1 - w)C.  It reads only the group, so ``geometry`` is only
+    checked to describe rs, g and tol.
     """
     _geometry(rs, g, geometry, tol)
     sampler = sampler or GenericPointSampler(generic_margin=tol.generic_margin)
@@ -497,23 +529,20 @@ def verify_waldspurger_partition(rs: RootSystem, g: Group,
     regular = np.flatnonzero(g.fixed_dims == 0)
     one_minus = np.eye(n) - g.matrix_stack[regular]
     inverse = np.linalg.inv(one_minus)               # once per group
+    if (np.abs(one_minus @ inverse - np.eye(n)) > SOLVE_RESIDUAL_TOL).any():
+        raise NumericalError("inverse of 1 - w has a residual too large")
+    # v lies in (1 - w) C exactly when (alpha_i, (1 - w)^-1 v) > 0 for every
+    # i: the rows of alpha (1 - w)^-1 are the facet normals of that piece
+    normals = alpha @ inverse
+    normals /= np.linalg.norm(normals, axis=2, keepdims=True)
+    pieces = _cone_classifier(normals, margin, rs.all_roots)
 
     def draw(rng, m):
         return rng.uniform(0.0, 1.0, size=(m, n))
 
     def classify(U):
-        V = U @ alpha
-        counts = np.full(len(U), -1)
-        generic = (U.min(axis=1) > margin) & _off_hyperplanes(V, rs.all_roots, margin)
-        if generic.any():
-            rhs = V[generic].T                       # (n, points)
-            x = inverse @ rhs                        # (regular, n, points)
-            resid = np.abs(one_minus @ x - rhs).max(axis=(0, 1))
-            if (resid > SOLVE_RESIDUAL_TOL * np.linalg.norm(rhs, axis=0)).any():
-                raise NumericalError("linear solve residual too large")
-            x = x.transpose(2, 0, 1)                 # (points, regular, n)
-            counts[generic] = _count_inside(
-                x @ alpha.T, margin * np.linalg.norm(x, axis=2, keepdims=True))
+        counts = pieces(U @ alpha)
+        counts[U.min(axis=1) <= margin] = -1
         return counts
 
     counts = sampler.sample(draw, classify, trials, len(regular) * n)
@@ -531,21 +560,12 @@ def verify_covering_count(rs: RootSystem, g: Group,
     """A generic point of V is covered by exactly |W^0| of the |W| dual
     chamber copies w C*."""
     sampler = sampler or GenericPointSampler(generic_margin=tol.generic_margin)
-    n, margin = rs.n, sampler.generic_margin
     dc = _geometry(rs, g, geometry, tol).dual
-    omega_hat = dc.dual_basis / np.linalg.norm(dc.dual_basis, axis=1, keepdims=True)
-    # facet normals of w C* are w omega_hat: (|W|, n, n)
-    normals = omega_hat @ np.transpose(g.matrix_stack, (0, 2, 1))
-    expected = g.counts_by_fixed_dim[0]
-
-    def draw(rng, m):
-        return rng.standard_normal((m, n))
-
-    counts = sampler.sample(draw, _cone_classifier(normals, margin, rs.all_roots),
-                            trials, g.order * n)
+    normals = _translates(g, [(dc.dual_basis, np.arange(g.order))])
+    counts = _containment_counts(sampler, trials, normals, roots=rs.all_roots)
     return _count_report(
-        "covering", rs, None, expected, counts, sampler.seed, trials,
-        [("resamples", float(sampler.resamples), 0.0)])
+        "covering", rs, None, g.counts_by_fixed_dim[0], counts, sampler.seed,
+        trials, [("resamples", float(sampler.resamples), 0.0)])
 
 
 def verify_face_oplus_covering(rs: RootSystem, g: Group, I,
@@ -556,32 +576,24 @@ def verify_face_oplus_covering(rs: RootSystem, g: Group, I,
     """A generic point of V is covered by |W^reg_U| of the full-dimensional
     cones w(F_J + orthogonal dual quotient) whose face part spans U."""
     sampler = sampler or GenericPointSampler(generic_margin=tol.generic_margin)
-    n, margin = rs.n, sampler.generic_margin
+    n = rs.n
     I = _subset(I)
     k = len(I)
     geo = _geometry(rs, g, geometry, tol)
     weights, alpha = rs.fundamental_weights, geo.chamber.dual_basis
 
-    # generator matrix of F_J + (C/F_J)* is weights[J] stacked with
-    # alpha[not J]; its images under the elements w carrying span(F_J) onto
-    # U, one batched product per face type J
-    gens = np.concatenate([
-        np.vstack([weights[list(J)], alpha[[j for j in range(n) if j not in J]]])
-        @ np.transpose(g.matrix_stack[ws], (0, 2, 1))
+    # the generator matrix of F_J + (C/F_J)* has the rows weights[J] and
+    # alpha[not J]; its facet normals are the rows of its inverse transpose,
+    # mapped by the elements w carrying span(F_J) onto U
+    normals = _translates(g, [
+        (np.linalg.inv(np.vstack(
+            [weights[list(J)], alpha[[j for j in range(n) if j not in J]]]).T), ws)
         for J, ws in geo.pairs(I).items()])
-    duals = np.linalg.inv(np.transpose(gens, (0, 2, 1)))  # rows = facet normals
-    duals /= np.linalg.norm(duals, axis=2, keepdims=True)
-
-    expected = regular_count(geo.parabolic(I), n - k)
-
-    def draw(rng, m):
-        return rng.standard_normal((m, n))
-
-    counts = sampler.sample(draw, _cone_classifier(duals, margin, rs.all_roots),
-                            trials, len(duals) * n)
+    counts = _containment_counts(sampler, trials, normals, roots=rs.all_roots)
     return _count_report(
-        "oplus", rs, k, expected, counts, sampler.seed, trials,
-        [(f"I={_fmt_subset(I)} pairs", float(len(duals)), 0.0),
+        "oplus", rs, k, regular_count(geo.parabolic(I), n - k), counts,
+        sampler.seed, trials,
+        [(f"I={_fmt_subset(I)} pairs", float(len(normals)), 0.0),
          ("resamples", float(sampler.resamples), 0.0)])
 
 
@@ -599,7 +611,6 @@ def verify_face_decomposition(rs: RootSystem, g: Group, I,
     measures sum to 1 and a generic point of U sits inside exactly one.
     Each piece w . F_J is congruent to F_J, which is measured once."""
     sampler = sampler or GenericPointSampler(generic_margin=tol.generic_margin)
-    n, margin = rs.n, sampler.generic_margin
     I = _subset(I)
     k = len(I)
     geo = _geometry(rs, g, geometry, tol)
@@ -620,18 +631,10 @@ def verify_face_decomposition(rs: RootSystem, g: Group, I,
                   for i, est in enumerate(ests)]
 
     # the identity is a piece of type I, so F_I is built and spans U
-    B = geo.face(I).span.orthonormal_basis
-    # orthogonal maps send facet normals to facet normals: (p, k, n)
-    duals = np.concatenate([
-        geo.face(J).dual_basis @ np.transpose(g.matrix_stack[ws], (0, 2, 1))
-        for J, ws in pieces.items()])
-    duals = duals / np.linalg.norm(duals, axis=2, keepdims=True)
-
-    def draw(rng, m):
-        return rng.standard_normal((m, k)) @ B
-
-    containments = sampler.sample(draw, _cone_classifier(duals, margin),
-                                  trials, len(duals) * k)
+    normals = _translates(g, [(geo.face(J).dual_basis, ws)
+                              for J, ws in pieces.items()])
+    containments = _containment_counts(sampler, trials, normals,
+                                       geo.face(I).span.orthonormal_basis)
     bad = int(np.count_nonzero(containments != 1))
     breakdown.append(("containment_failures", float(bad), 0.0))
     breakdown.append(("num_pieces", float(len(ests)), 0.0))
@@ -651,9 +654,8 @@ def verify_parabolic_quotient(rs: RootSystem, g: Group, I,
     """The projected chamber C/F is a fundamental cone for the face fixator
     acting on span(F)-perp, and sigma((C/F)*) = |W^reg_F| / |W_F|."""
     sampler = sampler or GenericPointSampler(generic_margin=tol.generic_margin)
-    n, margin = rs.n, sampler.generic_margin
     I = _subset(I)
-    d = n - len(I)
+    d = rs.n - len(I)
     geo = _geometry(rs, g, geometry, tol)
     sub = geo.parabolic(I)
     breakdown = [(f"I={_fmt_subset(I)}", float(len(I)), 0.0)]
@@ -662,17 +664,9 @@ def verify_parabolic_quotient(rs: RootSystem, g: Group, I,
     bad = 0
     if d > 0:
         q = geo.quotient(I)
-        B = q.span.orthonormal_basis
-        mats = sub.matrices()
-        # dual bases of the translates: orthogonal maps send duals to duals
-        duals = np.einsum("kj,mij->mki", q.dual_basis, mats)
-        duals = duals / np.linalg.norm(duals, axis=2, keepdims=True)
-
-        def draw(rng, m):
-            return rng.standard_normal((m, d)) @ B
-
-        containments = sampler.sample(draw, _cone_classifier(duals, margin),
-                                      trials, len(duals) * d)
+        normals = _translates(g, [(q.dual_basis, list(sub.indices))])
+        containments = _containment_counts(sampler, trials, normals,
+                                           q.span.orthonormal_basis)
         bad = int(np.count_nonzero(containments != 1))
         breakdown.append(("tiling_trials", float(trials), 0.0))
     breakdown.append(("tiling_failures", float(bad), 0.0))

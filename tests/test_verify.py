@@ -142,6 +142,60 @@ def test_waldspurger_solve_failure_is_numerical_error(built, monkeypatch):
         verify_waldspurger_partition(rs, g, sampler(), trials=5)
 
 
+@pytest.mark.parametrize("spec", ["A3", "B3", "H3", "F4", "A5"])
+def test_waldspurger_normals_match_per_point_solve(spec, built, monkeypatch):
+    # for every point the check keeps, the facet normals of the pieces
+    # (1 - w)C pick the same regular w as a per-point solve, and only one
+    rs, g = built(spec)
+    recorded = []
+    inner = ccl.verify._cone_classifier
+
+    def classifier(normals, margin, roots=None):
+        recorded.append((normals, inner(normals, margin, roots)))
+        return recorded[-1][1]
+
+    monkeypatch.setattr(ccl.verify, "_cone_classifier", classifier)
+    assert verify_waldspurger_partition(rs, g, sampler(), trials=5).passed
+    [(normals, classify)] = recorded
+    regular = np.flatnonzero(g.fixed_dims == 0)
+    one_minus = np.eye(rs.n) - g.matrix_stack[regular]
+    alpha = chamber(rs).dual_basis
+    U = np.random.default_rng(0).uniform(size=(200, rs.n))
+    V = U @ rs.simple_roots
+    kept = (U.min(axis=1) > DEFAULT_TOL.generic_margin) & (classify(V) >= 0)
+    assert kept.sum() >= 100
+    for v in V[kept]:
+        rhs = np.broadcast_to(v[:, None], (len(regular), rs.n, 1))
+        x = np.linalg.solve(one_minus, rhs)[..., 0]
+        by_solve = np.flatnonzero((x @ alpha.T > 0).all(axis=1))
+        by_normals = np.flatnonzero((normals @ v > 0).all(axis=1))
+        assert by_solve.tolist() == by_normals.tolist()
+        assert len(by_solve) == 1
+
+
+@pytest.mark.parametrize("spec", ["A3", "H4"])
+def test_counting_checks_invert_per_group_and_per_face_type(spec, built,
+                                                            monkeypatch):
+    # waldspurger inverts its stack of 1 - w once; oplus inverts one n x n
+    # generator matrix per face type J, not one per translate
+    rs, g = built(spec)
+    geo = Geometry(rs, g)
+    pairs = geo.pairs((0,))
+    geo.chamber, geo.parabolic((0,))            # built before the count
+    inv = np.linalg.inv
+    shapes = []
+    monkeypatch.setattr(np.linalg, "inv",
+                        lambda a: shapes.append(np.shape(a)) or inv(a))
+    verify_waldspurger_partition(rs, g, sampler(), trials=10, geometry=geo)
+    assert shapes == [(int(np.count_nonzero(g.fixed_dims == 0)), rs.n, rs.n)]
+    shapes.clear()
+    r = verify_face_oplus_covering(rs, g, (0,), sampler(), trials=10,
+                                   geometry=geo)
+    assert r.passed
+    assert shapes == [(rs.n, rs.n)] * len(pairs)
+    assert r.per_term_breakdown[0][1] == sum(map(len, pairs.values())) > len(pairs)
+
+
 @pytest.mark.parametrize("spec", ["A2", "B2", "I2(6)", "I2(9)", "A3", "B3", "H3"])
 def test_waldspurger_pieces_tile_dual_measure(spec, built):
     # the solid pieces (1-w)C for fixed-point-free w partition C*, so their
