@@ -15,8 +15,8 @@ Gauss-Legendre quadrature.
 
 Seeded Monte Carlo over Gaussian directions inside the cone's span (the
 paper's method) runs for dimensions 4 and above when ``McConfig.samples``
-is given, for dimensions 6 and above, which no supported group produces,
-and under ``force_monte_carlo``.  A cone's measure depends only on its
+is given, and for dimensions 6 and above, which no supported group
+produces.  A cone's measure depends only on its
 congruence class, which the Gram matrix of its unit generators
 determines.  ``congruence_key`` rounds that matrix and minimizes it over
 generator orderings; Monte Carlo measures the canonical cone the key
@@ -69,8 +69,8 @@ MEMO_SIZE = 4096
 # Multiplier of the verifiers' Monte Carlo pass rule |lhs - rhs| <= 4 sigma.
 MC_SIGMAS = 4.0
 
-# Samples drawn where Monte Carlo runs without a count in McConfig: under
-# force_monte_carlo, or for a cone of dimension 6 or more.
+# Samples drawn where Monte Carlo runs without a count in McConfig: for a
+# cone of dimension 6 or more.
 MC_SAMPLES = 1_000_000
 
 # Gauss-Legendre nodes N of the exact dimension 4-5 method, which also
@@ -216,6 +216,8 @@ def _measure_class(key: bytes, k: int, mc: McConfig, eps: float) -> AngleEstimat
 
 
 def _measure_mc(c: SimplicialCone, mc: McConfig, eps: float) -> AngleEstimate:
+    """Monte Carlo measure of the cone's congruence class, with MC_SAMPLES
+    samples when ``mc.samples`` is None."""
     if mc.samples is None:
         mc = McConfig(MC_SAMPLES, mc.seed)
     return _measure_class(congruence_key(c), c.dim, mc, eps)
@@ -295,8 +297,7 @@ def _measure_plackett(c: SimplicialCone) -> float:
 
 
 def measure(c: SimplicialCone, mc: McConfig = DEFAULT_MC,
-            tol: ToleranceConfig = DEFAULT_TOL,
-            force_monte_carlo: bool = False) -> AngleEstimate:
+            tol: ToleranceConfig = DEFAULT_TOL) -> AngleEstimate:
     """Relative angle measure of a cone within its own span.
 
     The zero cone has measure 1 by convention (it occupies all of its
@@ -304,14 +305,10 @@ def measure(c: SimplicialCone, mc: McConfig = DEFAULT_MC,
     the arc and spherical-excess formulas.  Dimensions 4 and 5 use Plackett's
     reduction when ``mc.samples`` is None, its default, and are estimated
     by Monte Carlo on the cone's congruence class with ``mc.samples``
-    samples otherwise; higher dimensions are always estimated.
-    ``force_monte_carlo`` routes any cone of dimension >= 1 through the MC
-    path (used by the cross-method consistency checks).  Monte Carlo
-    without a count draws MC_SAMPLES samples.
+    samples otherwise; higher dimensions are always estimated, with
+    MC_SAMPLES samples when ``mc.samples`` is None.
     """
     k = c.dim
-    if force_monte_carlo and k >= 1:
-        return _measure_mc(c, mc, tol.eps_membership)
     if k == 0:
         return AngleEstimate(1.0, 0.0, AngleMethod.EXACT0)
     if k == 1:

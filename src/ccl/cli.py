@@ -108,20 +108,15 @@ def _get_group(args, tol: ToleranceConfig, spec: str):
 REPORT_SCHEMA_VERSION = 1
 
 
-def _report_dict(r, identity: str) -> dict:
+def _report_dict(r) -> dict:
     d = r.to_dict()
-    d["identity"] = identity
+    d["identity"] = r.identity_name
     d["tool_version"] = __version__
     d["schema_version"] = REPORT_SCHEMA_VERSION
     return d
 
 
-def _emit(reports, fmt: str, out) -> None:
-    if fmt == "json":
-        docs = [_report_dict(r, r.identity_name) for r in reports]
-        json.dump(docs, out, sort_keys=True, indent=2)
-        out.write("\n")
-        return
+def _emit_text(reports, out) -> None:
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
         kpart = "-" if r.k is None else str(r.k)
@@ -167,14 +162,29 @@ def _cmd_counts(args, tol) -> int:
     return 0 if ok else 1
 
 
-def _cmd_verify(args, tol) -> int:
-    rs, g = _get_group(args, tol, args.group)
+def _run(args, tol, specs, names) -> int:
+    """Run the identities ``names`` on each group of ``specs``: text is
+    written group by group, JSON as one array at the end."""
     mc = McConfig(samples=args.samples, seed=args.seed)
+    docs = []
+    all_ok = True
+    for spec in specs:
+        rs, g = _get_group(args, tol, spec)
+        reports = run_suite(rs, g, names, k=args.k, mc=mc, trials=args.trials)
+        all_ok &= all(r.passed for r in reports)
+        if args.format == "text":
+            _emit_text(reports, sys.stdout)
+        else:
+            docs.extend(_report_dict(r) for r in reports)
+    if args.format != "text":
+        json.dump(docs, sys.stdout, sort_keys=True, indent=2)
+        sys.stdout.write("\n")
+    return 0 if all_ok else 1
+
+
+def _cmd_verify(args, tol) -> int:
     names = SUITE_IDENTITIES if args.identity == "all" else (args.identity,)
-    reports = run_suite(rs, g, names, k=args.k, mc=mc, trials=args.trials,
-                        seed=args.seed, tol=tol)
-    _emit(reports, args.format, sys.stdout)
-    return 0 if all(r.passed for r in reports) else 1
+    return _run(args, tol, [args.group], names)
 
 
 def _cmd_report(args, tol) -> int:
@@ -187,22 +197,7 @@ def _cmd_report(args, tol) -> int:
         specs = [args.group]
     else:
         raise UnsupportedGroupError("report needs --group or --all-groups")
-    mc = McConfig(samples=args.samples, seed=args.seed)
-    docs = []
-    all_ok = True
-    for spec in specs:
-        rs, g = _get_group(args, tol, spec)
-        reports = run_suite(rs, g, k=args.k, mc=mc, trials=args.trials,
-                            seed=args.seed, tol=tol)
-        all_ok &= all(r.passed for r in reports)
-        if args.format == "text":
-            _emit(reports, "text", sys.stdout)
-        else:
-            docs.extend(_report_dict(r, r.identity_name) for r in reports)
-    if args.format != "text":
-        json.dump(docs, sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
-    return 0 if all_ok else 1
+    return _run(args, tol, specs, SUITE_IDENTITIES)
 
 
 def main(argv=None) -> int:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GroupTooLargeError, InvalidArgumentError, NumericalError
-from .linalg import SPAN_MATCH_TOL, ToleranceConfig
+from .linalg import SPAN_MATCH_TOL
 from .roots import RootSystem
 
 __all__ = ["Group", "Subgroup", "enumerate_group", "group_from_simple_images",
@@ -91,8 +91,7 @@ class Subgroup:
         return iter(self.indices)
 
 
-def enumerate_group(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP,
-                    tol: ToleranceConfig | None = None) -> Group:
+def enumerate_group(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
     """Breadth-first closure of the simple reflections, one word-length
     layer at a time.
 
@@ -100,9 +99,9 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP,
     keyed on its simple-root images, and the keys of earlier layers and
     repeats within the layer are dropped.  Each layer is ordered
     lexicographically on its full permutation rows.  Raises
-    GroupTooLargeError when more than ``cap`` elements appear.
+    GroupTooLargeError when more than ``cap`` elements appear.  Fixed-space
+    dimensions count singular values below ``rs.tol.eps_rank``.
     """
-    tol = tol or rs.tol
     gens = rs.reflection_perms
     identity = np.arange(rs.num_roots, dtype=np.int32)[None]
     layers = [identity]
@@ -132,11 +131,10 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP,
     simple_images = perm_stack[:, rs.simple_ids]
     find = _element_index(rs, simple_images)
     return _assemble_group(rs, simple_images, perm_stack,
-                           find(gens[:, simple_images]), find, tol)
+                           find(gens[:, simple_images]), find)
 
 
-def group_from_simple_images(rs: RootSystem, simple_images: np.ndarray,
-                             tol: ToleranceConfig | None = None) -> Group:
+def group_from_simple_images(rs: RootSystem, simple_images: np.ndarray) -> Group:
     """Rebuild a Group from its (order, n) table of simple-root images (cache
     reload).  An element is determined by these images.
 
@@ -147,7 +145,6 @@ def group_from_simple_images(rs: RootSystem, simple_images: np.ndarray,
     breadth-first generator tree, perm[s_j w] = s_j[perm[w]], so they agree
     with the table by construction.
     """
-    tol = tol or rs.tol
     simple_images = np.asarray(simple_images)
     if simple_images.ndim != 2 or simple_images.shape[1] != rs.n:
         raise InvalidArgumentError(
@@ -181,7 +178,7 @@ def group_from_simple_images(rs: RootSystem, simple_images: np.ndarray,
     if not reached.all():
         raise InvalidArgumentError("element list is not generated by the "
                                    "simple reflections")
-    return _assemble_group(rs, simple_images, perm_stack, left_mult, find, tol)
+    return _assemble_group(rs, simple_images, perm_stack, left_mult, find)
 
 
 def _closure(table: np.ndarray) -> np.ndarray:
@@ -259,8 +256,7 @@ def _conjugacy_labels(rs: RootSystem, perm_stack: np.ndarray, find) -> np.ndarra
 
 
 def _assemble_group(rs: RootSystem, simple_images: np.ndarray,
-                    perm_stack: np.ndarray, left_mult: np.ndarray, find,
-                    tol: ToleranceConfig) -> Group:
+                    perm_stack: np.ndarray, left_mult: np.ndarray, find) -> Group:
     n = rs.n
     order = perm_stack.shape[0]
 
@@ -283,7 +279,7 @@ def _assemble_group(rs: RootSystem, simple_images: np.ndarray,
     reps = np.flatnonzero(labels == np.arange(order))
     sv = np.linalg.svd(eye - mats[reps], compute_uv=False)
     fixed = np.zeros(order, dtype=np.int64)
-    fixed[reps] = (sv < tol.eps_rank).sum(axis=1)
+    fixed[reps] = (sv < rs.tol.eps_rank).sum(axis=1)
     fixed = fixed[labels]
     counts = tuple(int(c) for c in np.bincount(fixed, minlength=n + 1))
 

@@ -79,7 +79,7 @@ class Subspace:
     dim: int
 
     @staticmethod
-    def from_basis(basis, tol: ToleranceConfig = DEFAULT_TOL) -> "Subspace":
+    def from_basis(basis) -> "Subspace":
         """Wrap an already-orthonormal row basis; rejects non-orthonormal input."""
         B = np.asarray(basis, dtype=float)
         if B.ndim != 2:

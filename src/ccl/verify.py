@@ -17,8 +17,11 @@ facets, n) stack, draws its points in one subspace, and classifies them
 with ``_cone_classifier``.
 
 Genericity is enforced by margin-and-resample: a trial point that lands
-within the configured relative margin of any reflection hyperplane or any
-facet of a cone under test is discarded and redrawn deterministically.
+within the root system's relative margin (``rs.tol.generic_margin``) of
+any reflection hyperplane or any facet of a cone under test is discarded
+and redrawn deterministically.  Each call of a counting check draws from a
+fresh :class:`GenericPointSampler` on its own seed, so its report's
+``seed`` and ``resamples`` describe the stream its points came from.
 Points are drawn and classified in blocks.  A block asks the sampler's
 PCG64 stream for exactly the trials still missing (at most
 ``BLOCK_ENTRIES`` float entries of classification work), as one
@@ -28,9 +31,11 @@ are counted in order, and the next block asks for the rest.  So a check
 consumes exactly the variates, and reports exactly the counts and
 resamples, of drawing one point at a time, whatever the block size.
 
-The verifiers of one ``run_suite`` call share one :class:`Geometry`, which
-builds each chamber face, quotient cone, subgroup and measure of the group
-on first use, so each is built and checked once.  ``run_suite`` reads the
+Every tolerance comes from ``rs.tol``, the policy the root system was
+built with, and the seed of a run from ``McConfig.seed``.  The verifiers of
+one ``run_suite`` call share one :class:`Geometry`, which builds each
+chamber face, quotient cone, subgroup and measure of the group on first
+use, so each is built and checked once.  ``run_suite`` reads the
 identities from one table of (k-indexed?, runner) entries.
 """
 
@@ -39,7 +44,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -49,7 +54,7 @@ from .cones import SimplicialCone, chamber, dual, face, quotient, quotient_dual
 from .errors import GenericityError, InvalidArgumentError, NumericalError
 from .groups import (Group, Subgroup, normalizer_of_span, parabolic_subgroup,
                      regular_count, span_carriers, subspace_orbits)
-from .linalg import DEFAULT_TOL, ToleranceConfig
+from .linalg import DEFAULT_TOL
 from .roots import RootSystem
 
 __all__ = ["VerificationReport", "GenericPointSampler", "Geometry",
@@ -82,21 +87,8 @@ class VerificationReport:
     per_term_breakdown: tuple[tuple[str, float, float], ...] = ()
 
     def to_dict(self) -> dict:
-        d = {
-            "identity_name": self.identity_name,
-            "group": self.group,
-            "k": self.k,
-            "lhs": self.lhs,
-            "rhs_numerator": self.rhs_numerator,
-            "rhs_denominator": self.rhs_denominator,
-            "abs_error": self.abs_error,
-            "combined_stderr": self.combined_stderr,
-            "tolerance_rule": self.tolerance_rule,
-            "passed": self.passed,
-            "seed": self.seed,
-            "samples": self.samples,
-            "per_term_breakdown": [list(row) for row in self.per_term_breakdown],
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["per_term_breakdown"] = [list(row) for row in self.per_term_breakdown]
         return d
 
 
@@ -122,7 +114,8 @@ class GenericPointSampler:
     :meth:`sample` draws points in blocks from one PCG64 stream and keeps
     the classifications of the generic ones; a run of more than
     ``resample_limit`` consecutive rejected points raises
-    :class:`GenericityError`.
+    :class:`GenericityError`.  Each call of a counting check builds its
+    own, so ``resamples`` counts the rejections of that call alone.
     """
 
     seed: int = 42
@@ -212,6 +205,11 @@ def _translates(g: Group, blocks) -> np.ndarray:
         (duals / np.linalg.norm(duals, axis=1, keepdims=True))
         @ np.transpose(g.matrix_stack[ws], (0, 2, 1))
         for duals, ws in blocks])
+
+
+def _sampler(rs: RootSystem, seed: int) -> GenericPointSampler:
+    """A fresh sampler on ``seed`` with the root system's genericity margin."""
+    return GenericPointSampler(seed=seed, generic_margin=rs.tol.generic_margin)
 
 
 def _containment_counts(sampler: GenericPointSampler, trials: int,
@@ -328,8 +326,9 @@ def _pieces_in_span(rs: RootSystem, g: Group, I) -> dict[tuple[int, ...], np.nda
 
 
 class Geometry:
-    """The chamber geometry of one (root system, group, tolerances), each
-    piece built on first use and kept for the life of the object.
+    """The chamber geometry of one (root system, group), each piece built
+    on first use, with the root system's tolerances, and kept for the life
+    of the object.
 
     For a face subset I (a sorted tuple of generator indices): ``face(I)``
     is F_I, ``quotient(I)`` the quotient cone C/F_I and ``quotient_dual(I)``
@@ -345,8 +344,8 @@ class Geometry:
     verifier called without one builds its own.
     """
 
-    def __init__(self, rs: RootSystem, g: Group, tol: ToleranceConfig = DEFAULT_TOL):
-        self.rs, self.g, self.tol = rs, g, tol
+    def __init__(self, rs: RootSystem, g: Group):
+        self.rs, self.g = rs, g
         self._memo: dict[tuple, object] = {}
 
     def _once(self, key: tuple, build, *args):
@@ -360,17 +359,18 @@ class Geometry:
 
     @functools.cached_property
     def dual(self) -> SimplicialCone:
-        return dual(self.chamber, self.tol)
+        return dual(self.chamber, self.rs.tol)
 
     def face(self, I) -> SimplicialCone:
-        return self._once(("face", I), face, self.chamber, I, self.tol)
+        return self._once(("face", I), face, self.chamber, I, self.rs.tol)
 
     def quotient(self, I) -> SimplicialCone:
-        return self._once(("quotient", I), quotient, self.chamber, I, self.tol)
+        return self._once(("quotient", I), quotient, self.chamber, I,
+                          self.rs.tol)
 
     def quotient_dual(self, I) -> SimplicialCone:
         return self._once(("quotient_dual", I), quotient_dual, self.chamber, I,
-                          self.tol)
+                          self.rs.tol)
 
     def parabolic(self, I) -> Subgroup:
         return self._once(("parabolic", I), parabolic_subgroup, self.g, I)
@@ -396,20 +396,17 @@ class Geometry:
         key = ("measure", kind, I, mc)
         if key not in self._memo:
             cone = self.dual if kind == "dual" else getattr(self, kind)(I)
-            self._memo[key] = measure(cone, mc, self.tol)
+            self._memo[key] = measure(cone, mc, self.rs.tol)
         return self._memo[key]
 
 
-def _geometry(rs: RootSystem, g: Group, geometry: Geometry | None,
-              tol: ToleranceConfig | None) -> Geometry:
-    """``geometry``, checked to describe rs and g (and tol, when given), or
-    a new one when it is None."""
+def _geometry(rs: RootSystem, g: Group, geometry: Geometry | None) -> Geometry:
+    """``geometry``, checked to describe rs and g, or a new one when it is
+    None."""
     if geometry is None:
-        return Geometry(rs, g, tol or DEFAULT_TOL)
-    if geometry.rs is not rs or geometry.g is not g or (
-            tol is not None and geometry.tol != tol):
-        raise InvalidArgumentError(
-            "geometry was built for another group or other tolerances")
+        return Geometry(rs, g)
+    if geometry.rs is not rs or geometry.g is not g:
+        raise InvalidArgumentError("geometry was built for another group")
     return geometry
 
 
@@ -417,26 +414,24 @@ def _geometry(rs: RootSystem, g: Group, geometry: Geometry | None,
 # measure-valued identities
 
 
-def verify_curious(rs: RootSystem, g: Group, mc: McConfig = DEFAULT_MC,
-                   tol: ToleranceConfig = DEFAULT_TOL, *,
+def verify_curious(rs: RootSystem, g: Group, mc: McConfig = DEFAULT_MC, *,
                    geometry: Geometry | None = None) -> VerificationReport:
     """sigma(C*) = (number of fixed-point-free elements) / |W|."""
-    est = _geometry(rs, g, geometry, tol).measure("dual", (), mc)
+    est = _geometry(rs, g, geometry).measure("dual", (), mc)
     rhs = (g.counts_by_fixed_dim[0], g.order)
     return _measure_report(
         "curious", rs, None, est.value, rhs, est.stderr, mc.seed, est.samples,
         [("sigma(dual chamber)", est.value, est.stderr)])
 
 
-def verify_main(rs: RootSystem, g: Group, k: int, mc: McConfig = DEFAULT_MC,
-                tol: ToleranceConfig = DEFAULT_TOL, *,
+def verify_main(rs: RootSystem, g: Group, k: int, mc: McConfig = DEFAULT_MC, *,
                 geometry: Geometry | None = None) -> VerificationReport:
     """sum over k-dim chamber faces F of sigma(F) * sigma((C/F)*) equals
     |W^k| / |W|."""
     n = rs.n
     if not 0 <= k <= n:
         raise InvalidArgumentError(f"k must be in 0..{n}")
-    geo = _geometry(rs, g, geometry, tol)
+    geo = _geometry(rs, g, geometry)
     lhs, samples = 0.0, 0
     terms: list[tuple[float, AngleEstimate]] = []
     breakdown = []
@@ -455,13 +450,12 @@ def verify_main(rs: RootSystem, g: Group, k: int, mc: McConfig = DEFAULT_MC,
                            mc.seed, samples, breakdown)
 
 
-def verify_equiv_measure(rs: RootSystem, g: Group, cls, mc: McConfig = DEFAULT_MC,
-                         tol: ToleranceConfig = DEFAULT_TOL, *,
+def verify_equiv_measure(rs: RootSystem, g: Group, cls, mc: McConfig = DEFAULT_MC, *,
                          geometry: Geometry | None = None) -> VerificationReport:
     """Sum of sigma over one equivalence class of chamber faces equals
     |W_F| / |N_F| for the class representative."""
     cls = sorted(_subset(J) for J in cls)
-    geo = _geometry(rs, g, geometry, tol)
+    geo = _geometry(rs, g, geometry)
     ests = [geo.measure("face", J, mc) for J in cls]
     lhs = sum(est.value for est in ests)
     samples = max(est.samples for est in ests)
@@ -484,7 +478,7 @@ def verify_class_sum(rs: RootSystem, g: Group, k: int, seed: int = 0, *,
     n = rs.n
     if not 0 <= k <= n:
         raise InvalidArgumentError(f"k must be in 0..{n}")
-    geo = _geometry(rs, g, geometry, None)
+    geo = _geometry(rs, g, geometry)
     total = Fraction(0)
     breakdown = []
     for cls in geo.orbits(k):
@@ -509,21 +503,19 @@ def verify_class_sum(rs: RootSystem, g: Group, k: int, seed: int = 0, *,
 
 
 def verify_waldspurger_partition(rs: RootSystem, g: Group,
-                                 sampler: GenericPointSampler | None = None,
-                                 trials: int = DEFAULT_TRIALS,
-                                 tol: ToleranceConfig = DEFAULT_TOL, *,
+                                 trials: int = DEFAULT_TRIALS, seed: int = 42, *,
                                  geometry: Geometry | None = None) -> VerificationReport:
     """Every generic interior point of C* lies in (1 - w) C-interior for
     exactly one group element w (necessarily fixed-point free).
 
-    A point v = u alpha of C* is drawn with u uniform in the unit cube, and
-    resampled when a coordinate of u is within the margin of 0 or v is
-    within the relative margin of a reflection hyperplane or of a facet of
-    a piece (1 - w)C.  It reads only the group, so ``geometry`` is only
-    checked to describe rs, g and tol.
+    A point v = u alpha of C* is drawn from ``seed`` with u uniform in the
+    unit cube, and resampled when a coordinate of u is within the margin
+    of 0 or v is within the relative margin of a reflection hyperplane or
+    of a facet of a piece (1 - w)C.  It reads only the group, so
+    ``geometry`` is only checked to describe rs and g.
     """
-    _geometry(rs, g, geometry, tol)
-    sampler = sampler or GenericPointSampler(generic_margin=tol.generic_margin)
+    _geometry(rs, g, geometry)
+    sampler = _sampler(rs, seed)
     n, margin = rs.n, sampler.generic_margin
     alpha = rs.simple_roots
     regular = np.flatnonzero(g.fixed_dims == 0)
@@ -553,14 +545,12 @@ def verify_waldspurger_partition(rs: RootSystem, g: Group,
 
 
 def verify_covering_count(rs: RootSystem, g: Group,
-                          sampler: GenericPointSampler | None = None,
-                          trials: int = DEFAULT_TRIALS,
-                          tol: ToleranceConfig = DEFAULT_TOL, *,
+                          trials: int = DEFAULT_TRIALS, seed: int = 42, *,
                           geometry: Geometry | None = None) -> VerificationReport:
     """A generic point of V is covered by exactly |W^0| of the |W| dual
-    chamber copies w C*."""
-    sampler = sampler or GenericPointSampler(generic_margin=tol.generic_margin)
-    dc = _geometry(rs, g, geometry, tol).dual
+    chamber copies w C*.  The points are drawn from ``seed``."""
+    sampler = _sampler(rs, seed)
+    dc = _geometry(rs, g, geometry).dual
     normals = _translates(g, [(dc.dual_basis, np.arange(g.order))])
     counts = _containment_counts(sampler, trials, normals, roots=rs.all_roots)
     return _count_report(
@@ -569,17 +559,16 @@ def verify_covering_count(rs: RootSystem, g: Group,
 
 
 def verify_face_oplus_covering(rs: RootSystem, g: Group, I,
-                               sampler: GenericPointSampler | None = None,
-                               trials: int = DEFAULT_TRIALS,
-                               tol: ToleranceConfig = DEFAULT_TOL, *,
+                               trials: int = DEFAULT_TRIALS, seed: int = 42, *,
                                geometry: Geometry | None = None) -> VerificationReport:
     """A generic point of V is covered by |W^reg_U| of the full-dimensional
-    cones w(F_J + orthogonal dual quotient) whose face part spans U."""
-    sampler = sampler or GenericPointSampler(generic_margin=tol.generic_margin)
+    cones w(F_J + orthogonal dual quotient) whose face part spans U.  The
+    points are drawn from ``seed``."""
+    sampler = _sampler(rs, seed)
     n = rs.n
     I = _subset(I)
     k = len(I)
-    geo = _geometry(rs, g, geometry, tol)
+    geo = _geometry(rs, g, geometry)
     weights, alpha = rs.fundamental_weights, geo.chamber.dual_basis
 
     # the generator matrix of F_J + (C/F_J)* has the rows weights[J] and
@@ -603,22 +592,20 @@ def verify_face_oplus_covering(rs: RootSystem, g: Group, I,
 
 def verify_face_decomposition(rs: RootSystem, g: Group, I,
                               mc: McConfig = DEFAULT_MC,
-                              sampler: GenericPointSampler | None = None,
-                              trials: int = DEFAULT_TRIALS,
-                              tol: ToleranceConfig = DEFAULT_TOL, *,
+                              trials: int = DEFAULT_TRIALS, *,
                               geometry: Geometry | None = None) -> VerificationReport:
     """The distinct chamber faces lying in U = span(F_I) tile U: their
     measures sum to 1 and a generic point of U sits inside exactly one.
-    Each piece w . F_J is congruent to F_J, which is measured once."""
-    sampler = sampler or GenericPointSampler(generic_margin=tol.generic_margin)
+    Each piece w . F_J is congruent to F_J, which is measured once.  The
+    points are drawn from ``mc.seed``."""
     I = _subset(I)
     k = len(I)
-    geo = _geometry(rs, g, geometry, tol)
+    geo = _geometry(rs, g, geometry)
 
     if k == 0:
         # U = {0}: the single face is the zero cone, measure 1 by convention
         return _measure_report(
-            "decomposition", rs, 0, 1.0, (1, 1), 0.0, sampler.seed, 0,
+            "decomposition", rs, 0, 1.0, (1, 1), 0.0, mc.seed, 0,
             [("zero cone", 1.0, 0.0)], rule_suffix="; unique containment trivial")
 
     pieces = geo.pieces(I)
@@ -633,7 +620,7 @@ def verify_face_decomposition(rs: RootSystem, g: Group, I,
     # the identity is a piece of type I, so F_I is built and spans U
     normals = _translates(g, [(geo.face(J).dual_basis, ws)
                               for J, ws in pieces.items()])
-    containments = _containment_counts(sampler, trials, normals,
+    containments = _containment_counts(_sampler(rs, mc.seed), trials, normals,
                                        geo.face(I).span.orthonormal_basis)
     bad = int(np.count_nonzero(containments != 1))
     breakdown.append(("containment_failures", float(bad), 0.0))
@@ -641,22 +628,20 @@ def verify_face_decomposition(rs: RootSystem, g: Group, I,
     return _measure_report(
         "decomposition", rs, k, lhs, (1, 1),
         _combined_stderr((1.0, est) for est in ests),
-        sampler.seed, samples, breakdown, extra_ok=(bad == 0),
+        mc.seed, samples, breakdown, extra_ok=(bad == 0),
         rule_suffix="; and every generic point of U in exactly one piece")
 
 
 def verify_parabolic_quotient(rs: RootSystem, g: Group, I,
                               mc: McConfig = DEFAULT_MC,
-                              sampler: GenericPointSampler | None = None,
-                              trials: int = DEFAULT_TRIALS,
-                              tol: ToleranceConfig = DEFAULT_TOL, *,
+                              trials: int = DEFAULT_TRIALS, *,
                               geometry: Geometry | None = None) -> VerificationReport:
     """The projected chamber C/F is a fundamental cone for the face fixator
-    acting on span(F)-perp, and sigma((C/F)*) = |W^reg_F| / |W_F|."""
-    sampler = sampler or GenericPointSampler(generic_margin=tol.generic_margin)
+    acting on span(F)-perp, and sigma((C/F)*) = |W^reg_F| / |W_F|.  The
+    tiling points are drawn from ``mc.seed``."""
     I = _subset(I)
     d = rs.n - len(I)
-    geo = _geometry(rs, g, geometry, tol)
+    geo = _geometry(rs, g, geometry)
     sub = geo.parabolic(I)
     breakdown = [(f"I={_fmt_subset(I)}", float(len(I)), 0.0)]
 
@@ -665,8 +650,8 @@ def verify_parabolic_quotient(rs: RootSystem, g: Group, I,
     if d > 0:
         q = geo.quotient(I)
         normals = _translates(g, [(q.dual_basis, list(sub.indices))])
-        containments = _containment_counts(sampler, trials, normals,
-                                           q.span.orthonormal_basis)
+        containments = _containment_counts(_sampler(rs, mc.seed), trials,
+                                           normals, q.span.orthonormal_basis)
         bad = int(np.count_nonzero(containments != 1))
         breakdown.append(("tiling_trials", float(trials), 0.0))
     breakdown.append(("tiling_failures", float(bad), 0.0))
@@ -693,17 +678,10 @@ class _SuiteRun:
     g: Group
     mc: McConfig
     trials: int
-    seed: int
-    tol: ToleranceConfig
     geometry: Geometry
 
     def call(self, verifier, *args) -> VerificationReport:
         return verifier(self.rs, self.g, *args, geometry=self.geometry)
-
-    def sampler(self) -> GenericPointSampler:
-        """A fresh sampler: every counting check starts the same stream."""
-        return GenericPointSampler(seed=self.seed,
-                                   generic_margin=self.tol.generic_margin)
 
     def subsets(self, k: int):
         return itertools.combinations(range(self.rs.n), k)
@@ -712,27 +690,28 @@ class _SuiteRun:
 # The identities in report order: name -> (k-indexed?, runner).  A runner
 # returns the reports of one k (None when not k-indexed).  It looks its
 # verify_* function up when it runs, so a name wrapped after import is the
-# one called.
+# one called.  Every counting check draws from its own fresh stream on
+# mc.seed, as a standalone call with that seed does.
 _SUITE = {
-    "curious": (False, lambda r, k: [r.call(verify_curious, r.mc, r.tol)]),
-    "main": (True, lambda r, k: [r.call(verify_main, k, r.mc, r.tol)]),
+    "curious": (False, lambda r, k: [r.call(verify_curious, r.mc)]),
+    "main": (True, lambda r, k: [r.call(verify_main, k, r.mc)]),
     "waldspurger": (False, lambda r, k: [
-        r.call(verify_waldspurger_partition, r.sampler(), r.trials, r.tol)]),
+        r.call(verify_waldspurger_partition, r.trials, r.mc.seed)]),
     "covering": (False, lambda r, k: [
-        r.call(verify_covering_count, r.sampler(), r.trials, r.tol)]),
+        r.call(verify_covering_count, r.trials, r.mc.seed)]),
     "oplus": (True, lambda r, k: [
-        r.call(verify_face_oplus_covering, I, r.sampler(), r.trials, r.tol)
+        r.call(verify_face_oplus_covering, I, r.trials, r.mc.seed)
         for I in r.subsets(k)]),
     "decomposition": (True, lambda r, k: [
-        r.call(verify_face_decomposition, I, r.mc, r.sampler(), r.trials, r.tol)
+        r.call(verify_face_decomposition, I, r.mc, r.trials)
         for I in r.subsets(k)]),
     "parabolic": (True, lambda r, k: [
-        r.call(verify_parabolic_quotient, I, r.mc, r.sampler(), r.trials, r.tol)
+        r.call(verify_parabolic_quotient, I, r.mc, r.trials)
         for I in r.subsets(k)]),
     "equiv-measure": (True, lambda r, k: [
-        r.call(verify_equiv_measure, cls, r.mc, r.tol)
+        r.call(verify_equiv_measure, cls, r.mc)
         for cls in r.geometry.orbits(k)]),
-    "class-sum": (True, lambda r, k: [r.call(verify_class_sum, k, r.seed)]),
+    "class-sum": (True, lambda r, k: [r.call(verify_class_sum, k, r.mc.seed)]),
 }
 
 SUITE_IDENTITIES = tuple(_SUITE)
@@ -740,18 +719,17 @@ SUITE_IDENTITIES = tuple(_SUITE)
 
 def run_suite(rs: RootSystem, g: Group, identities=SUITE_IDENTITIES,
               k: int | None = None, mc: McConfig = DEFAULT_MC,
-              trials: int = DEFAULT_TRIALS, seed: int | None = None,
-              tol: ToleranceConfig = DEFAULT_TOL) -> list[VerificationReport]:
+              trials: int = DEFAULT_TRIALS) -> list[VerificationReport]:
     """Run the requested verifiers over their full parameter range.
 
     ``k`` restricts the k-indexed identities to a single value in 0..n when
     given.  ``trials`` must be at least 1, even for identities that draw
-    no point.  Every sampling verifier gets a fresh sampler with the same
-    seed, so the output is independent of which identities run together.
-    The verifiers share one Geometry, so each cone, subgroup and measure
-    is built once per call.
+    no point.  Tolerances come from ``rs.tol`` and every seed from
+    ``mc.seed``.  Every counting check draws from a fresh stream on that
+    seed, so the output is independent of which identities run together
+    and equals the standalone verifiers' reports.  The verifiers share one
+    Geometry, so each cone, subgroup and measure is built once per call.
     """
-    seed = mc.seed if seed is None else seed
     n = rs.n
     if k is not None and not 0 <= k <= n:
         raise InvalidArgumentError(f"k must be in 0..{n}")
@@ -761,7 +739,7 @@ def run_suite(rs: RootSystem, g: Group, identities=SUITE_IDENTITIES,
         if name not in _SUITE:
             raise InvalidArgumentError(f"unknown identity {name!r}")
     ks = range(n + 1) if k is None else [k]
-    run = _SuiteRun(rs, g, mc, trials, seed, tol, Geometry(rs, g, tol))
+    run = _SuiteRun(rs, g, mc, trials, Geometry(rs, g))
     reports: list[VerificationReport] = []
     for name in identities:
         k_indexed, runner = _SUITE[name]

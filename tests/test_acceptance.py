@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 
 import ccl
-from ccl.angles import McConfig, measure
+from ccl.angles import McConfig, _measure_mc, measure
 from ccl.cones import SimplicialCone, chamber, dual, face, quotient, quotient_dual
-from ccl.verify import (GenericPointSampler, verify_class_sum,
+from ccl.linalg import DEFAULT_TOL
+from ccl.verify import (verify_class_sum,
                         verify_covering_count, verify_curious,
                         verify_equiv_measure, verify_face_decomposition,
                         verify_face_oplus_covering, verify_main,
@@ -75,14 +76,10 @@ def test_criterion_1_exact_geometry(built):
                         f"{spec} equiv-measure {cls}"
             for k in range(rs.n + 1):
                 for I in itertools.combinations(range(rs.n), k):
-                    rd = verify_face_decomposition(
-                        rs, g, I, sampler=GenericPointSampler(seed=42),
-                        trials=100)
+                    rd = verify_face_decomposition(rs, g, I, trials=100)
                     assert rd.passed and rd.abs_error <= 1e-9, \
                         f"{spec} decomposition I={I}"
-                    rp = verify_parabolic_quotient(
-                        rs, g, I, sampler=GenericPointSampler(seed=42),
-                        trials=100)
+                    rp = verify_parabolic_quotient(rs, g, I, trials=100)
                     assert rp.passed and rp.abs_error <= 1e-9, \
                         f"{spec} parabolic I={I}"
         elapsed = time.perf_counter() - t0
@@ -106,17 +103,15 @@ def test_criterion_2_integer_suite(built):
             for k in range(rs.n + 1):
                 rc = verify_class_sum(rs, g, k)
                 assert rc.passed, f"{spec} class-sum k={k}"
-            rw = verify_waldspurger_partition(
-                rs, g, GenericPointSampler(seed=42), trials=100)
+            rw = verify_waldspurger_partition(rs, g, trials=100, seed=42)
             assert rw.passed and rw.lhs == 0.0, f"{spec} waldspurger"
-            rv = verify_covering_count(
-                rs, g, GenericPointSampler(seed=42), trials=100)
+            rv = verify_covering_count(rs, g, trials=100, seed=42)
             assert rv.passed, f"{spec} covering"
             assert rv.rhs_numerator == g.counts_by_fixed_dim[0]
             for k in range(rs.n + 1):
                 for I in itertools.combinations(range(rs.n), k):
-                    ro = verify_face_oplus_covering(
-                        rs, g, I, GenericPointSampler(seed=42), trials=100)
+                    ro = verify_face_oplus_covering(rs, g, I, trials=100,
+                                                    seed=42)
                     assert ro.passed, f"{spec} oplus I={I}"
         elapsed = time.perf_counter() - t0
         assert elapsed < 30.0, f"integer suite took {elapsed:.2f}s (budget 30s)"
@@ -175,7 +170,7 @@ def test_criterion_4_cross_method_consistency(built):
                     continue
                 seen.add(key)
                 exact = measure(c).value
-                est = measure(c, MC1M, force_monte_carlo=True)
+                est = _measure_mc(c, MC1M, DEFAULT_TOL.eps_membership)
                 assert abs(est.value - exact) <= 4 * est.stderr, \
                     f"{spec} cone dim {c.dim}: mc {est.value} vs exact {exact}"
                 checked += 1

@@ -5,9 +5,10 @@ import pytest
 
 import ccl
 from ccl.angles import (CHUNK_SIZE, AngleEstimate, AngleMethod, McConfig,
-                        _binomial_stderr, _measure_class, congruence_key,
-                        count_nonnegative, measure)
+                        _binomial_stderr, _measure_class, _measure_mc,
+                        congruence_key, count_nonnegative, measure)
 from ccl.cones import SimplicialCone, chamber, dual, face
+from ccl.linalg import DEFAULT_TOL
 
 MC = McConfig(samples=200_000, seed=42)
 MC_BIG = McConfig(samples=1_000_000, seed=42)
@@ -110,7 +111,7 @@ def test_mc_agrees_with_exact_2d(built):
     rs, _ = built("I2(7)")
     d = dual(chamber(rs))
     exact = measure(d).value
-    est = measure(d, MC_BIG, force_monte_carlo=True)
+    est = _measure_mc(d, MC_BIG, DEFAULT_TOL.eps_membership)
     assert est.method is AngleMethod.MONTE_CARLO
     assert abs(est.value - exact) <= 4 * est.stderr
 
@@ -119,14 +120,14 @@ def test_mc_agrees_with_exact_3d(built):
     rs, _ = built("H3")
     d = dual(chamber(rs))
     exact = measure(d).value
-    est = measure(d, MC_BIG, force_monte_carlo=True)
+    est = _measure_mc(d, MC_BIG, DEFAULT_TOL.eps_membership)
     assert abs(est.value - exact) <= 4 * est.stderr
 
 
 def test_half_space_fraction(built):
     # a ray holds half of the directions of its own line
     rs, _ = built("F4")
-    est = measure(face(chamber(rs), (0,)), MC, force_monte_carlo=True)
+    est = _measure_mc(face(chamber(rs), (0,)), MC, DEFAULT_TOL.eps_membership)
     assert est.method is AngleMethod.MONTE_CARLO
     assert abs(est.value - 0.5) <= 4 * est.stderr
 

@@ -513,7 +513,7 @@ def test_default_mc_config_is_exact():
 
 def test_forced_monte_carlo_without_count_draws_default_samples(built):
     rs, _ = built("B3")
-    est = ccl.measure(ccl.dual(ccl.chamber(rs)), ccl.McConfig(),
-                      force_monte_carlo=True)
+    est = ccl.angles._measure_mc(ccl.dual(ccl.chamber(rs)), ccl.McConfig(),
+                                 ccl.DEFAULT_TOL.eps_membership)
     assert est.method is ccl.AngleMethod.MONTE_CARLO
     assert est.samples == 1_000_000

@@ -10,7 +10,7 @@ import ccl.verify
 from ccl.angles import McConfig, _measure_class
 from ccl.cones import SimplicialCone, chamber
 from ccl.groups import normalizer_of_span
-from ccl.linalg import DEFAULT_TOL, Subspace
+from ccl.linalg import DEFAULT_TOL, Subspace, ToleranceConfig
 from ccl.roots import SUPPORTED_TYPES
 from ccl.verify import (GenericPointSampler, Geometry, _pairs_spanning,
                         _pieces_in_span, run_suite, verify_class_sum,
@@ -23,8 +23,12 @@ from ccl.verify import (GenericPointSampler, Geometry, _pairs_spanning,
 MC = McConfig(samples=200_000, seed=42)
 
 
-def sampler(seed=42):
-    return GenericPointSampler(seed=seed)
+def built_with_margin(spec, margin):
+    """A root system whose tolerances carry the genericity margin
+    ``margin``, and its group."""
+    rs = ccl.build(ccl.GroupType.parse(spec),
+                   ToleranceConfig(generic_margin=margin))
+    return rs, ccl.enumerate_group(rs)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +132,7 @@ def test_waldspurger_constructed_witness(built):
 @pytest.mark.parametrize("spec", ["A2", "B3"])
 def test_waldspurger_trials(spec, built):
     rs, g = built(spec)
-    r = verify_waldspurger_partition(rs, g, sampler(), trials=100)
+    r = verify_waldspurger_partition(rs, g, trials=100)
     assert r.passed
     assert r.lhs == 0.0
     assert (r.rhs_numerator, r.rhs_denominator) == (1, 1)
@@ -139,7 +143,7 @@ def test_waldspurger_solve_failure_is_numerical_error(built, monkeypatch):
     # an "inverse" of zeros, shaped like the real one, leaves residual |v|
     monkeypatch.setattr(np.linalg, "inv", lambda a: np.zeros_like(a))
     with pytest.raises(ccl.NumericalError):
-        verify_waldspurger_partition(rs, g, sampler(), trials=5)
+        verify_waldspurger_partition(rs, g, trials=5)
 
 
 @pytest.mark.parametrize("spec", ["A3", "B3", "H3", "F4", "A5"])
@@ -155,7 +159,7 @@ def test_waldspurger_normals_match_per_point_solve(spec, built, monkeypatch):
         return recorded[-1][1]
 
     monkeypatch.setattr(ccl.verify, "_cone_classifier", classifier)
-    assert verify_waldspurger_partition(rs, g, sampler(), trials=5).passed
+    assert verify_waldspurger_partition(rs, g, trials=5).passed
     [(normals, classify)] = recorded
     regular = np.flatnonzero(g.fixed_dims == 0)
     one_minus = np.eye(rs.n) - g.matrix_stack[regular]
@@ -186,11 +190,10 @@ def test_counting_checks_invert_per_group_and_per_face_type(spec, built,
     shapes = []
     monkeypatch.setattr(np.linalg, "inv",
                         lambda a: shapes.append(np.shape(a)) or inv(a))
-    verify_waldspurger_partition(rs, g, sampler(), trials=10, geometry=geo)
+    verify_waldspurger_partition(rs, g, trials=10, geometry=geo)
     assert shapes == [(int(np.count_nonzero(g.fixed_dims == 0)), rs.n, rs.n)]
     shapes.clear()
-    r = verify_face_oplus_covering(rs, g, (0,), sampler(), trials=10,
-                                   geometry=geo)
+    r = verify_face_oplus_covering(rs, g, (0,), trials=10, geometry=geo)
     assert r.passed
     assert shapes == [(rs.n, rs.n)] * len(pairs)
     assert r.per_term_breakdown[0][1] == sum(map(len, pairs.values())) > len(pairs)
@@ -216,27 +219,27 @@ def test_waldspurger_pieces_tile_dual_measure(spec, built):
 @pytest.mark.parametrize("spec,expected", [("A2", 2), ("B2", 3), ("H3", 45)])
 def test_covering_counts(spec, expected, built):
     rs, g = built(spec)
-    r = verify_covering_count(rs, g, sampler(), trials=100)
+    r = verify_covering_count(rs, g, trials=100)
     assert r.passed
     assert r.rhs_numerator == expected
 
 
 def test_oplus_full_set_is_chamber_tiling(built):
     rs, g = built("B3")
-    r = verify_face_oplus_covering(rs, g, (0, 1, 2), sampler(), trials=50)
+    r = verify_face_oplus_covering(rs, g, (0, 1, 2), trials=50)
     assert r.passed and r.rhs_numerator == 1
 
 
 def test_oplus_empty_set_matches_covering(built):
     rs, g = built("B2")
-    r = verify_face_oplus_covering(rs, g, (), sampler(), trials=50)
+    r = verify_face_oplus_covering(rs, g, (), trials=50)
     assert r.passed
     assert r.rhs_numerator == g.counts_by_fixed_dim[0]
 
 
 def test_oplus_a2_single(built):
     rs, g = built("A2")
-    r = verify_face_oplus_covering(rs, g, (0,), sampler(), trials=100)
+    r = verify_face_oplus_covering(rs, g, (0,), trials=100)
     assert r.passed and r.rhs_numerator == 1
 
 
@@ -245,7 +248,7 @@ def test_oplus_a2_single(built):
 
 def test_decomposition_mirror_line_a2(built):
     rs, g = built("A2")
-    r = verify_face_decomposition(rs, g, (0,), MC, sampler(), trials=50)
+    r = verify_face_decomposition(rs, g, (0,), MC, trials=50)
     assert r.passed
     pieces = [row for row in r.per_term_breakdown if row[0].startswith("piece")]
     assert len(pieces) == 2  # two opposite rays
@@ -256,7 +259,7 @@ def test_decomposition_full_set_tiles_space(built):
     for spec in ("A2", "B3"):
         rs, g = built(spec)
         r = verify_face_decomposition(rs, g, tuple(range(rs.n)), MC,
-                                      sampler(), trials=50)
+                                      trials=50)
         assert r.passed
         pieces = [row for row in r.per_term_breakdown if row[0].startswith("piece")]
         assert len(pieces) == g.order
@@ -264,7 +267,7 @@ def test_decomposition_full_set_tiles_space(built):
 
 def test_decomposition_b2_axis_line(built):
     rs, g = built("B2")
-    r = verify_face_decomposition(rs, g, (1,), MC, sampler(), trials=50)
+    r = verify_face_decomposition(rs, g, (1,), MC, trials=50)
     assert r.passed
     pieces = [row for row in r.per_term_breakdown if row[0].startswith("piece")]
     assert len(pieces) == 2
@@ -325,14 +328,14 @@ def test_decomposition_pieces_per_type_are_cosets(spec, built):
 
 def test_parabolic_quotient_extremes(built):
     rs, g = built("B3")
-    r = verify_parabolic_quotient(rs, g, (0, 1, 2), MC, sampler(), trials=50)
+    r = verify_parabolic_quotient(rs, g, (0, 1, 2), MC, trials=50)
     assert r.passed
     assert r.lhs == 1.0 and (r.rhs_numerator, r.rhs_denominator) == (1, 1)
 
 
 def test_parabolic_quotient_a2(built):
     rs, g = built("A2")
-    r = verify_parabolic_quotient(rs, g, (0,), MC, sampler(), trials=50)
+    r = verify_parabolic_quotient(rs, g, (0,), MC, trials=50)
     assert r.passed
     assert abs(r.lhs - 0.5) <= 1e-12
     assert (r.rhs_numerator, r.rhs_denominator) == (1, 2)
@@ -341,7 +344,7 @@ def test_parabolic_quotient_a2(built):
 def test_parabolic_quotient_b3_contains_b2(built):
     # removing the B3 node away from the 4-edge leaves a B2 parabolic
     rs, g = built("B3")
-    r = verify_parabolic_quotient(rs, g, (0,), MC, sampler(), trials=50)
+    r = verify_parabolic_quotient(rs, g, (0,), MC, trials=50)
     assert r.passed
     assert abs(r.lhs - 3 / 8) <= 1e-12
     assert (r.rhs_numerator, r.rhs_denominator) == (3, 8)
@@ -399,8 +402,8 @@ def test_class_sum_k_n(built):
 
 def test_report_reproducibility(built):
     rs, g = built("B3")
-    a = verify_waldspurger_partition(rs, g, sampler(7), trials=40)
-    b = verify_waldspurger_partition(rs, g, sampler(7), trials=40)
+    a = verify_waldspurger_partition(rs, g, trials=40, seed=7)
+    b = verify_waldspurger_partition(rs, g, trials=40, seed=7)
     assert a == b
     c = verify_curious(rs, g, MC)
     d = verify_curious(rs, g, MC)
@@ -419,7 +422,7 @@ def test_report_json_round_trip(built):
 
 def test_run_suite_covers_everything(built):
     rs, g = built("A2")
-    reports = run_suite(rs, g, mc=MC, trials=30, seed=42)
+    reports = run_suite(rs, g, mc=MC, trials=30)
     names = {r.identity_name for r in reports}
     assert names == {"curious", "main", "waldspurger", "covering", "oplus",
                      "decomposition", "parabolic", "equiv-measure", "class-sum"}
@@ -447,8 +450,7 @@ def test_calibration_seed_sweep(built):
     ratios = []
     for seed in range(20):
         mc = McConfig(samples=20_000, seed=seed)
-        reports = [verify_face_decomposition(rs, g, (0, 1, 2, 3), mc,
-                                             sampler(seed)),
+        reports = [verify_face_decomposition(rs, g, (0, 1, 2, 3), mc),
                    verify_main(rs, g, 1, mc), verify_main(rs, g, 4, mc)]
         reports += [verify_equiv_measure(rs, g, cls, mc)
                     for cls in ccl.subspace_orbits(g, 4)]
@@ -459,39 +461,83 @@ def test_calibration_seed_sweep(built):
     assert 0.5 <= statistics.pstdev(ratios) <= 1.6
 
 
-def standalone_suite(rs, g, mc, trials=100, seed=42):
+def subsets(rs):
+    return [I for k in range(rs.n + 1)
+            for I in itertools.combinations(range(rs.n), k)]
+
+
+def standalone_suite(rs, g, mc, trials=100):
     """The reports of run_suite(rs, g, mc=mc), from one standalone verify_*
     call per verdict, in report order."""
-    subsets = [I for k in range(rs.n + 1)
-               for I in itertools.combinations(range(rs.n), k)]
-
-    def new_sampler():
-        return GenericPointSampler(seed=seed)
-
+    seed = mc.seed
     reports = [verify_curious(rs, g, mc)]
     reports += [verify_main(rs, g, k, mc) for k in range(rs.n + 1)]
-    reports.append(verify_waldspurger_partition(rs, g, new_sampler(), trials))
-    reports.append(verify_covering_count(rs, g, new_sampler(), trials))
-    reports += [verify_face_oplus_covering(rs, g, I, new_sampler(), trials)
-                for I in subsets]
-    reports += [verify_face_decomposition(rs, g, I, mc, new_sampler(), trials)
-                for I in subsets]
-    reports += [verify_parabolic_quotient(rs, g, I, mc, new_sampler(), trials)
-                for I in subsets]
+    reports.append(verify_waldspurger_partition(rs, g, trials, seed))
+    reports.append(verify_covering_count(rs, g, trials, seed))
+    reports += [verify_face_oplus_covering(rs, g, I, trials, seed)
+                for I in subsets(rs)]
+    reports += [verify_face_decomposition(rs, g, I, mc, trials)
+                for I in subsets(rs)]
+    reports += [verify_parabolic_quotient(rs, g, I, mc, trials)
+                for I in subsets(rs)]
     reports += [verify_equiv_measure(rs, g, cls, mc)
                 for k in range(rs.n + 1) for cls in ccl.subspace_orbits(g, k)]
     reports += [verify_class_sum(rs, g, k, seed=seed) for k in range(rs.n + 1)]
     return reports
 
 
-@pytest.mark.parametrize("samples", [None, 20_000])
-@pytest.mark.parametrize("spec", ["A3", "B4", "H3", "F4"])
-def test_run_suite_equals_standalone_verifiers(spec, samples, built):
-    # the shared geometry changes what is built, never what is reported
-    rs, g = built(spec)
+def resamples(report):
+    return sum(v for name, v, _ in report.per_term_breakdown
+               if name == "resamples")
+
+
+@pytest.mark.parametrize("spec,samples,margin", [
+    pytest.param(spec, samples, None, id=f"{spec}-{samples}")
+    for spec in ("A3", "B4", "H3", "F4") for samples in (None, 20_000)
+] + [pytest.param("B3", None, 0.01, id="B3-None-margin0.01")])
+def test_run_suite_equals_standalone_verifiers(spec, samples, margin, built):
+    # the shared geometry changes what is built, never what is reported;
+    # the margin case reads its margin from the root system and resamples
+    rs, g = built(spec) if margin is None else built_with_margin(spec, margin)
     mc = McConfig(samples=samples)
-    suite = [r.to_dict() for r in run_suite(rs, g, mc=mc)]
-    assert suite == [r.to_dict() for r in standalone_suite(rs, g, mc)]
+    reports = run_suite(rs, g, mc=mc)
+    assert ([r.to_dict() for r in reports]
+            == [r.to_dict() for r in standalone_suite(rs, g, mc)])
+    if margin is not None:
+        assert sum(map(resamples, reports)) > 0
+
+
+def test_standalone_counting_checks_repeat_on_one_seed():
+    # each call draws from a fresh stream on its seed: a second call with
+    # the same seed reports the same counts and resamples (at margin 0.01
+    # there are some to report)
+    rs, g = built_with_margin("B3", 0.01)
+    mc = McConfig(seed=7)
+    checks = [
+        lambda: verify_waldspurger_partition(rs, g, 40, 7),
+        lambda: verify_covering_count(rs, g, 40, 7),
+        lambda: verify_face_oplus_covering(rs, g, (0,), 40, 7),
+        lambda: verify_face_decomposition(rs, g, (0, 1), mc, 40),
+        lambda: verify_parabolic_quotient(rs, g, (0,), mc, 40),
+    ]
+    reports = []
+    for check in checks:
+        first, second = check(), check()
+        assert first == second and first.seed == 7
+        reports.append(first)
+    assert sum(map(resamples, reports)) > 0
+
+
+def test_standalone_measure_checks_draw_from_the_mc_seed(built):
+    # decomposition and parabolic draw their points from mc.seed, so a
+    # standalone call equals the run_suite report of the same McConfig
+    rs, g = built("B3")
+    mc = McConfig(seed=7)
+    names = ("decomposition", "parabolic")
+    standalone = [verify_face_decomposition(rs, g, I, mc) for I in subsets(rs)]
+    standalone += [verify_parabolic_quotient(rs, g, I, mc) for I in subsets(rs)]
+    assert run_suite(rs, g, names, mc=mc) == standalone
+    assert all(r.seed == 7 for r in standalone)
 
 
 def test_run_suite_builds_each_piece_of_geometry_once(built, monkeypatch):
@@ -546,13 +592,11 @@ def test_geometry_must_describe_the_verified_group(built):
     geometry = Geometry(rs, g)
     assert (verify_curious(rs, g, geometry=geometry)
             == verify_curious(rs, g))
-    for other in (Geometry(rs3, g3),
-                  Geometry(rs, g, ccl.ToleranceConfig(eps_rank=1e-6))):
-        with pytest.raises(ccl.InvalidArgumentError, match="geometry"):
-            verify_curious(rs, g, geometry=other)
-        with pytest.raises(ccl.InvalidArgumentError, match="geometry"):
-            verify_face_oplus_covering(rs, g, (0,), sampler(), 10,
-                                       geometry=other)
+    other = Geometry(rs3, g3)
+    with pytest.raises(ccl.InvalidArgumentError, match="geometry"):
+        verify_curious(rs, g, geometry=other)
+    with pytest.raises(ccl.InvalidArgumentError, match="geometry"):
+        verify_face_oplus_covering(rs, g, (0,), 10, geometry=other)
     with pytest.raises(ccl.InvalidArgumentError, match="geometry"):
         verify_class_sum(rs, g, 1, geometry=Geometry(rs3, g3))
 
@@ -581,11 +625,11 @@ def test_counting_checks_reject_trials_below_one(trials, built):
     # no trial would make every counting check pass vacuously
     rs, g = built("A2")
     checks = [
-        lambda: verify_waldspurger_partition(rs, g, sampler(), trials),
-        lambda: verify_covering_count(rs, g, sampler(), trials),
-        lambda: verify_face_oplus_covering(rs, g, (0,), sampler(), trials),
-        lambda: verify_face_decomposition(rs, g, (0,), MC, sampler(), trials),
-        lambda: verify_parabolic_quotient(rs, g, (0,), MC, sampler(), trials),
+        lambda: verify_waldspurger_partition(rs, g, trials),
+        lambda: verify_covering_count(rs, g, trials),
+        lambda: verify_face_oplus_covering(rs, g, (0,), trials),
+        lambda: verify_face_decomposition(rs, g, (0,), MC, trials),
+        lambda: verify_parabolic_quotient(rs, g, (0,), MC, trials),
         lambda: run_suite(rs, g, identities=("curious",), trials=trials),
     ]
     for check in checks:
@@ -652,25 +696,22 @@ def per_point_sample(self, draw, classify, trials, entries_per_point=1):
     return np.array(counts)
 
 
-def counting_checks(rs, g, margin, trials=40):
-    """Run every counting check on every subset, each with a new sampler."""
-    def new_sampler():
-        return GenericPointSampler(seed=5, generic_margin=margin)
-
-    verify_waldspurger_partition(rs, g, new_sampler(), trials)
-    verify_covering_count(rs, g, new_sampler(), trials)
-    for k in range(rs.n + 1):
-        for I in itertools.combinations(range(rs.n), k):
-            verify_face_oplus_covering(rs, g, I, new_sampler(), trials)
-            verify_face_decomposition(rs, g, I, MC, new_sampler(), trials)
-            verify_parabolic_quotient(rs, g, I, MC, new_sampler(), trials)
+def counting_checks(rs, g, trials=40):
+    """Run every counting check on every subset, each on seed 5 and the
+    genericity margin of ``rs``."""
+    mc = McConfig(samples=200_000, seed=5)
+    verify_waldspurger_partition(rs, g, trials, 5)
+    verify_covering_count(rs, g, trials, 5)
+    for I in subsets(rs):
+        verify_face_oplus_covering(rs, g, I, trials, 5)
+        verify_face_decomposition(rs, g, I, mc, trials)
+        verify_parabolic_quotient(rs, g, I, mc, trials)
 
 
 @pytest.mark.parametrize("margin", [DEFAULT_TOL.generic_margin, 0.01])
 @pytest.mark.parametrize("spec", ["A3", "B3", "H3"])
-def test_block_sampling_matches_per_point_reference(spec, margin, built,
-                                                    monkeypatch):
-    rs, g = built(spec)
+def test_block_sampling_matches_per_point_reference(spec, margin, monkeypatch):
+    rs, g = built_with_margin(spec, margin)
     runs = []
     for sample in (GenericPointSampler.sample, per_point_sample):
         calls = []
@@ -681,7 +722,7 @@ def test_block_sampling_matches_per_point_reference(spec, margin, built,
             return counts
 
         monkeypatch.setattr(GenericPointSampler, "sample", recorded)
-        counting_checks(rs, g, margin)
+        counting_checks(rs, g)
         runs.append(calls)
     blocked, reference = runs
     # waldspurger and covering, oplus on all 2^n subsets, decomposition
