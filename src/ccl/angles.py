@@ -14,22 +14,24 @@ form.  So P_n(R) = 2^-n plus a 1-D integral over t in [0, 1], taken by
 Gauss-Legendre quadrature.
 
 Seeded Monte Carlo over Gaussian directions inside the cone's span (the
-paper's method) runs for dimensions 4 and above when ``McConfig.samples``
-is given, and for dimensions 6 and above, which no supported group
-produces.  A cone's measure depends only on its
-congruence class, which the Gram matrix of its unit generators
-determines.  ``congruence_key`` rounds that matrix and minimizes it over
-generator orderings; Monte Carlo measures the canonical cone the key
-describes (generators: the rows of the Cholesky factor of the key's Gram
-matrix), so congruent cones get one estimate.  Each class draws its own
-sample stream: chunk j comes from the child seed
+paper's method) runs for dimensions 4 and above when, and only when,
+``McConfig.samples`` is given.  A cone of dimension 6 or more, which no
+supported group produces, has no exact method, so measuring one needs a
+sample count.  A cone's measure depends only on its congruence class,
+which the Gram matrix of its unit generators determines.
+``congruence_key`` rounds that matrix and minimizes it over generator
+orderings; Monte Carlo measures the canonical cone the key describes
+(generators: the rows of the Cholesky factor of the key's Gram matrix), so
+congruent cones get one estimate.  Each class draws its own sample stream:
+chunk j comes from the child seed
 SeedSequence(entropy=seed, spawn_key=(*key words, j)), whose mixing hashes
 every bit of the key, so estimates of distinct classes are independent
-while all cones of one class share one estimate and its error.  Results
-are memoized by (key, seed, samples, eps); they are pure functions of
-those, so the memo never makes a result depend on call order.  The exact
-methods are pure functions of the cone itself and are not memoized: the
-key's rounding would move a measure by up to 3e-10.
+while all cones of one class share one estimate and its error.  A sample
+is a hit when all its facet coordinates are >= 0; boundary points have
+probability zero.  Results are memoized by (key, seed, samples); they are
+pure functions of those, so the memo never makes a result depend on call
+order.  The exact methods are pure functions of the cone itself and are
+not memoized: the key's rounding would move a measure by up to 3e-10.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ import numpy as np
 
 from .errors import DegenerateConeError, InvalidArgumentError, NumericalError
 from .cones import SimplicialCone
-from .linalg import DEFAULT_TOL, ToleranceConfig
 
 __all__ = ["AngleMethod", "AngleEstimate", "McConfig", "measure",
            "count_nonnegative", "congruence_key"]
@@ -62,16 +63,12 @@ CHUNK_SIZE = 65_536
 # here can make a verdict dishonest.
 GRAM_DECIMALS = 9
 
-# Distinct (class, seed, samples, eps) estimates kept by the memo.  A
-# verifier suite measures at most a few hundred classes.
+# Distinct (class, seed, samples) estimates kept by the memo.  A verifier
+# suite measures at most a few hundred classes.
 MEMO_SIZE = 4096
 
 # Multiplier of the verifiers' Monte Carlo pass rule |lhs - rhs| <= 4 sigma.
 MC_SIGMAS = 4.0
-
-# Samples drawn where Monte Carlo runs without a count in McConfig: for a
-# cone of dimension 6 or more.
-MC_SAMPLES = 1_000_000
 
 # Gauss-Legendre nodes N of the exact dimension 4-5 method, which also
 # evaluates the integral with 2N nodes as its own check.  The error falls
@@ -87,13 +84,12 @@ PLACKETT_NODES = 64
 PLACKETT_TOL = 1e-12
 
 
-def count_nonnegative(points: np.ndarray, facet_coords: np.ndarray,
-                      eps: float) -> int:
+def count_nonnegative(points: np.ndarray, facet_coords: np.ndarray) -> int:
     """Number of rows of ``points`` whose inner product with every row of
-    ``facet_coords`` is >= -eps."""
+    ``facet_coords`` is >= 0."""
     # (k, d) @ (d, m) then reduce over axis 0: several times faster than
     # (m, d) @ (d, k) reduced over axis 1 for the tall point arrays used here.
-    return int(np.count_nonzero((facet_coords @ points.T >= -eps).all(axis=0)))
+    return int(np.count_nonzero((facet_coords @ points.T >= 0).all(axis=0)))
 
 
 class AngleMethod(Enum):
@@ -135,8 +131,9 @@ class AngleEstimate:
 class McConfig:
     """Monte Carlo sampling configuration.
 
-    ``samples`` None measures dimensions 0-5 exactly; a count measures
-    dimensions 4 and above by Monte Carlo with that many samples.
+    ``samples`` None measures dimensions 0-5 exactly and rejects higher
+    ones; a count measures dimensions 4 and above by Monte Carlo with that
+    many samples.
     """
 
     samples: int | None = None
@@ -150,19 +147,6 @@ class McConfig:
 
 
 DEFAULT_MC = McConfig()
-
-
-def _chunked_count(count_fn, dim: int, mc: McConfig,
-                   stream: tuple[int, ...]) -> int:
-    """Sum count_fn(points) over deterministic per-chunk Gaussian draws;
-    chunk j draws from the child seed (mc.seed, *stream, j)."""
-    full, rem = divmod(mc.samples, CHUNK_SIZE)
-    total = 0
-    for j, size in enumerate([CHUNK_SIZE] * full + ([rem] if rem else [])):
-        ss = np.random.SeedSequence(entropy=mc.seed, spawn_key=(*stream, j))
-        rng = np.random.Generator(np.random.PCG64(ss))
-        total += count_fn(rng.standard_normal((size, dim)))
-    return total
 
 
 def _binomial_stderr(hits: int, samples: int) -> float:
@@ -198,8 +182,11 @@ def congruence_key(c: SimplicialCone) -> bytes:
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def _measure_class(key: bytes, k: int, mc: McConfig, eps: float) -> AngleEstimate:
-    """Monte Carlo measure of the canonical cone of a congruence class."""
+def _measure_class(key: bytes, mc: McConfig) -> AngleEstimate:
+    """Monte Carlo measure of the canonical cone of a congruence class;
+    chunk j of its samples draws from the child seed
+    (mc.seed, *key words, j)."""
+    k = math.isqrt(len(key) // 8)                    # k x k float64 entries
     gram = np.frombuffer(key).reshape(k, k)
     try:
         gens = np.linalg.cholesky(gram)              # rows realize the Gram matrix
@@ -209,18 +196,20 @@ def _measure_class(key: bytes, k: int, mc: McConfig, eps: float) -> AngleEstimat
     facet_coords = np.linalg.inv(gens).T             # (g_i, d_j) = delta_ij
     # the key as 32-bit words: SeedSequence hashes them with the chunk index
     stream = tuple(np.frombuffer(key, dtype=np.uint32).tolist())
-    hits = _chunked_count(
-        lambda pts: count_nonnegative(pts, facet_coords, eps), k, mc, stream)
+    full, rem = divmod(mc.samples, CHUNK_SIZE)
+    hits = 0
+    for j, size in enumerate([CHUNK_SIZE] * full + ([rem] if rem else [])):
+        ss = np.random.SeedSequence(entropy=mc.seed, spawn_key=(*stream, j))
+        rng = np.random.Generator(np.random.PCG64(ss))
+        hits += count_nonnegative(rng.standard_normal((size, k)), facet_coords)
     return AngleEstimate(hits / mc.samples, _binomial_stderr(hits, mc.samples),
                          AngleMethod.MONTE_CARLO, mc.samples, key)
 
 
-def _measure_mc(c: SimplicialCone, mc: McConfig, eps: float) -> AngleEstimate:
-    """Monte Carlo measure of the cone's congruence class, with MC_SAMPLES
-    samples when ``mc.samples`` is None."""
-    if mc.samples is None:
-        mc = McConfig(MC_SAMPLES, mc.seed)
-    return _measure_class(congruence_key(c), c.dim, mc, eps)
+def _measure_mc(c: SimplicialCone, mc: McConfig) -> AngleEstimate:
+    """Monte Carlo measure of the cone's congruence class with
+    ``mc.samples`` samples, which must be a count."""
+    return _measure_class(congruence_key(c), mc)
 
 
 def _measure_arc(c: SimplicialCone) -> float:
@@ -296,8 +285,7 @@ def _measure_plackett(c: SimplicialCone) -> float:
     return hi
 
 
-def measure(c: SimplicialCone, mc: McConfig = DEFAULT_MC,
-            tol: ToleranceConfig = DEFAULT_TOL) -> AngleEstimate:
+def measure(c: SimplicialCone, mc: McConfig = DEFAULT_MC) -> AngleEstimate:
     """Relative angle measure of a cone within its own span.
 
     The zero cone has measure 1 by convention (it occupies all of its
@@ -305,8 +293,9 @@ def measure(c: SimplicialCone, mc: McConfig = DEFAULT_MC,
     the arc and spherical-excess formulas.  Dimensions 4 and 5 use Plackett's
     reduction when ``mc.samples`` is None, its default, and are estimated
     by Monte Carlo on the cone's congruence class with ``mc.samples``
-    samples otherwise; higher dimensions are always estimated, with
-    MC_SAMPLES samples when ``mc.samples`` is None.
+    samples otherwise.  Higher dimensions have no exact method: they are
+    estimated when ``mc.samples`` is a count and raise InvalidArgumentError
+    when it is None.
     """
     k = c.dim
     if k == 0:
@@ -317,6 +306,9 @@ def measure(c: SimplicialCone, mc: McConfig = DEFAULT_MC,
         return AngleEstimate(_measure_arc(c), 0.0, AngleMethod.EXACT2_ARC)
     if k == 3:
         return AngleEstimate(_measure_girard(c), 0.0, AngleMethod.EXACT3_GIRARD)
-    if k <= 5 and mc.samples is None:
-        return AngleEstimate(_measure_plackett(c), 0.0, AngleMethod.EXACT_PLACKETT)
-    return _measure_mc(c, mc, tol.eps_membership)
+    if mc.samples is not None:
+        return _measure_mc(c, mc)
+    if k > 5:
+        raise InvalidArgumentError(
+            f"a cone of dimension {k} has no exact measure: set McConfig.samples")
+    return AngleEstimate(_measure_plackett(c), 0.0, AngleMethod.EXACT_PLACKETT)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -53,10 +54,8 @@ def _add_common(p: argparse.ArgumentParser, need_group: bool = True):
     p.add_argument("--enable-h4", action="store_true",
                    help="accepted and ignored; H4 is supported like every "
                         "other group")
-    p.add_argument("--eps-membership", type=float, default=None)
-    p.add_argument("--eps-rank", type=float, default=None)
-    p.add_argument("--eps-root-match", type=float, default=None)
-    p.add_argument("--generic-margin", type=float, default=None)
+    for f in fields(ToleranceConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,16 +83,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _tolerances(args) -> ToleranceConfig:
-    kw = {}
-    if args.eps_membership is not None:
-        kw["eps_membership"] = args.eps_membership
-    if args.eps_rank is not None:
-        kw["eps_rank"] = args.eps_rank
-    if args.eps_root_match is not None:
-        kw["eps_root_match"] = args.eps_root_match
-    if args.generic_margin is not None:
-        kw["generic_margin"] = args.generic_margin
-    return ToleranceConfig(**kw)
+    """The defaults, with each tolerance flag given on the command line."""
+    return ToleranceConfig(**{f.name: getattr(args, f.name)
+                              for f in fields(ToleranceConfig)
+                              if getattr(args, f.name) is not None})
 
 
 def _get_group(args, tol: ToleranceConfig, spec: str):

@@ -139,11 +139,17 @@ def quotient_dual(c: SimplicialCone, I,
     Asserts that this equals the dual of quotient(c, I) computed inside
     span(F_I)-perp.
     """
+    return _checked_quotient_dual(c, I, quotient(c, I, tol), tol)
+
+
+def _checked_quotient_dual(c: SimplicialCone, I, q: SimplicialCone,
+                           tol: ToleranceConfig) -> SimplicialCone:
+    """quotient_dual(c, I), checked against ``q``, the cone quotient(c, I)
+    built by the caller."""
     n = c.ambient_dim
     I = _subset(I, n)
     rest = [j for j in range(n) if j not in I]
     qd = SimplicialCone.from_generators(c.dual_basis[rest], ambient_dim=n, tol=tol)
-    q = quotient(c, I, tol)
     if q.dim != qd.dim:
         raise NumericalError("quotient/quotient-dual dimension mismatch")
     if q.dim:

@@ -7,7 +7,7 @@ every downstream module shares one numerical policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,23 +25,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical thresholds shared across the package.
+    """Numerical thresholds shared across the package.  Each field has a
+    CLI flag of the same name (``--eps-rank`` for ``eps_rank``).
 
-    eps_membership : band half-width for cone membership classification
     eps_rank       : singular values below this count as zero
     eps_root_match : snap distance when matching reflected roots to the list
     generic_margin : relative margin enforced by generic point samplers
+
+    Monte Carlo membership takes no tolerance: a sample is inside a cone
+    when its facet coordinates are >= 0.
     """
 
-    eps_membership: float = 1e-9
     eps_rank: float = 1e-7
     eps_root_match: float = 1e-6
     generic_margin: float = 1e-6
 
     def __post_init__(self):
-        for name in ("eps_membership", "eps_rank", "eps_root_match", "generic_margin"):
-            if not getattr(self, name) > 0.0:
-                raise InvalidArgumentError(f"{name} must be strictly positive")
+        for f in fields(self):
+            if not getattr(self, f.name) > 0.0:
+                raise InvalidArgumentError(f"{f.name} must be strictly positive")
 
 
 DEFAULT_TOL = ToleranceConfig()

@@ -50,7 +50,8 @@ from fractions import Fraction
 import numpy as np
 
 from .angles import DEFAULT_MC, MC_SIGMAS, AngleEstimate, McConfig, measure
-from .cones import SimplicialCone, chamber, dual, face, quotient, quotient_dual
+from .cones import (SimplicialCone, _checked_quotient_dual, chamber, dual, face,
+                    quotient)
 from .errors import GenericityError, InvalidArgumentError, NumericalError
 from .groups import (Group, Subgroup, normalizer_of_span, parabolic_subgroup,
                      regular_count, span_carriers, subspace_orbits)
@@ -338,7 +339,8 @@ class Geometry:
     among them, by face type J; ``orbits(k)`` are the classes of face spans
     of dimension k.  ``measure(kind, I, mc)`` measures a cone once per
     (kind, subset, McConfig).  The checks made while building a piece (face
-    span, quotient dual, Steinberg fixator) run once per distinct input.
+    span, quotient dual, Steinberg fixator) run once per distinct input;
+    ``quotient_dual(I)`` is checked against this geometry's ``quotient(I)``.
 
     ``run_suite`` builds one per call and drops it when it returns; a
     verifier called without one builds its own.
@@ -369,8 +371,8 @@ class Geometry:
                           self.rs.tol)
 
     def quotient_dual(self, I) -> SimplicialCone:
-        return self._once(("quotient_dual", I), quotient_dual, self.chamber, I,
-                          self.rs.tol)
+        return self._once(("quotient_dual", I), _checked_quotient_dual,
+                          self.chamber, I, self.quotient(I), self.rs.tol)
 
     def parabolic(self, I) -> Subgroup:
         return self._once(("parabolic", I), parabolic_subgroup, self.g, I)
@@ -396,7 +398,7 @@ class Geometry:
         key = ("measure", kind, I, mc)
         if key not in self._memo:
             cone = self.dual if kind == "dual" else getattr(self, kind)(I)
-            self._memo[key] = measure(cone, mc, self.rs.tol)
+            self._memo[key] = measure(cone, mc)
         return self._memo[key]
 
 
@@ -468,7 +470,7 @@ def verify_equiv_measure(rs: RootSystem, g: Group, cls, mc: McConfig = DEFAULT_M
                            mc.seed, samples, breakdown)
 
 
-def verify_class_sum(rs: RootSystem, g: Group, k: int, seed: int = 0, *,
+def verify_class_sum(rs: RootSystem, g: Group, k: int, seed: int = 42, *,
                      geometry: Geometry | None = None) -> VerificationReport:
     """Exact rational identity: sum over face-equivalence classes of
     |W^reg_F| / |N_F| equals |W^k| / |W|.

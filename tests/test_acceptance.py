@@ -18,7 +18,6 @@ import pytest
 import ccl
 from ccl.angles import McConfig, _measure_mc, measure
 from ccl.cones import SimplicialCone, chamber, dual, face, quotient, quotient_dual
-from ccl.linalg import DEFAULT_TOL
 from ccl.verify import (verify_class_sum,
                         verify_covering_count, verify_curious,
                         verify_equiv_measure, verify_face_decomposition,
@@ -170,7 +169,7 @@ def test_criterion_4_cross_method_consistency(built):
                     continue
                 seen.add(key)
                 exact = measure(c).value
-                est = _measure_mc(c, MC1M, DEFAULT_TOL.eps_membership)
+                est = _measure_mc(c, MC1M)
                 assert abs(est.value - exact) <= 4 * est.stderr, \
                     f"{spec} cone dim {c.dim}: mc {est.value} vs exact {exact}"
                 checked += 1

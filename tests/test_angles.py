@@ -8,7 +8,6 @@ from ccl.angles import (CHUNK_SIZE, AngleEstimate, AngleMethod, McConfig,
                         _binomial_stderr, _measure_class, _measure_mc,
                         congruence_key, count_nonnegative, measure)
 from ccl.cones import SimplicialCone, chamber, dual, face
-from ccl.linalg import DEFAULT_TOL
 
 MC = McConfig(samples=200_000, seed=42)
 MC_BIG = McConfig(samples=1_000_000, seed=42)
@@ -111,7 +110,7 @@ def test_mc_agrees_with_exact_2d(built):
     rs, _ = built("I2(7)")
     d = dual(chamber(rs))
     exact = measure(d).value
-    est = _measure_mc(d, MC_BIG, DEFAULT_TOL.eps_membership)
+    est = _measure_mc(d, MC_BIG)
     assert est.method is AngleMethod.MONTE_CARLO
     assert abs(est.value - exact) <= 4 * est.stderr
 
@@ -120,14 +119,14 @@ def test_mc_agrees_with_exact_3d(built):
     rs, _ = built("H3")
     d = dual(chamber(rs))
     exact = measure(d).value
-    est = _measure_mc(d, MC_BIG, DEFAULT_TOL.eps_membership)
+    est = _measure_mc(d, MC_BIG)
     assert abs(est.value - exact) <= 4 * est.stderr
 
 
 def test_half_space_fraction(built):
     # a ray holds half of the directions of its own line
     rs, _ = built("F4")
-    est = _measure_mc(face(chamber(rs), (0,)), MC, DEFAULT_TOL.eps_membership)
+    est = _measure_mc(face(chamber(rs), (0,)), MC)
     assert est.method is AngleMethod.MONTE_CARLO
     assert abs(est.value - 0.5) <= 4 * est.stderr
 
@@ -138,7 +137,7 @@ def test_f4_chamber_indicator_fraction(built):
     rs, g = built("F4")
     ch = chamber(rs)
     pts = np.random.default_rng(42).standard_normal((1_000_000, 4))
-    hits = count_nonnegative(pts, ch.dual_basis, 1e-9)
+    hits = count_nonnegative(pts, ch.dual_basis)
     p = hits / len(pts)
     assert abs(p - 1 / g.order) <= 4 * math.sqrt(p * (1 - p) / len(pts))
 
@@ -151,20 +150,31 @@ def test_orthant_4d_fraction():
 def test_count_nonnegative_orthant():
     rng = np.random.default_rng(5)
     pts = rng.standard_normal((100_000, 2))
-    n = count_nonnegative(pts, np.eye(2), 1e-9)
+    n = count_nonnegative(pts, np.eye(2))
     assert abs(n / 100_000 - 0.25) < 0.01
 
 
 def test_count_nonnegative_dimension_mismatch():
     with pytest.raises(ValueError):
-        count_nonnegative(np.zeros((4, 3)), np.eye(2), 1e-9)
+        count_nonnegative(np.zeros((4, 3)), np.eye(2))
 
 
-def test_count_nonnegative_boundary():
-    eps = 1e-9
-    pts = np.array([[-eps, 1.0], [1.0, -eps], [-2 * eps, 1.0], [1.0, -2 * eps],
-                    [0.0, 0.0]])
-    assert count_nonnegative(pts, np.eye(2), eps) == 3
+def test_count_nonnegative_counts_zero_and_rejects_below_it():
+    # the hit test is >= 0 with no band: a zero facet coordinate is inside,
+    # -1e-12 is outside
+    pts = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [-1e-12, 1.0],
+                    [1.0, -1e-12]])
+    assert count_nonnegative(pts, np.eye(2)) == 3
+    assert count_nonnegative(pts[3:], np.eye(2)) == 0
+
+
+def test_six_dimensional_cone_needs_a_sample_count():
+    c = SimplicialCone.from_generators(np.eye(6))
+    with pytest.raises(ccl.InvalidArgumentError, match="McConfig.samples"):
+        measure(c, McConfig())
+    est = measure(c, McConfig(samples=20_000))
+    assert est.method is AngleMethod.MONTE_CARLO and est.samples == 20_000
+    assert abs(est.value - 1 / 64) <= 4 * est.stderr
 
 
 @pytest.mark.parametrize("spec,hits", [("F4", 180), ("A5", 265), ("B4", 501)],

@@ -1,4 +1,6 @@
+import argparse
 import base64
+import dataclasses
 import json
 import subprocess
 import sys
@@ -8,7 +10,7 @@ import pytest
 
 import ccl
 from ccl.cache import PERM_DTYPE, cache_path_for, load_group, save_group
-from ccl.cli import main
+from ccl.cli import build_parser, main
 
 
 def run_cli(args, tmp_path, extra_env=None):
@@ -118,9 +120,35 @@ def test_verify_all_text(tmp_path):
 
 def test_eps_override_accepted(tmp_path):
     out = run_cli(["verify", "curious", "--group", "A2",
-                   "--eps-membership", "1e-10", "--generic-margin", "1e-5"],
-                  tmp_path)
+                   "--generic-margin", "1e-5"], tmp_path)
     assert out.returncode == 0
+
+
+def test_eps_membership_flag_is_a_usage_error(tmp_path):
+    out = run_cli(["verify", "curious", "--group", "A2",
+                   "--eps-membership", "1e-10"], tmp_path)
+    assert out.returncode == 2
+    assert out.stdout == ""
+
+
+def test_tolerance_flags_match_tolerance_config_fields():
+    # every float option of every subcommand is a tolerance flag: the
+    # flags and ToleranceConfig's fields are one set, and each flag sets
+    # its field
+    names = {f.name for f in dataclasses.fields(ccl.ToleranceConfig)}
+    ap = build_parser()
+    subparsers = next(a for a in ap._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for command, sub in subparsers.choices.items():
+        flags = {a.option_strings[0]: a.dest for a in sub._actions
+                 if a.type is float}
+        assert set(flags.values()) == names, command
+        assert all(flag == "--" + dest.replace("_", "-")
+                   for flag, dest in flags.items())
+    for name in names:
+        args = ap.parse_args(["counts", "--group", "A1",
+                              "--" + name.replace("_", "-"), "0.125"])
+        assert getattr(ccl.cli._tolerances(args), name) == 0.125
 
 
 def test_main_entry_direct(tmp_path, capsys, monkeypatch):
@@ -509,11 +537,3 @@ def test_samples_below_minimum_exit_two(capsys):
 
 def test_default_mc_config_is_exact():
     assert ccl.McConfig().samples is None
-
-
-def test_forced_monte_carlo_without_count_draws_default_samples(built):
-    rs, _ = built("B3")
-    est = ccl.angles._measure_mc(ccl.dual(ccl.chamber(rs)), ccl.McConfig(),
-                                 ccl.DEFAULT_TOL.eps_membership)
-    assert est.method is ccl.AngleMethod.MONTE_CARLO
-    assert est.samples == 1_000_000

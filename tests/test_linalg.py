@@ -70,7 +70,6 @@ def test_projector_idempotent_symmetric_random(n):
 def test_tolerance_config_positive():
     with pytest.raises(ccl.InvalidArgumentError):
         ToleranceConfig(eps_rank=0.0)
-    assert DEFAULT_TOL.eps_membership == 1e-9
     assert DEFAULT_TOL.eps_rank == 1e-7
     assert DEFAULT_TOL.eps_root_match == 1e-6
     assert DEFAULT_TOL.generic_margin == 1e-6

@@ -397,6 +397,17 @@ def test_class_sum_k_n(built):
     assert (r.rhs_numerator, r.rhs_denominator) == (1, g.order)
 
 
+@pytest.mark.parametrize("spec", ["A2", "B3"])
+def test_class_sum_default_seed_matches_run_suite(spec, built):
+    # at default settings a standalone class-sum report, seed included,
+    # equals the one run_suite gives
+    rs, g = built(spec)
+    for k in range(rs.n + 1):
+        (suite,) = run_suite(rs, g, ["class-sum"], k=k)
+        assert verify_class_sum(rs, g, k) == suite
+        assert suite.seed == 42
+
+
 # ---------------------------------------------------------------------------
 # reports and suite plumbing
 
@@ -558,7 +569,7 @@ def test_run_suite_builds_each_piece_of_geometry_once(built, monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("chamber", "face", "quotient", "quotient_dual",
+    for name in ("chamber", "face", "quotient", "_checked_quotient_dual",
                  "parabolic_subgroup", "normalizer_of_span", "subspace_orbits"):
         counted(ccl.verify, name)
     counted(ccl.angles, "_measure_plackett")
@@ -566,18 +577,19 @@ def test_run_suite_builds_each_piece_of_geometry_once(built, monkeypatch):
     for rs, g in groups:
         assert all(r.passed for r in run_suite(rs, g))
     counts = {name: len(args) for name, args in calls.items()}
-    assert counts == {"chamber": 22, "face": 186, "quotient": 164,
-                      "quotient_dual": 164, "parabolic_subgroup": 186,
+    assert counts == {"chamber": 22, "face": 186, "quotient": 186,
+                      "_checked_quotient_dual": 164, "parabolic_subgroup": 186,
                       "normalizer_of_span": 125, "subspace_orbits": 81,
                       "_measure_plackett": 22}
-    # 186 = the 2^n face subsets of the 22 groups; the quotient is built
-    # for the 164 subsets I other than {0..n-1} and the quotient dual for
-    # the 164 other than {}, measured as the dual chamber; 81 = the values
-    # 0..n of k
+    # 186 = the 2^n face subsets of the 22 groups; the quotient dual is
+    # built for the 164 subsets I other than {}, measured as the dual
+    # chamber, and the quotient for the subsets other than {0..n-1}
+    # (parabolic) and for those the quotient dual is checked against, so
+    # for all 186; 81 = the values 0..n of k
     assert sum(2 ** rs.n for rs, _ in groups) == 186
     assert sum(rs.n + 1 for rs, _ in groups) == 81
-    for name in ("face", "quotient", "quotient_dual"):
-        assert len({(id(c), I) for c, I, _ in calls[name]}) == counts[name]
+    for name in ("face", "quotient", "_checked_quotient_dual"):
+        assert len({(id(c), I) for c, I, *_ in calls[name]}) == counts[name]
     for name in ("parabolic_subgroup", "normalizer_of_span", "subspace_orbits"):
         assert len({(id(g), key) for g, key in calls[name]}) == counts[name]
     # the 22 cones of dimension 4 and 5: per rank-4 group the chamber and
