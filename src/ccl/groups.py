@@ -263,7 +263,7 @@ def _assemble_group(rs: RootSystem, simple_images: np.ndarray,
     # Reconstruct matrices from the images of the simple roots.
     A_inv = np.linalg.inv(rs.simple_roots)            # rows alpha_i
     images = rs.all_roots[simple_images]              # (order, n, n) rows = images
-    mats = np.einsum("kij,jl->kil", np.transpose(images, (0, 2, 1)), A_inv.T)
+    mats = np.transpose(images, (0, 2, 1)) @ A_inv.T
     # mats[k] = images[k].T @ A_inv.T  ==  (A_inv @ images[k]).T
 
     eye = np.eye(n)
@@ -355,7 +355,7 @@ def span_carriers(g: Group, I, J, within: np.ndarray | bool = True) -> np.ndarra
 def normalizer_of_span(g: Group, I) -> Subgroup:
     """Elements mapping span{omega_i : i in I} onto itself."""
     I = _face_subset(g, I)
-    return Subgroup(g, tuple(int(i) for i in np.flatnonzero(span_carriers(g, I, I))))
+    return Subgroup(g, tuple(np.flatnonzero(span_carriers(g, I, I)).tolist()))
 
 
 def subspace_orbits(g: Group, k: int) -> list[list[tuple[int, ...]]]:

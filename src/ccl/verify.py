@@ -14,7 +14,10 @@ The five counting checks (waldspurger, covering, oplus, decomposition,
 parabolic) ask one question: how many of a set of cones contain a point.
 Each builds the unit inward facet normals of its cones as one (cones,
 facets, n) stack, draws its points in one subspace, and classifies them
-with ``_cone_classifier``.
+with ``_cone_classifier``.  Classification is facet-major, as in the Monte
+Carlo kernel: a block's coordinates are a (points, facets, cones) array, so
+``_count_inside`` reduces over whole rows of cones; ``_translates`` stores
+its stacks in that layout, so the classifier multiplies by a view of them.
 
 Genericity is enforced by margin-and-resample: a trial point that lands
 within the root system's relative margin (``rs.tol.generic_margin``) of
@@ -167,14 +170,16 @@ class GenericPointSampler:
 def _count_inside(coords: np.ndarray, band) -> np.ndarray:
     """Number of cones containing each point, from its facet coordinates.
 
-    ``coords`` has shape (points, cones, facets): each point's inner
-    products with each cone's inward facet normals.  A cone counts when
-    every entry of its row exceeds ``band``.  A point gets -1 (resample)
-    when any of its entries lies within ``band`` of zero.  ``band`` is a
-    scalar or an array broadcast against ``coords``.
+    ``coords`` has shape (points, facets, cones), facet-major: a point's
+    inner products with facet f of every cone are one contiguous row, so
+    each reduction runs over whole rows, as ``count_nonnegative``'s does.
+    A cone counts when its smallest facet coordinate exceeds ``band``.  A
+    point gets -1 (resample) when its smallest entry in absolute value lies
+    within ``band`` of zero.  ``band`` is a scalar or one value per point.
     """
-    near = (np.abs(coords) <= band).any(axis=(1, 2))
-    inside = np.count_nonzero((coords > band).all(axis=2), axis=1)
+    band = np.reshape(band, (-1, 1))
+    near = np.abs(coords).min(axis=(1, 2)) <= band[:, 0]
+    inside = np.count_nonzero(coords.min(axis=1) > band, axis=1)
     return np.where(near, -1, inside)
 
 
@@ -182,14 +187,17 @@ def _cone_classifier(normals: np.ndarray, margin: float, roots=None):
     """Block classify for the cones with unit inward facet normals
     ``normals`` (cones, facets, n): the number of cones containing each
     point, or -1 for a point within the relative margin of a facet or,
-    when ``roots`` is given, of a reflection hyperplane."""
+    when ``roots`` is given, of a reflection hyperplane.  The points are
+    multiplied by one (n, facets * cones) frame; it is a view of a stack
+    stored facet-major, as ``_translates`` stores it, and a copy of any
+    other."""
     cones, facets, n = normals.shape
-    frame = normals.reshape(cones * facets, n).T
+    frame = normals.transpose(2, 1, 0).reshape(n, facets * cones)
 
     def classify(points):
-        coords = (points @ frame).reshape(len(points), cones, facets)
+        coords = (points @ frame).reshape(len(points), facets, cones)
         band = margin * np.linalg.norm(points, axis=1)
-        counts = _count_inside(coords, band[:, None, None])
+        counts = _count_inside(coords, band)
         if roots is not None:
             counts[np.abs(points @ roots.T).min(axis=1) <= band] = -1
         return counts
@@ -201,11 +209,16 @@ def _translates(g: Group, blocks) -> np.ndarray:
     """Unit inward facet normals of the cones w K, as one (cones, facets, n)
     stack, from (dual basis of K, element indices of the w) pairs.  Each K's
     normals are normalized once; the elements are orthogonal, so they map
-    unit normals of K to unit normals of w K."""
+    unit normals of K to unit normals of w K.  The stack is stored
+    facet-major, (n, facets, cones) in memory, and returned as its
+    transposed view, so ``_cone_classifier`` takes its frame without a
+    copy."""
+    # (facets, n) @ (n, n, ws) -> (n, facets, ws): entry [j, f, w] is the
+    # j-th coordinate of w applied to unit normal f
     return np.concatenate([
         (duals / np.linalg.norm(duals, axis=1, keepdims=True))
-        @ np.transpose(g.matrix_stack[ws], (0, 2, 1))
-        for duals, ws in blocks])
+        @ np.transpose(g.matrix_stack[ws], (1, 2, 0))
+        for duals, ws in blocks], axis=2).transpose(2, 1, 0)
 
 
 def _sampler(rs: RootSystem, seed: int) -> GenericPointSampler:

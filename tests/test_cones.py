@@ -178,7 +178,7 @@ def test_quotient_dual_consistency_all_subsets(spec, built):
 
 def chambers_containing(ch, v, band):
     """1 inside, 0 outside, -1 within band of a facet (a resample)."""
-    return int(_count_inside((ch.dual_basis @ v)[None, None, :], band)[0])
+    return int(_count_inside((ch.dual_basis @ v)[None, :, None], band)[0])
 
 
 def test_membership_classifications(built):

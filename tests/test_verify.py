@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import statistics
 from fractions import Fraction
@@ -175,6 +176,79 @@ def test_waldspurger_normals_match_per_point_solve(spec, built, monkeypatch):
         by_normals = np.flatnonzero((normals @ v > 0).all(axis=1))
         assert by_solve.tolist() == by_normals.tolist()
         assert len(by_solve) == 1
+
+
+COUNTING_CHECKS = ["waldspurger", "covering", "oplus", "decomposition",
+                   "parabolic"]
+
+
+def record_classifiers(monkeypatch):
+    """Wrap ``_cone_classifier`` so each call appends its (normals, margin,
+    roots, classify) to the returned list."""
+    recorded = []
+    inner = ccl.verify._cone_classifier
+
+    def classifier(normals, margin, roots=None):
+        recorded.append((normals, margin, roots,
+                         inner(normals, margin, roots)))
+        return recorded[-1][-1]
+
+    monkeypatch.setattr(ccl.verify, "_cone_classifier", classifier)
+    return recorded
+
+
+def reference_count(normals, margin, roots, v):
+    """The number of cones containing v, one cone at a time, or -1 when v
+    lies within the relative margin of a facet or of a reflection
+    hyperplane."""
+    band = margin * np.linalg.norm(v)
+    x = normals @ v                                   # (cones, facets)
+    if (np.abs(x) <= band).any():
+        return -1
+    if roots is not None and (np.abs(roots @ v) <= band).any():
+        return -1
+    return int((x > band).all(axis=1).sum())
+
+
+@pytest.mark.parametrize("spec, checks", [
+    ("A3", COUNTING_CHECKS), ("B3", COUNTING_CHECKS),
+    ("H3", COUNTING_CHECKS), ("F4", COUNTING_CHECKS), ("H4", ["covering"])])
+def test_classify_matches_per_cone_reference(spec, checks, built,
+                                             monkeypatch):
+    # every counting check's classify, facet-major, counts as a plain
+    # per-cone loop does: on Gaussian points, on points placed on a facet
+    # and on points half the margin from one
+    rs, g = built(spec)
+    recorded = record_classifiers(monkeypatch)
+    run_suite(rs, g, checks, trials=5)
+    rng = np.random.default_rng(11)
+    for normals, margin, roots, classify in recorded:
+        points = [*rng.standard_normal((200, rs.n))]
+        for c, f in zip(rng.integers(len(normals), size=5),
+                        rng.integers(normals.shape[1], size=5)):
+            u = rng.standard_normal(rs.n)
+            u -= (normals[c, f] @ u) * normals[c, f]
+            points += [u, u + 0.5 * margin * np.linalg.norm(u) * normals[c, f]]
+        points = np.array(points)
+        expected = [reference_count(normals, margin, roots, v) for v in points]
+        assert classify(points).tolist() == expected
+        assert all(e == -1 for e in expected[200:])
+        assert sum(e >= 0 for e in expected) >= 150
+
+
+def test_classifier_frame_is_a_view_of_the_translates_stack(built,
+                                                            monkeypatch):
+    # _translates stores its stack facet-major, so the classifier's
+    # (n, facets * cones) frame is a view of it, not a second copy
+    rs, g = built("B3")
+    recorded = record_classifiers(monkeypatch)
+    run_suite(rs, g, ["covering", "oplus", "decomposition", "parabolic"],
+              trials=5)
+    assert len(recorded) > 4
+    for normals, _, _, classify in recorded:
+        frame = inspect.getclosurevars(classify).nonlocals["frame"]
+        assert frame.shape == (rs.n, normals.shape[0] * normals.shape[1])
+        assert np.shares_memory(frame, normals)
 
 
 @pytest.mark.parametrize("spec", ["A3", "H4"])
