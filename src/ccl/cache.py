@@ -1,5 +1,8 @@
 """On-disk group cache: a JSON document with a binary simple-root image table.
 
+Each group has one file, named after the group (``I2_7.json`` for I2(7))
+in the directory ``CCL_CACHE_DIR``, or ``~/.cache/ccl`` when it is unset.
+
 Schema 3 keeps ``schema_version``, ``group``, ``roots``,
 ``counts_by_fixed_dim`` and ``metadata`` readable.  ``simple_images`` is
 one base64 string of little-endian uint16 root indices (``PERM_DTYPE``) of
@@ -46,10 +49,10 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "ccl"
 
 
-def cache_path_for(t: GroupType, directory: Path | None = None) -> Path:
-    d = directory or default_cache_dir()
+def cache_path_for(t: GroupType) -> Path:
+    """The cache file of group type ``t`` in ``default_cache_dir()``."""
     name = str(t).replace("(", "_").replace(")", "")
-    return d / f"{name}.json"
+    return default_cache_dir() / f"{name}.json"
 
 
 def save_group(g: Group, path: Path) -> None:
@@ -120,13 +123,14 @@ def _decode_images(doc: dict) -> np.ndarray:
     return np.frombuffer(raw, dtype=PERM_DTYPE).reshape(shape)
 
 
-def load_or_enumerate(rs: RootSystem, path: Path | None = None) -> Group:
-    """Use a valid cache when present; otherwise enumerate in memory.
+def load_or_enumerate(rs: RootSystem) -> Group:
+    """Use the group's valid cache file when present; otherwise enumerate
+    in memory.
 
     A cache file that fails to load is named on stderr with the reason,
     then ignored.
     """
-    p = path or cache_path_for(rs.group_type)
+    p = cache_path_for(rs.group_type)
     if p.exists():
         try:
             return load_group(rs, p)

@@ -9,6 +9,10 @@ outside 0..5 with --all-groups, which skips the groups of rank below k),
 3 any other CclError raised while running (for example GenericityError
 when no generic point is found, or NumericalError when an internal
 numerical check fails).  Reports go to stdout; diagnostics to stderr.
+
+Each subcommand takes only the options it reads, plus --group and one
+flag per ToleranceConfig field; the cache directory is set by the
+CCL_CACHE_DIR environment variable alone.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ import argparse
 import json
 import sys
 from dataclasses import fields
-from pathlib import Path
 
 from . import __version__
 from .angles import McConfig
@@ -32,28 +35,34 @@ USAGE_ERROR = 2
 RUNTIME_ERROR = 3
 
 
-def _add_common(p: argparse.ArgumentParser, need_group: bool = True):
+# The options besides --group and the tolerance flags; verify and report
+# take them all.
+_OPTIONS = {
+    "--seed": dict(type=int, default=42),
+    "--samples": dict(type=int, default=None, metavar="N",
+                      help="estimate dimension >= 4 measures by seeded Monte "
+                           "Carlo with N samples each (the paper's method); "
+                           "default: exact quadrature"),
+    "--trials": dict(type=int, default=100,
+                     help="generic-point trials per counting check"),
+    "--workers": dict(type=int, default=1,
+                      help="accepted and ignored; Monte Carlo runs on one thread"),
+    "--k": dict(type=int, default=None,
+                help="restrict k-indexed identities to one k; with "
+                     "--all-groups, k is in 0..5 and lower ranks are skipped"),
+    "--format": dict(choices=("text", "json"), default="text"),
+    "--no-cache": dict(action="store_true", help="always enumerate in memory"),
+    "--enable-h4": dict(action="store_true",
+                        help="accepted and ignored; H4 is supported like every "
+                             "other group"),
+}
+
+
+def _add_options(p: argparse.ArgumentParser, options, need_group: bool = True):
     p.add_argument("--group", required=need_group,
                    help="group spec, e.g. A2, B4, D4, I2(7), H3, F4, H4")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--samples", type=int, default=None, metavar="N",
-                   help="estimate dimension >= 4 measures by seeded Monte "
-                        "Carlo with N samples each (the paper's method); "
-                        "default: exact quadrature")
-    p.add_argument("--trials", type=int, default=100,
-                   help="generic-point trials per counting check")
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted and ignored; Monte Carlo runs on one thread")
-    p.add_argument("--k", type=int, default=None,
-                   help="restrict k-indexed identities to one k; with "
-                        "--all-groups, k is in 0..5 and lower ranks are skipped")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--cache-path", type=Path, default=None)
-    p.add_argument("--no-cache", action="store_true",
-                   help="always enumerate in memory")
-    p.add_argument("--enable-h4", action="store_true",
-                   help="accepted and ignored; H4 is supported like every "
-                        "other group")
+    for flag in options:
+        p.add_argument(flag, **_OPTIONS[flag])
     for f in fields(ToleranceConfig):
         p.add_argument("--" + f.name.replace("_", "-"), type=float, default=None)
 
@@ -66,17 +75,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="enumerate a group and write its cache file")
-    _add_common(p)
+    _add_options(p, ("--enable-h4",))
 
     p = sub.add_parser("counts", help="print the |W^k| table and exponent check")
-    _add_common(p)
+    _add_options(p, ("--format", "--no-cache"))
 
     p = sub.add_parser("verify", help="verify one identity (or all) for a group")
     p.add_argument("identity", choices=SUITE_IDENTITIES + ("all",))
-    _add_common(p)
+    _add_options(p, _OPTIONS)
 
     p = sub.add_parser("report", help="run the full suite; emit a JSON array")
-    _add_common(p, need_group=False)
+    _add_options(p, _OPTIONS, need_group=False)
     p.add_argument("--all-groups", action="store_true",
                    help="run over the whole supported catalog")
     return ap
@@ -94,8 +103,7 @@ def _get_group(args, tol: ToleranceConfig, spec: str):
     rs = build(t, tol)
     if args.no_cache:
         return rs, enumerate_group(rs)
-    path = args.cache_path or cache_path_for(t)
-    return rs, load_or_enumerate(rs, path)
+    return rs, load_or_enumerate(rs)
 
 
 REPORT_SCHEMA_VERSION = 1
@@ -124,7 +132,7 @@ def _cmd_build(args, tol) -> int:
     t = GroupType.parse(args.group)
     rs = build(t, tol)
     g = enumerate_group(rs)
-    path = args.cache_path or cache_path_for(t)
+    path = cache_path_for(t)
     save_group(g, path)
     print(f"wrote {path} (|W| = {g.order}, {rs.num_roots} roots)")
     return 0

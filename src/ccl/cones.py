@@ -4,11 +4,16 @@ A simplicial cone is stored as its generator rows together with the dual
 (facet-normal) basis inside its own span, so whether a point of the span
 lies in the cone is read off the signs of its dual coordinates.  The zero
 cone (no generators) is a valid cone of dimension 0.
+
+A cone carries the tolerance policy it was built with (``tol``), and every
+cone derived from it (dual, face, quotient, quotient dual) is built with
+the same policy, so ``chamber(rs)`` and everything derived from it decide
+ranks by ``rs.tol``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,47 +24,52 @@ from .roots import RootSystem
 __all__ = ["SimplicialCone", "chamber", "dual", "face", "quotient",
            "quotient_dual"]
 
-# Largest distance between matched unit directions at which quotient_dual
-# still agrees with the dual of the quotient.  Over every supported group and
-# face subset the two agree to 4e-15, while a real disagreement moves a unit
-# direction by order 1, so the check does not depend on the value.
+# Largest distance, relative to the row's length, between a dual-basis row
+# of quotient(c, I) and the facet normal of c it equals by construction.
+# Over every supported group and face subset the two agree to 3.4e-15,
+# while a wrong or misordered row is off by order 1, so the check does not
+# depend on the value.
 DIRECTION_MATCH_TOL = 1e-8
 
-# Largest entry-wise difference between the projector onto span(F_I) and the
-# projector onto the intersection of the facet hyperplanes outside I.  Over
-# every supported group and face subset the two agree to 1.2e-15, while a
-# wrong face span moves an entry by order 1, so the check does not depend
-# on the value.
+# Largest inner product between a unit facet normal outside I and a unit
+# basis vector of span(F_I).  Over every supported group and face subset
+# it is at most 4.6e-16, while a facet normal not orthogonal to the face
+# gives order 1, so the check does not depend on the value.
 FACE_SPAN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class SimplicialCone:
     """Cone on linearly independent generators (rows), with cached span and
-    dual basis satisfying (g_i, d_j) = delta_ij."""
+    dual basis satisfying (g_i, d_j) = delta_ij, and the tolerance policy
+    ``tol`` it was built with, which the cones derived from it inherit."""
 
     generators: np.ndarray   # (k, n)
     span: Subspace
     dual_basis: np.ndarray   # (k, n), rows lie in span
+    tol: ToleranceConfig = field(default=DEFAULT_TOL, compare=False)
 
     @staticmethod
     def from_generators(gens, ambient_dim: int | None = None,
                         tol: ToleranceConfig = DEFAULT_TOL) -> "SimplicialCone":
+        """The cone on the rows of ``gens``.  One SVD decides independence
+        (smallest singular value above ``tol.eps_rank``) and gives the
+        orthonormal span basis; a full-dimensional cone keeps the
+        canonical basis, so its span coordinates are ambient."""
         G = np.atleast_2d(np.asarray(gens, dtype=float))
         if G.size == 0:
             if ambient_dim is None:
                 raise InvalidArgumentError("zero cone needs an explicit ambient_dim")
-            G = np.zeros((0, ambient_dim))
             empty = np.zeros((0, ambient_dim))
             empty.setflags(write=False)
-            return SimplicialCone(empty, Subspace.zero(ambient_dim), empty)
+            return SimplicialCone(empty, Subspace.zero(ambient_dim), empty, tol)
         if not np.isfinite(G).all():
             raise InvalidArgumentError("generators have non-finite entries")
         k, n = G.shape
-        s = np.linalg.svd(G, compute_uv=False)
+        _, s, vh = np.linalg.svd(G, full_matrices=False)
         if k > n or s[-1] <= tol.eps_rank:
             raise DegenerateConeError("generators are linearly dependent")
-        span = Subspace.from_spanning(G, ambient_dim=n, tol=tol)
+        span = Subspace.full(n) if k == n else Subspace.from_basis(vh)
         B = span.orthonormal_basis                    # (k, n)
         coords = G @ B.T                              # generator coords in span
         dual_coords = np.linalg.inv(coords).T         # (d_j, g_i) = delta_ij
@@ -67,7 +77,7 @@ class SimplicialCone:
         G = G.copy()
         G.setflags(write=False)
         D.setflags(write=False)
-        return SimplicialCone(G, span, D)
+        return SimplicialCone(G, span, D, tol)
 
     @property
     def dim(self) -> int:
@@ -79,99 +89,89 @@ class SimplicialCone:
 
 
 def chamber(rs: RootSystem) -> SimplicialCone:
-    """The fundamental chamber: cone on the fundamental weights.
+    """The fundamental chamber: cone on the fundamental weights, with the
+    root system's tolerances.
 
     Its facet normals (dual basis) are the simple roots.
     """
     return SimplicialCone.from_generators(rs.fundamental_weights, tol=rs.tol)
 
 
-def dual(c: SimplicialCone, tol: ToleranceConfig = DEFAULT_TOL) -> SimplicialCone:
+def dual(c: SimplicialCone) -> SimplicialCone:
     """Dual cone of a full-dimensional simplicial cone: the cone on its
     facet normals."""
     if c.dim != c.ambient_dim:
         raise InvalidArgumentError(
             "dual() supports full-dimensional cones only")
-    return SimplicialCone.from_generators(c.dual_basis, tol=tol)
+    return SimplicialCone.from_generators(c.dual_basis, tol=c.tol)
 
 
-def _subset(I, n: int) -> list[int]:
+def _split(I, n: int) -> tuple[list[int], list[int]]:
+    """The sorted subset I of 0..n-1 and the indices outside it."""
     I = sorted(int(i) for i in I)
     if I and (I[0] < 0 or I[-1] >= n or len(set(I)) != len(I)):
         raise InvalidArgumentError(f"I must be a subset of 0..{n - 1}")
-    return I
+    return I, [j for j in range(n) if j not in I]
 
 
-def face(c: SimplicialCone, I, tol: ToleranceConfig = DEFAULT_TOL) -> SimplicialCone:
+def face(c: SimplicialCone, I) -> SimplicialCone:
     """Face of a full-dimensional cone spanned by the generators indexed by I.
 
     Asserts the face-span identity: span(F_I) is the intersection of the
-    facet hyperplanes {x : (x, d_j) = 0} for j outside I.
+    facet hyperplanes {x : (x, d_j) = 0} for j outside I.  Both have
+    dimension |I|, so it is checked as the unit normals d_j, j outside I,
+    being orthogonal to F_I's span basis.
     """
     n = c.ambient_dim
-    I = _subset(I, n)
-    f = SimplicialCone.from_generators(c.generators[I], ambient_dim=n, tol=tol)
-    rest = [j for j in range(n) if j not in I]
-    normals = Subspace.from_spanning(c.dual_basis[rest], ambient_dim=n, tol=tol)
-    if np.abs(f.span.projector() - normals.complement().projector()).max() > FACE_SPAN_TOL:
-        raise NumericalError("face span does not match facet intersection")
+    I, rest = _split(I, n)
+    f = SimplicialCone.from_generators(c.generators[I], ambient_dim=n, tol=c.tol)
+    if I and rest:
+        normals = c.dual_basis[rest]
+        normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
+        if np.abs(normals @ f.span.orthonormal_basis.T).max() > FACE_SPAN_TOL:
+            raise NumericalError("face span does not match facet intersection")
     return f
 
 
-def quotient(c: SimplicialCone, I, tol: ToleranceConfig = DEFAULT_TOL) -> SimplicialCone:
+def quotient(c: SimplicialCone, I) -> SimplicialCone:
     """Orthogonal projection of the cone onto the complement of a face span:
     the cone on the projected remaining generators."""
     n = c.ambient_dim
-    I = _subset(I, n)
-    rest = [j for j in range(n) if j not in I]
+    I, rest = _split(I, n)
     if not rest:
-        return SimplicialCone.from_generators([], ambient_dim=n, tol=tol)
-    fspan = Subspace.from_spanning(c.generators[I], ambient_dim=n, tol=tol)
+        return SimplicialCone.from_generators([], ambient_dim=n, tol=c.tol)
+    fspan = Subspace.from_spanning(c.generators[I], ambient_dim=n, tol=c.tol)
     P = np.eye(n) - fspan.projector()
-    return SimplicialCone.from_generators(c.generators[rest] @ P.T, tol=tol)
+    return SimplicialCone.from_generators(c.generators[rest] @ P.T, tol=c.tol)
 
 
-def quotient_dual(c: SimplicialCone, I,
-                  tol: ToleranceConfig = DEFAULT_TOL) -> SimplicialCone:
+def quotient_dual(c: SimplicialCone, I) -> SimplicialCone:
     """The face of the dual cone orthogonal to F_I: cone on the facet
     normals indexed outside I.
 
     Asserts that this equals the dual of quotient(c, I) computed inside
     span(F_I)-perp.
     """
-    return _checked_quotient_dual(c, I, quotient(c, I, tol), tol)
+    return _checked_quotient_dual(c, I, quotient(c, I))
 
 
-def _checked_quotient_dual(c: SimplicialCone, I, q: SimplicialCone,
-                           tol: ToleranceConfig) -> SimplicialCone:
+def _checked_quotient_dual(c: SimplicialCone, I,
+                           q: SimplicialCone) -> SimplicialCone:
     """quotient_dual(c, I), checked against ``q``, the cone quotient(c, I)
-    built by the caller."""
+    built by the caller.  The dual of q within its span is the cone on
+    q.dual_basis, whose rows equal the facet normals d_r, r outside I, in
+    order: d_r lies in span(F_I)-perp and (P g_s, d_r) = (g_s, d_r) =
+    delta_sr for the projection P onto it."""
     n = c.ambient_dim
-    I = _subset(I, n)
-    rest = [j for j in range(n) if j not in I]
-    qd = SimplicialCone.from_generators(c.dual_basis[rest], ambient_dim=n, tol=tol)
+    _, rest = _split(I, n)
+    qd = SimplicialCone.from_generators(c.dual_basis[rest], ambient_dim=n,
+                                        tol=c.tol)
     if q.dim != qd.dim:
         raise NumericalError("quotient/quotient-dual dimension mismatch")
     if q.dim:
-        # dual of the quotient within its span is the cone on q.dual_basis
-        if _direction_mismatch(q.dual_basis, qd.generators) > DIRECTION_MATCH_TOL:
+        D = qd.generators
+        gap = np.linalg.norm(q.dual_basis - D, axis=1) / np.linalg.norm(D, axis=1)
+        if gap.max() > DIRECTION_MATCH_TOL:
             raise NumericalError(
                 "quotient dual disagrees with dual-of-quotient within the span")
     return qd
-
-
-def _direction_mismatch(A: np.ndarray, B: np.ndarray) -> float:
-    """Greedy unit-direction matching distance between two generator sets."""
-    An = A / np.linalg.norm(A, axis=1, keepdims=True)
-    Bn = B / np.linalg.norm(B, axis=1, keepdims=True)
-    worst = 0.0
-    used: list[int] = []
-    for a in An:
-        d = np.linalg.norm(Bn - a, axis=1)
-        if used:
-            d[used] = np.inf
-        i = int(np.argmin(d))
-        used.append(i)
-        worst = max(worst, float(d[i]))
-    return worst
-

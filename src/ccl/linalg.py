@@ -126,16 +126,6 @@ class Subspace:
     def projector(self) -> np.ndarray:
         return orthogonal_projector(self)
 
-    def complement(self) -> "Subspace":
-        """Orthogonal complement inside the ambient space."""
-        n = self.ambient_dim
-        if self.dim == 0:
-            return Subspace.full(n)
-        if self.dim == n:
-            return Subspace.zero(n)
-        _, s, vh = np.linalg.svd(self.orthonormal_basis, full_matrices=True)
-        return Subspace.from_basis(vh[self.dim:])
-
 
 def kernel_dimension(M, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Dimension of the null space of M, counting singular values below

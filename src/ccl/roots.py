@@ -139,6 +139,9 @@ def _supported_types() -> tuple[GroupType, ...]:
 SUPPORTED_TYPES = _supported_types()
 
 # Exponents m_1..m_n; the enumeration-time Solomon check validates these.
+# They also give the root count |Phi| = 2 (m_1 + ... + m_n) and the group
+# order |W| = (m_1 + 1) ... (m_n + 1) (Humphreys, Reflection Groups and
+# Coxeter Groups, 3.9).
 _EXPONENTS = {
     "A": lambda r, m: tuple(range(1, r + 1)),
     "B": lambda r, m: tuple(range(1, 2 * r, 2)),
@@ -147,26 +150,6 @@ _EXPONENTS = {
     "H3": lambda r, m: (1, 5, 9),
     "F4": lambda r, m: (1, 5, 7, 11),
     "H4": lambda r, m: (1, 11, 19, 29),
-}
-
-_ROOT_COUNT = {
-    "A": lambda r, m: r * (r + 1),
-    "B": lambda r, m: 2 * r * r,
-    "D": lambda r, m: 2 * r * (r - 1),
-    "I2": lambda r, m: 2 * m,
-    "H3": lambda r, m: 30,
-    "F4": lambda r, m: 48,
-    "H4": lambda r, m: 120,
-}
-
-_ORDER = {
-    "A": lambda r, m: math.factorial(r + 1),
-    "B": lambda r, m: (2 ** r) * math.factorial(r),
-    "D": lambda r, m: (2 ** (r - 1)) * math.factorial(r),
-    "I2": lambda r, m: 2 * m,
-    "H3": lambda r, m: 120,
-    "F4": lambda r, m: 1152,
-    "H4": lambda r, m: 14400,
 }
 
 
@@ -241,7 +224,7 @@ class RootSystem:
         return self.all_roots.shape[0] // 2
 
     def expected_order(self) -> int:
-        return _ORDER[self.group_type.family](self.group_type.rank, self.group_type.m)
+        return math.prod(m + 1 for m in self.exponents)
 
     @functools.cached_property
     def simple_ids(self) -> np.ndarray:
@@ -348,8 +331,9 @@ def build(t: GroupType, tol: ToleranceConfig = DEFAULT_TOL) -> RootSystem:
     if np.abs(simple @ simple.T - G).max() > GRAM_CHECK_TOL:
         raise NumericalError("Cholesky construction failed the Gram check")
 
+    exponents = _EXPONENTS[t.family](t.rank, t.m)
     all_roots = generate_roots(simple, tol)
-    expected = _ROOT_COUNT[t.family](t.rank, t.m)
+    expected = 2 * sum(exponents)
     if all_roots.shape[0] != expected:
         raise NonFiniteSystemError(
             f"{t}: generated {all_roots.shape[0]} roots, expected {expected}")
@@ -368,7 +352,7 @@ def build(t: GroupType, tol: ToleranceConfig = DEFAULT_TOL) -> RootSystem:
         simple_roots=simple,
         all_roots=all_roots,
         fundamental_weights=weights,
-        exponents=_EXPONENTS[t.family](t.rank, t.m),
+        exponents=exponents,
         tol=tol,
     )
     _check_closure_bijection(rs)

@@ -341,8 +341,8 @@ def _pieces_in_span(rs: RootSystem, g: Group, I) -> dict[tuple[int, ...], np.nda
 
 class Geometry:
     """The chamber geometry of one (root system, group), each piece built
-    on first use, with the root system's tolerances, and kept for the life
-    of the object.
+    on first use and kept for the life of the object.  Every cone derives
+    from ``chamber(rs)`` and carries its tolerance policy, ``rs.tol``.
 
     For a face subset I (a sorted tuple of generator indices): ``face(I)``
     is F_I, ``quotient(I)`` the quotient cone C/F_I and ``quotient_dual(I)``
@@ -374,18 +374,17 @@ class Geometry:
 
     @functools.cached_property
     def dual(self) -> SimplicialCone:
-        return dual(self.chamber, self.rs.tol)
+        return dual(self.chamber)
 
     def face(self, I) -> SimplicialCone:
-        return self._once(("face", I), face, self.chamber, I, self.rs.tol)
+        return self._once(("face", I), face, self.chamber, I)
 
     def quotient(self, I) -> SimplicialCone:
-        return self._once(("quotient", I), quotient, self.chamber, I,
-                          self.rs.tol)
+        return self._once(("quotient", I), quotient, self.chamber, I)
 
     def quotient_dual(self, I) -> SimplicialCone:
         return self._once(("quotient_dual", I), _checked_quotient_dual,
-                          self.chamber, I, self.quotient(I), self.rs.tol)
+                          self.chamber, I, self.quotient(I))
 
     def parabolic(self, I) -> Subgroup:
         return self._once(("parabolic", I), parabolic_subgroup, self.g, I)

@@ -151,6 +151,42 @@ def test_tolerance_flags_match_tolerance_config_fields():
         assert getattr(ccl.cli._tolerances(args), name) == 0.125
 
 
+def test_each_subcommand_takes_only_the_options_it_reads():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = {command: {a.option_strings[0] for a in sub._actions
+                         if a.option_strings}
+               for command, sub in subparsers.choices.items()}
+    every = {"-h", "--group", "--eps-rank", "--eps-root-match",
+             "--generic-margin"}
+    run = every | {"--seed", "--samples", "--trials", "--workers", "--k",
+                   "--format", "--no-cache", "--enable-h4"}
+    assert options == {
+        "build": every | {"--enable-h4"},
+        "counts": every | {"--format", "--no-cache"},
+        "verify": run,
+        "report": run | {"--all-groups"},
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--group", "A2", "--cache-path", "a2.json"],
+    ["counts", "--group", "A2", "--cache-path", "a2.json"],
+    ["verify", "curious", "--group", "A2", "--cache-path", "a2.json"],
+    ["report", "--group", "A2", "--cache-path", "a2.json"],
+    ["build", "--group", "A2", "--seed", "1"],
+    ["counts", "--group", "A2", "--k", "1"],
+])
+def test_removed_flags_are_usage_errors(argv, tmp_path, capsys, monkeypatch):
+    # the cache location is CCL_CACHE_DIR alone, and build and counts
+    # reject the run options they would ignore
+    monkeypatch.setenv("CCL_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+    assert not any(tmp_path.iterdir())
+
+
 def test_main_entry_direct(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CCL_CACHE_DIR", str(tmp_path / "cache"))
     rc = main(["counts", "--group", "A1"])
@@ -464,9 +500,10 @@ def test_cache_rejects_non_object(tmp_path):
         load_group(rs, path)
 
 
-def test_rejected_cache_is_named_on_stderr(tmp_path):
+def test_rejected_cache_is_named_on_stderr(tmp_path, monkeypatch):
     rs = ccl.build(ccl.GroupType.parse("B3"))
-    path = cache_path_for(rs.group_type, tmp_path / "cache")
+    monkeypatch.setenv("CCL_CACHE_DIR", str(tmp_path / "cache"))
+    path = cache_path_for(rs.group_type)
     args = ["verify", "curious", "--group", "B3", "--format", "json"]
     fresh = run_cli(args + ["--no-cache"], tmp_path)
     assert fresh.returncode == 0 and fresh.stderr == ""

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -5,8 +6,8 @@ import numpy as np
 import pytest
 
 import ccl
-from ccl.cones import (SimplicialCone, chamber, dual, face, quotient,
-                       quotient_dual)
+from ccl.cones import (SimplicialCone, _checked_quotient_dual, chamber, dual,
+                       face, quotient, quotient_dual)
 from ccl.linalg import Subspace
 from ccl.verify import _count_inside
 
@@ -171,6 +172,56 @@ def test_quotient_dual_consistency_all_subsets(spec, built):
         for I in itertools.combinations(range(rs.n), k):
             qd = quotient_dual(ch, I)
             assert qd.dim == rs.n - k
+
+
+def test_face_rejects_a_tilted_facet_normal(built):
+    # tilting the normal of facet 1 towards omega_0 leaves it no longer
+    # orthogonal to F_{0}, so the face-span identity fails
+    rs, _ = built("B3")
+    ch = chamber(rs)
+    face(ch, (0,))
+    D = ch.dual_basis.copy()
+    D[1] += 0.1 * ch.generators[0]
+    tilted = dataclasses.replace(ch, dual_basis=D)
+    with pytest.raises(ccl.NumericalError, match="face span"):
+        face(tilted, (0,))
+    face(tilted, (1,))          # facet 1 is inside I = {1}: nothing to check
+
+
+def test_quotient_dual_rejects_swapped_rows(built):
+    # q's dual rows must equal the facet normals outside I in order; a
+    # greedy match of unit directions accepted the same rows swapped
+    rs, _ = built("B3")
+    ch = chamber(rs)
+    q = quotient(ch, (0,))
+    assert q.dim == 2
+    _checked_quotient_dual(ch, (0,), q)
+    swapped = dataclasses.replace(q, dual_basis=q.dual_basis[::-1])
+    with pytest.raises(ccl.NumericalError, match="quotient dual"):
+        _checked_quotient_dual(ch, (0,), swapped)
+
+
+def test_derived_cones_carry_the_root_system_tolerances():
+    tol = ccl.ToleranceConfig(eps_rank=1e-5, eps_root_match=1e-4)
+    rs = ccl.build(ccl.GroupType.parse("B3"), tol)
+    ch = chamber(rs)
+    derived = [ch, dual(ch)]
+    for k in range(rs.n + 1):
+        for I in itertools.combinations(range(rs.n), k):
+            derived += [face(ch, I), quotient(ch, I), quotient_dual(ch, I)]
+    assert all(c.tol is rs.tol for c in derived)
+    assert SimplicialCone.from_generators(np.eye(2)).tol is ccl.DEFAULT_TOL
+
+
+def test_cone_rank_check_reads_the_cone_tolerance():
+    # a face inherits eps_rank: generators with singular value 1e-6 form a
+    # cone under the default 1e-7 and are dependent under 1e-5
+    gens = np.array([[1.0, 0.0, 0.0], [1.0, 1e-6, 0.0], [0.0, 0.0, 1.0]])
+    fine = SimplicialCone.from_generators(gens)
+    assert face(fine, (0, 1)).dim == 2
+    coarse = dataclasses.replace(fine, tol=ccl.ToleranceConfig(eps_rank=1e-5))
+    with pytest.raises(ccl.DegenerateConeError):
+        face(coarse, (0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,23 @@ def test_root_counts(spec, count):
     assert rs.num_roots == count
 
 
+def _classical_counts(t):
+    """(|Phi|, |W|) of a supported type from the family formulas."""
+    r, f = t.rank, math.factorial
+    if t.family == "I2":
+        return 2 * t.m, 2 * t.m
+    return {"A": (r * (r + 1), f(r + 1)), "B": (2 * r * r, 2 ** r * f(r)),
+            "D": (2 * r * (r - 1), 2 ** (r - 1) * f(r)), "H3": (30, 120),
+            "F4": (48, 1152), "H4": (120, 14400)}[t.family]
+
+
+@pytest.mark.parametrize("t", SUPPORTED_TYPES, ids=str)
+def test_root_count_and_order_follow_from_exponents(t):
+    # build checks |Phi| = 2 sum m_i and expected_order is prod (m_i + 1)
+    rs = build(t)
+    assert (rs.num_roots, rs.expected_order()) == _classical_counts(t)
+
+
 def test_a2_explicit_coordinates():
     # dihedral geometry oracle: simple roots at 120 degrees
     rs = build(GroupType.parse("A2"))

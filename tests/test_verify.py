@@ -672,6 +672,26 @@ def test_run_suite_builds_each_piece_of_geometry_once(built, monkeypatch):
     assert counts["_measure_plackett"] == 5 * 2 + 12
 
 
+def test_default_run_suite_factors_each_cone_once(built, monkeypatch):
+    # F4's default run_suite makes 60 SVDs (135 when each cone factored its
+    # generators twice and face() built two more subspaces): one per
+    # non-zero cone built -- the chamber, its dual, 15 faces, 15 quotients
+    # and 14 quotient duals -- and one span of F_I for each of the 14
+    # quotients with I neither empty nor everything
+    rs, g = built("F4")
+    calls = 0
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert all(r.passed for r in run_suite(rs, g))
+    assert calls == 1 + 1 + 15 + 15 + 14 + 14 == 60
+
+
 def test_geometry_must_describe_the_verified_group(built):
     rs, g = built("A2")
     rs3, g3 = built("B3")
