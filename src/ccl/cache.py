@@ -7,13 +7,12 @@ Schema 3 keeps ``schema_version``, ``group``, ``roots``,
 ``counts_by_fixed_dim`` and ``metadata`` readable.  ``simple_images`` is
 one base64 string of little-endian uint16 root indices (``PERM_DTYPE``) of
 shape ``perm_shape`` = (order, n): row w holds the indices of w's images of
-the simple roots, which determine w.  Reloading checks that the table
-starts with the identity, holds only root indices, has no duplicates, is
-closed under the simple reflections and is generated by them; it rebuilds
-the permutation rows along the generator tree, so the group is reproduced
-permutation-for-permutation, and recomputes the matrices from the stored
-roots and images and the fixed-space dimensions by one SVD per conjugacy
-class, whose counts must equal the stored ones.  A file of another schema
+the simple roots, which determine w; it is the Group's own
+``simple_images`` table.  Reloading checks that the table starts with the
+identity, holds only root indices, has no duplicates, is closed under the
+simple reflections and is generated by them, and recomputes the matrices
+from the stored roots and images and the fixed-space dimensions by one SVD
+per conjugacy class, whose counts must equal the stored ones.  A file of another schema
 version (schema 1 stored every permutation as nested integer lists, schema
 2 as a base64 table of all num_roots columns) or any malformed payload
 raises CacheError; ``load_or_enumerate`` then says on stderr why the file
@@ -63,7 +62,7 @@ def save_group(g: Group, path: Path) -> None:
         "roots": [[float(x) for x in row] for row in rs.all_roots],
         "perm_shape": [g.order, rs.n],
         "simple_images": base64.b64encode(
-            g.perm_stack[:, rs.simple_ids].astype(PERM_DTYPE).tobytes()).decode("ascii"),
+            g.simple_images.astype(PERM_DTYPE).tobytes()).decode("ascii"),
         "counts_by_fixed_dim": list(g.counts_by_fixed_dim),
         "metadata": {
             "tool_version": __version__,

@@ -136,12 +136,18 @@ def face(c: SimplicialCone, I) -> SimplicialCone:
 def quotient(c: SimplicialCone, I) -> SimplicialCone:
     """Orthogonal projection of the cone onto the complement of a face span:
     the cone on the projected remaining generators."""
+    return _quotient_from_face(c, I, face(c, I))
+
+
+def _quotient_from_face(c: SimplicialCone, I,
+                        f: SimplicialCone) -> SimplicialCone:
+    """quotient(c, I), projecting along span(F_I) as held by ``f``, the face
+    face(c, I) built by the caller, so the span is not factored again."""
     n = c.ambient_dim
-    I, rest = _split(I, n)
+    _, rest = _split(I, n)
     if not rest:
         return SimplicialCone.from_generators([], ambient_dim=n, tol=c.tol)
-    fspan = Subspace.from_spanning(c.generators[I], ambient_dim=n, tol=c.tol)
-    P = np.eye(n) - fspan.projector()
+    P = np.eye(n) - f.span.projector()
     return SimplicialCone.from_generators(c.generators[rest] @ P.T, tol=c.tol)
 
 

@@ -1,23 +1,23 @@
 """Exact enumeration of the reflection group and its subgroup machinery.
 
-Elements are identified by their permutation of the root list, which is
-exact even though the matrices are floating point.  Enumeration is a
-breadth-first closure of the simple reflections, one whole word-length
-layer per array pass, with each layer in lexicographic order of its
-permutation rows, so element indices are stable across runs.
+An element w is identified by its simple-root images, the root indices of
+w alpha_1, ..., w alpha_n, which is exact even though the matrices are
+floating point.  Enumeration is a breadth-first closure of the simple
+reflections, one whole word-length layer per array pass, with each layer in
+lexicographic order of its permutation rows (kept for the frontier only),
+so element indices are stable across runs.
 
-A Group holds its elements as stacked arrays (permutations, matrices,
+A Group holds its elements as stacked arrays (simple-root images, matrices,
 fixed-space dimensions) and the table ``left_mult`` of the index of s_j w,
-looked up by sorting on the simple-root images, which determine an element.
-A cache reload starts from those images alone and rebuilds the permutation
-rows along the breadth-first generator tree.  dim ker(1 - w) is a class
-function, so it is computed by one SVD per conjugacy class, the classes
-being found by the same lookup of s_j w s_j.  Parabolic subgroups are array
-closures over the rows of ``left_mult``, checked against one per-group
-table of the elements fixing each fundamental weight.
-Face spans are matched as root subsets on the permutation table: w carries
-span(F_J) onto span(F_I) when it sends the simple roots outside J into
-span(F_I)-perp.
+looked up by sorting on the images; a cache reload starts from the images.
+dim ker(1 - w) is a class function, so it is computed by one SVD per
+conjugacy class, the classes being found by the same lookup of s_j w s_j,
+through (w s_j)(alpha_i) = s_{w alpha_j}(w alpha_i) on the root system's
+reflection table.  Parabolic subgroups are array closures over the rows of
+``left_mult``, checked against one per-group table of the elements fixing
+each fundamental weight.  Face spans are matched as root subsets on the
+images: w carries span(F_J) onto span(F_I) when it sends the simple roots
+outside J into span(F_I)-perp.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ DEFAULT_ELEMENT_CAP = 20_000
 
 # Largest entry of |w^T w - 1| accepted for a matrix rebuilt from its
 # simple-root images.  Over every supported group it stays below 1.5e-13,
-# while a wrong permutation row moves an entry by order 1, so the check
+# while a wrong image moves an entry by order 1, so the check
 # does not depend on the value.
 ORTHOGONALITY_TOL = 1e-9
 
@@ -54,7 +54,7 @@ class Group:
     counts_by_fixed_dim: tuple[int, ...]
     fixed_dims: np.ndarray = field(repr=False)        # (order,)
     matrix_stack: np.ndarray = field(repr=False)      # (order, n, n) read-only
-    perm_stack: np.ndarray = field(repr=False)        # (order, num_roots) int32
+    simple_images: np.ndarray = field(repr=False)     # (order, n) int32: w alpha_i
     left_mult: np.ndarray = field(repr=False)         # (n, order): index of s_j w
 
     @property
@@ -102,10 +102,10 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
     GroupTooLargeError when more than ``cap`` elements appear.  Fixed-space
     dimensions count singular values below ``rs.tol.eps_rank``.
     """
-    gens = rs.reflection_perms
+    gens = rs.reflection_table[rs.simple_ids]
     identity = np.arange(rs.num_roots, dtype=np.int32)[None]
-    layers = [identity]
-    seen = _image_keys(rs, identity[:, rs.simple_ids])   # sorted
+    layers = [rs.simple_ids[None].astype(np.int32)]
+    seen = _image_keys(rs, layers[0])   # sorted
     size = 1
     frontier = identity
     while len(frontier):
@@ -125,13 +125,11 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
         j, w = np.divmod(by_key[new], len(frontier))
         frontier = np.take(gens, (j * rs.num_roots)[:, None] + frontier[w])
         frontier = frontier[np.argsort(_row_bytes(frontier))]
-        layers.append(frontier)
+        layers.append(frontier[:, rs.simple_ids])
 
-    perm_stack = np.concatenate(layers)
-    simple_images = perm_stack[:, rs.simple_ids]
+    simple_images = np.concatenate(layers)
     find = _element_index(rs, simple_images)
-    return _assemble_group(rs, simple_images, perm_stack,
-                           find(gens[:, simple_images]), find)
+    return _assemble_group(rs, simple_images, find(gens[:, simple_images]), find)
 
 
 def group_from_simple_images(rs: RootSystem, simple_images: np.ndarray) -> Group:
@@ -141,9 +139,7 @@ def group_from_simple_images(rs: RootSystem, simple_images: np.ndarray) -> Group
     Element order is preserved.  Raises InvalidArgumentError if the table
     does not start with the identity, holds an entry that is not a root
     index, has duplicates, is not closed under the simple reflections or is
-    not generated by them.  The permutation rows are rebuilt along the
-    breadth-first generator tree, perm[s_j w] = s_j[perm[w]], so they agree
-    with the table by construction.
+    not generated by them.
     """
     simple_images = np.asarray(simple_images)
     if simple_images.ndim != 2 or simple_images.shape[1] != rs.n:
@@ -154,31 +150,13 @@ def group_from_simple_images(rs: RootSystem, simple_images: np.ndarray) -> Group
         raise InvalidArgumentError("simple-root image is not a root index")
     if not len(simple_images) or (simple_images[0] != rs.simple_ids).any():
         raise InvalidArgumentError("element 0 must be the identity")
-    gen_perms = rs.reflection_perms
+    simple_images = simple_images.astype(np.int32)
     find = _element_index(rs, simple_images)
-    left_mult = find(gen_perms[:, simple_images])
-
-    order = len(simple_images)
-    perm_stack = np.empty((order, rs.num_roots), dtype=np.int32)
-    perm_stack[0] = np.arange(rs.num_roots)
-    reached = np.zeros(order, dtype=bool)
-    reached[0] = True
-    frontier = np.zeros(1, dtype=np.intp)
-    while frontier.size:
-        fresh = []
-        for gp, row in zip(gen_perms, left_mult):
-            # a row of left_mult is injective, so each new child appears once
-            children = row[frontier]
-            new = ~reached[children]
-            children = children[new]
-            perm_stack[children] = gp[perm_stack[frontier[new]]]
-            reached[children] = True
-            fresh.append(children)
-        frontier = np.concatenate(fresh)
-    if not reached.all():
+    left_mult = find(rs.reflection_table[rs.simple_ids][:, simple_images])
+    if not _closure(left_mult).all():
         raise InvalidArgumentError("element list is not generated by the "
                                    "simple reflections")
-    return _assemble_group(rs, simple_images, perm_stack, left_mult, find)
+    return _assemble_group(rs, simple_images, left_mult, find)
 
 
 def _closure(table: np.ndarray) -> np.ndarray:
@@ -238,15 +216,16 @@ def _element_index(rs: RootSystem, simple_images: np.ndarray):
     return find
 
 
-def _conjugacy_labels(rs: RootSystem, perm_stack: np.ndarray, find) -> np.ndarray:
+def _conjugacy_labels(rs: RootSystem, simple_images: np.ndarray, find) -> np.ndarray:
     """Index of the first element of each element's conjugacy class: the
     classes are the components of w ~ s_j w s_j, labelled by propagating
     the least index along those edges."""
-    gens = rs.reflection_perms
-    # simple-root images of s_j w s_j: s_j[w[s_j[alpha_i]]]
-    conj = find(gens[np.arange(rs.n)[:, None, None],
-                     perm_stack[:, gens[:, rs.simple_ids]].transpose(1, 0, 2)])
-    labels = np.arange(len(perm_stack))
+    table, N = rs.reflection_table, rs.num_roots
+    # s_b(c) is entry b * N + c; for (j, w, i): (w s_j)(alpha_i) =
+    # s_{w alpha_j}(w alpha_i), then s_j of it
+    ws = np.take(table, simple_images.T[:, :, None] * N + simple_images[None])
+    conj = find(np.take(table, (rs.simple_ids * N)[:, None, None] + ws))
+    labels = np.arange(len(simple_images))
     while True:
         new = np.minimum.reduce([labels, *labels[conj]])
         new = new[new]
@@ -256,9 +235,10 @@ def _conjugacy_labels(rs: RootSystem, perm_stack: np.ndarray, find) -> np.ndarra
 
 
 def _assemble_group(rs: RootSystem, simple_images: np.ndarray,
-                    perm_stack: np.ndarray, left_mult: np.ndarray, find) -> Group:
+                    left_mult: np.ndarray, find) -> Group:
     n = rs.n
-    order = perm_stack.shape[0]
+    order = simple_images.shape[0]
+    simple_images.setflags(write=False)
 
     # Reconstruct matrices from the images of the simple roots.
     A_inv = np.linalg.inv(rs.simple_roots)            # rows alpha_i
@@ -275,7 +255,7 @@ def _assemble_group(rs: RootSystem, simple_images: np.ndarray,
 
     # dim ker(1 - w) is a class function: one SVD per conjugacy class, by
     # the rule of kernel_dimension, copied to the rest of the class
-    labels = _conjugacy_labels(rs, perm_stack, find)
+    labels = _conjugacy_labels(rs, simple_images, find)
     reps = np.flatnonzero(labels == np.arange(order))
     sv = np.linalg.svd(eye - mats[reps], compute_uv=False)
     fixed = np.zeros(order, dtype=np.int64)
@@ -289,7 +269,7 @@ def _assemble_group(rs: RootSystem, simple_images: np.ndarray,
         counts_by_fixed_dim=counts,
         fixed_dims=fixed,
         matrix_stack=mats,
-        perm_stack=perm_stack,
+        simple_images=simple_images,
         left_mult=left_mult,
     )
 
@@ -349,7 +329,7 @@ def span_carriers(g: Group, I, J, within: np.ndarray | bool = True) -> np.ndarra
     rs = g.root_system
     targets = rs.orthogonal_roots(I) & within
     rest = [j for j in range(g.n) if j not in J]
-    return targets[g.perm_stack[:, rs.simple_ids[rest]]].all(axis=1)
+    return targets[g.simple_images[:, rest]].all(axis=1)
 
 
 def normalizer_of_span(g: Group, I) -> Subgroup:

@@ -232,13 +232,14 @@ class RootSystem:
         return self._nearest_roots(self.simple_roots)
 
     @functools.cached_property
-    def reflection_perms(self) -> np.ndarray:
-        """(n, num_roots) read-only int32 table: entry (j, b) is the index
-        of s_j applied to root b."""
-        perms = np.stack([self._nearest_roots(_reflect(self.all_roots, a))
-                          for a in self.simple_roots]).astype(np.int32)
-        perms.setflags(write=False)
-        return perms
+    def reflection_table(self) -> np.ndarray:
+        """(num_roots, num_roots) read-only int32 table: entry (b, c) is the
+        index of s_b(c), s_b the reflection in root b; row ``simple_ids[j]``
+        is s_j.  Matched one row of images at a time."""
+        table = np.stack([self._nearest_roots(_reflect(self.all_roots, b))
+                          for b in self.all_roots]).astype(np.int32)
+        table.setflags(write=False)
+        return table
 
     def orthogonal_roots(self, I) -> np.ndarray:
         """Mask of the roots orthogonal to span{omega_i : i in I}, read as
@@ -251,12 +252,15 @@ class RootSystem:
         return int(self._nearest_roots(np.asarray(v)[None])[0])
 
     def _nearest_roots(self, vectors: np.ndarray) -> np.ndarray:
-        """Index of the root nearest to each row, from one distance array;
-        error if any row has no root within eps_root_match."""
-        d = np.linalg.norm(vectors[:, None, :] - self.all_roots[None], axis=2)
-        if (d.min(axis=1) > self.tol.eps_root_match).any():
+        """Index of the root nearest to each row; error if any row has no
+        root within eps_root_match.  |v - r|^2 = |v|^2 + 1 - 2 (v, r) for a
+        unit root r, so one product of inner products finds the nearest
+        root, and the distance to it is then taken directly."""
+        nearest = (vectors @ self.all_roots.T).argmax(axis=1)
+        d = np.linalg.norm(vectors - self.all_roots[nearest], axis=1)
+        if (d > self.tol.eps_root_match).any():
             raise InvalidArgumentError("vector does not match any root")
-        return d.argmin(axis=1)
+        return nearest
 
 
 def _reflect(roots: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -360,8 +364,8 @@ def build(t: GroupType, tol: ToleranceConfig = DEFAULT_TOL) -> RootSystem:
 
 
 def _check_closure_bijection(rs: RootSystem) -> None:
-    """Every simple reflection must permute the root list exactly."""
-    for j, perm in enumerate(rs.reflection_perms):
-        if (np.bincount(perm, minlength=rs.num_roots) != 1).any():
-            raise NonFiniteSystemError(
-                f"simple reflection {j} does not permute the root set")
+    """Every reflection in a root must permute the root list exactly."""
+    bad = (np.sort(rs.reflection_table, axis=1) != np.arange(rs.num_roots)).any(axis=1)
+    if bad.any():
+        raise NonFiniteSystemError(
+            f"reflection in root {bad.argmax()} does not permute the root set")

@@ -53,8 +53,8 @@ from fractions import Fraction
 import numpy as np
 
 from .angles import DEFAULT_MC, MC_SIGMAS, AngleEstimate, McConfig, measure
-from .cones import (SimplicialCone, _checked_quotient_dual, chamber, dual, face,
-                    quotient)
+from .cones import (SimplicialCone, _checked_quotient_dual, _quotient_from_face,
+                    chamber, dual, face)
 from .errors import GenericityError, InvalidArgumentError, NumericalError
 from .groups import (Group, Subgroup, normalizer_of_span, parabolic_subgroup,
                      regular_count, span_carriers, subspace_orbits)
@@ -380,7 +380,8 @@ class Geometry:
         return self._once(("face", I), face, self.chamber, I)
 
     def quotient(self, I) -> SimplicialCone:
-        return self._once(("quotient", I), quotient, self.chamber, I)
+        return self._once(("quotient", I), _quotient_from_face, self.chamber,
+                          I, self.face(I))
 
     def quotient_dual(self, I) -> SimplicialCone:
         return self._once(("quotient_dual", I), _checked_quotient_dual,

@@ -332,7 +332,7 @@ def test_cache_save_load_identical(tmp_path):
     g2 = load_group(rs, path)
     assert np.array_equal(g2.matrix_stack, g.matrix_stack)
     assert g2.counts_by_fixed_dim == g.counts_by_fixed_dim
-    assert np.array_equal(g2.perm_stack, g.perm_stack)
+    assert np.array_equal(g2.simple_images, g.simple_images)
 
 
 @pytest.mark.parametrize("t", ccl.SUPPORTED_TYPES, ids=str)
@@ -344,8 +344,8 @@ def test_cache_round_trip_every_group(t, tmp_path, built):
     assert json.loads(path.read_text())["perm_shape"] == [g.order, rs.n]
     g2 = load_group(ccl.build(t), path)
     assert g2.order == g.order
-    assert g2.perm_stack.dtype == g.perm_stack.dtype
-    assert np.array_equal(g2.perm_stack, g.perm_stack)
+    assert g2.simple_images.dtype == g.simple_images.dtype
+    assert np.array_equal(g2.simple_images, g.simple_images)
     assert np.array_equal(g2.matrix_stack, g.matrix_stack)
     assert np.array_equal(g2.fixed_dims, g.fixed_dims)
     assert np.array_equal(g2.left_mult, g.left_mult)
@@ -387,8 +387,9 @@ def test_cache_rejects_tampered_perms(tmp_path):
     # succeeds only if the stored order is reproduced exactly
     path.write_text(json.dumps(doc))
     g2 = load_group(rs, path)
-    assert not np.array_equal(g2.perm_stack, g.perm_stack)
-    assert np.array_equal(g2.perm_stack[[1, 2]], g.perm_stack[[2, 1]])
+    assert not np.array_equal(g2.simple_images, g.simple_images)
+    assert np.array_equal(g2.simple_images[[1, 2]], g.simple_images[[2, 1]])
+    assert np.array_equal(g2.matrix_stack[[1, 2]], g.matrix_stack[[2, 1]])
 
 
 def test_cache_rejects_changed_simple_root_image(tmp_path):
@@ -433,8 +434,8 @@ def test_cache_round_trip_h4(tmp_path):
     # 14 400 x 120 table of schema 2 took 4.4 MiB
     assert path.stat().st_size < 0.25 * 2 ** 20
     g2 = load_group(rs, path)
-    assert g2.perm_stack.dtype == g.perm_stack.dtype
-    assert np.array_equal(g2.perm_stack, g.perm_stack)
+    assert g2.simple_images.dtype == g.simple_images.dtype
+    assert np.array_equal(g2.simple_images, g.simple_images)
     assert np.array_equal(g2.matrix_stack, g.matrix_stack)
     assert g2.counts_by_fixed_dim == g.counts_by_fixed_dim
 
@@ -458,9 +459,14 @@ def _no_roots(doc):
 
 
 def _full_table(doc):
-    """The (order, num_roots) permutation table earlier schemas stored."""
+    """The (order, num_roots) permutation table earlier schemas stored, read
+    off the matrices: entry (w, c) is the root nearest to w applied to
+    root c."""
     rs = ccl.build(ccl.GroupType.parse(doc["group"]))
-    return ccl.enumerate_group(rs).perm_stack
+    R = rs.all_roots
+    images = ccl.enumerate_group(rs).matrix_stack @ R.T      # (order, n, num_roots)
+    d = np.linalg.norm(images.transpose(0, 2, 1)[:, :, None] - R[None, None], axis=3)
+    return d.argmin(axis=2).astype(np.int32)
 
 
 def _schema_one(doc):

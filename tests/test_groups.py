@@ -35,16 +35,30 @@ def h4_schema3_file(directory):
 # ---------------------------------------------------------------------------
 # independent oracles
 
-def element_index(g):
+def perm_rows(g):
+    """(order, num_roots) int32 table of each element's permutation of the
+    root list, read off its matrix: entry (w, c) is the index of the root
+    nearest to w applied to root c, which must lie within eps_root_match."""
+    rs = g.root_system
+    rows = []
+    for m in g.matrix_stack:
+        d = np.linalg.norm((rs.all_roots @ m.T)[:, None] - rs.all_roots[None], axis=2)
+        assert d.min(axis=1).max() <= rs.tol.eps_root_match
+        rows.append(d.argmin(axis=1))
+    return np.array(rows, dtype=np.int32)
+
+
+def element_index(rows):
     """Dict from a permutation row's bytes to its element index."""
-    return {row.tobytes(): i for i, row in enumerate(g.perm_stack)}
+    return {row.tobytes(): i for i, row in enumerate(rows)}
 
 
-def compose(g, i, j, index=None):
-    """Index of element i times element j (apply j first); raises KeyError
-    if the product is not in the group."""
-    index = element_index(g) if index is None else index
-    return index[g.perm_stack[i][g.perm_stack[j]].tobytes()]
+def compose(rows, i, j, index=None):
+    """Index of element i times element j (apply j first) in the
+    permutation table ``rows``; raises KeyError if the product is not in
+    the group."""
+    index = element_index(rows) if index is None else index
+    return index[rows[i][rows[j]].tobytes()]
 
 
 def simple_reflection_perms(rs):
@@ -214,41 +228,48 @@ def test_count_invariants(spec, built):
 
 def test_element_zero_is_identity(built):
     rs, g = built("B3")
-    assert g.perm_stack[0].tolist() == list(range(rs.num_roots))
-    assert element_index(g)[np.arange(rs.num_roots, dtype=np.int32).tobytes()] == 0
+    rows = perm_rows(g)
+    assert g.simple_images[0].tolist() == rs.simple_ids.tolist()
+    assert rows[0].tolist() == list(range(rs.num_roots))
+    assert element_index(rows)[np.arange(rs.num_roots, dtype=np.int32).tobytes()] == 0
     assert np.allclose(g.matrix_stack[0], np.eye(3), atol=1e-12)
 
 
 def test_matrix_perm_consistency(built):
     for spec in ("A3", "B3", "I2(7)", "F4"):
         rs, g = built(spec)
+        # full rows from the independent oracle, in g's element order
+        rows = sequential_bfs(rs)
         for k in np.random.default_rng(5).integers(0, g.order, 25):
             images = rs.all_roots @ g.matrix_stack[k].T
             for i, img in enumerate(images):
-                assert np.linalg.norm(rs.all_roots[g.perm_stack[k, i]] - img) \
+                assert np.linalg.norm(rs.all_roots[rows[k, i]] - img) \
                     <= rs.tol.eps_root_match
+            assert g.simple_images[k].tolist() == rows[k, rs.simple_ids].tolist()
 
 
 @pytest.mark.parametrize("spec", sorted(ORDERS) + ["I2(6)", "I2(12)"])
 def test_group_closure(spec, built):
     # exhaustive when |W| <= 200, 10000 random pairs otherwise
     _, g = built(spec)
-    index = element_index(g)
+    rows = perm_rows(g)
+    index = element_index(rows)
+    assert len(index) == g.order
     if g.order <= 200:
         for i in range(g.order):
             for j in range(g.order):
-                compose(g, i, j, index)
+                compose(rows, i, j, index)
     else:
         rng = np.random.default_rng(99)
         for i, j in rng.integers(0, g.order, (10_000, 2)):
-            compose(g, int(i), int(j), index)
+            compose(rows, int(i), int(j), index)
 
 
 def test_bfs_is_deterministic(built):
     rs, _ = built("B3")
     g1 = enumerate_group(rs)
     g2 = enumerate_group(rs)
-    assert np.array_equal(g1.perm_stack, g2.perm_stack)
+    assert np.array_equal(g1.simple_images, g2.simple_images)
 
 
 def test_element_cap():
@@ -267,11 +288,24 @@ def test_element_cap():
 @pytest.mark.parametrize("t", SUPPORTED_TYPES, ids=str)
 def test_enumeration_matches_sequential_bfs(t, built):
     # element order: breadth-first by word length, each layer sorted on the
-    # full permutation rows; cache files and reports depend on it
-    _, g = built(str(t))
-    expected = sequential_bfs(g.root_system)
-    assert g.perm_stack.dtype == expected.dtype
-    assert g.perm_stack.tobytes() == expected.tobytes()
+    # full permutation rows; cache files and reports depend on it.  The
+    # simple-root images determine an element, so they pin the order
+    rs, g = built(str(t))
+    expected = sequential_bfs(rs)[:, rs.simple_ids]
+    assert g.simple_images.dtype == expected.dtype
+    assert g.simple_images.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("t", SUPPORTED_TYPES, ids=str)
+def test_no_group_array_is_indexed_by_root(t, built):
+    # an element is held by its n simple-root images, not by a row over the
+    # whole root list: every array of a Group has at most order * n * n
+    # entries (the matrix stack), below order * num_roots for every type
+    rs, g = built(str(t))
+    arrays = [getattr(g, f.name) for f in dataclasses.fields(Group)
+              if isinstance(getattr(g, f.name), np.ndarray)]
+    assert len(arrays) == 4
+    assert max(a.size for a in arrays) <= g.order * rs.n * rs.n < g.order * rs.num_roots
 
 
 def test_h4_schema3_file_written_before_loads_as_enumerated(tmp_path, built):
@@ -287,32 +321,35 @@ def test_h4_schema3_file_written_before_loads_as_enumerated(tmp_path, built):
 
 def test_group_from_simple_images_round_trip(built):
     rs, g = built("B3")
-    g2 = group_from_simple_images(rs, g.perm_stack[:, rs.simple_ids])
-    assert np.array_equal(g2.perm_stack, g.perm_stack)
+    g2 = group_from_simple_images(rs, g.simple_images)
+    assert np.array_equal(g2.simple_images, g.simple_images)
+    assert np.array_equal(perm_rows(g2), perm_rows(g))
     assert g2.counts_by_fixed_dim == g.counts_by_fixed_dim
     with pytest.raises(ccl.InvalidArgumentError):
         # identity not first
-        group_from_simple_images(rs, g.perm_stack[1:, rs.simple_ids])
+        group_from_simple_images(rs, g.simple_images[1:])
 
 
 def test_group_from_simple_images_rejects_unclosed_and_ungenerated(built):
     rs, g = built("A2")
-    images = g.perm_stack[:, rs.simple_ids]
+    images = g.simple_images
     with pytest.raises(ccl.InvalidArgumentError, match="not closed"):
         group_from_simple_images(rs, images[:-1])
     # -1 permutes the roots but is not in W(A2); W and its coset W(-1)
-    # together are closed under the generators yet not generated by them
+    # together are closed under the generators yet not generated by them.
+    # w(-1) sends alpha_i to -w(alpha_i)
     neg = np.array([rs.match_root(-v) for v in rs.all_roots])
-    both = np.vstack([g.perm_stack, g.perm_stack[:, neg]])
+    both = np.vstack([images, neg[images]])
     with pytest.raises(ccl.InvalidArgumentError, match="not generated"):
-        group_from_simple_images(rs, both[:, rs.simple_ids])
+        group_from_simple_images(rs, both)
 
 
 def test_group_from_simple_images_rejects_non_root_entries(built):
     rs, g = built("A2")
-    images = g.perm_stack[:, rs.simple_ids].copy()
+    images = g.simple_images.copy()
     with pytest.raises(ccl.InvalidArgumentError, match="columns"):
-        group_from_simple_images(rs, g.perm_stack)
+        # the full permutation table
+        group_from_simple_images(rs, perm_rows(g))
     images[3, 1] = rs.num_roots
     with pytest.raises(ccl.InvalidArgumentError, match="not a root index"):
         group_from_simple_images(rs, images)
@@ -349,7 +386,7 @@ def test_fixed_space_dim_identity_and_reflections(built):
 def test_fixed_space_dim_coxeter_element_a2(built):
     rs, g = built("A2")
     s1, s2 = g.simple_reflection_ids
-    cox = compose(g, s1, s2)
+    cox = compose(perm_rows(g), s1, s2)
     assert g.fixed_dims[cox] == 0
     # oracle: the product of the two reflections is a 120-degree rotation
     tr = np.trace(g.matrix_stack[cox])
@@ -400,6 +437,7 @@ def test_matrix_stack_read_only(built):
     with pytest.raises(ValueError):
         g.matrix_stack[0, 0, 0] = 2.0
     assert not g.matrix_stack[1].flags.writeable
+    assert not g.simple_images.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -568,28 +606,31 @@ def test_subgroup_is_closed(built):
     _, g = built("B3")
     sub = parabolic_subgroup(g, (1,))
     idx = set(sub.indices)
-    index = element_index(g)
+    rows = perm_rows(g)
+    index = element_index(rows)
     for i in sub.indices:
         for j in sub.indices:
-            assert compose(g, i, j, index) in idx
+            assert compose(rows, i, j, index) in idx
 
 
 def test_inverse(built):
     _, g = built("B3")
-    inverse_perms = np.argsort(g.perm_stack, axis=1).astype(np.int32)
-    index = element_index(g)
+    rows = perm_rows(g)
+    inverse_perms = np.argsort(rows, axis=1).astype(np.int32)
+    index = element_index(rows)
     for i in range(g.order):
         j = index[inverse_perms[i].tobytes()]
-        assert compose(g, i, j, index) == 0
-        assert compose(g, j, i, index) == 0
+        assert compose(rows, i, j, index) == 0
+        assert compose(rows, j, i, index) == 0
 
 
 @pytest.mark.parametrize("spec", ["B3", "F4"])
 def test_left_mult_matches_dict_oracle(spec, built):
     rs, g = built(spec)
-    index = element_index(g)
+    rows = perm_rows(g)
+    index = element_index(rows)
     for j, s in enumerate(simple_reflection_perms(rs)):
-        expected = [index[s[row].astype(np.int32).tobytes()] for row in g.perm_stack]
+        expected = [index[s[row].astype(np.int32).tobytes()] for row in rows]
         assert g.left_mult[j].tolist() == expected
     assert g.simple_reflection_ids == tuple(int(i) for i in g.left_mult[:, 0])
 

@@ -126,7 +126,33 @@ def test_simple_reflections_permute_roots(t):
         images = rs.all_roots - 2.0 * np.outer(rs.all_roots @ a, a)
         perm = [rs.match_root(v) for v in images]
         assert sorted(perm) == list(range(rs.num_roots))
-        assert rs.reflection_perms[j].tolist() == perm
+        assert rs.reflection_table[rs.simple_ids[j]].tolist() == perm
+
+
+@pytest.mark.parametrize("t", SUPPORTED_TYPES, ids=str)
+def test_reflection_table_matches_nearest_root_oracle(t):
+    # entry (b, c) is the root nearest to s_b(c), by explicit distances
+    rs = build(t)
+    R = rs.all_roots
+    for b, r in enumerate(R):
+        images = R - 2.0 * np.outer(R @ r, r)
+        d = np.linalg.norm(images[:, None] - R[None], axis=2)
+        assert d.min(axis=1).max() <= rs.tol.eps_root_match
+        assert rs.reflection_table[b].tolist() == d.argmin(axis=1).tolist()
+    assert rs.reflection_table.dtype == np.int32
+    assert not rs.reflection_table.flags.writeable
+
+
+def test_match_root_tolerance_boundary():
+    rs = build(GroupType.parse("B3"))
+    eps = rs.tol.eps_root_match
+    rng = np.random.default_rng(3)
+    for k in (0, 5, rs.num_roots - 1):
+        offset = rng.standard_normal(rs.n)
+        offset /= np.linalg.norm(offset)
+        assert rs.match_root(rs.all_roots[k] + 0.5 * eps * offset) == k
+        with pytest.raises(ccl.InvalidArgumentError, match="does not match"):
+            rs.match_root(rs.all_roots[k] + 2.0 * eps * offset)
 
 
 @pytest.mark.parametrize("t", SUPPORTED_TYPES, ids=str)

@@ -643,7 +643,7 @@ def test_run_suite_builds_each_piece_of_geometry_once(built, monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("chamber", "face", "quotient", "_checked_quotient_dual",
+    for name in ("chamber", "face", "_quotient_from_face", "_checked_quotient_dual",
                  "parabolic_subgroup", "normalizer_of_span", "subspace_orbits"):
         counted(ccl.verify, name)
     counted(ccl.angles, "_measure_plackett")
@@ -651,7 +651,7 @@ def test_run_suite_builds_each_piece_of_geometry_once(built, monkeypatch):
     for rs, g in groups:
         assert all(r.passed for r in run_suite(rs, g))
     counts = {name: len(args) for name, args in calls.items()}
-    assert counts == {"chamber": 22, "face": 186, "quotient": 186,
+    assert counts == {"chamber": 22, "face": 186, "_quotient_from_face": 186,
                       "_checked_quotient_dual": 164, "parabolic_subgroup": 186,
                       "normalizer_of_span": 125, "subspace_orbits": 81,
                       "_measure_plackett": 22}
@@ -662,7 +662,7 @@ def test_run_suite_builds_each_piece_of_geometry_once(built, monkeypatch):
     # for all 186; 81 = the values 0..n of k
     assert sum(2 ** rs.n for rs, _ in groups) == 186
     assert sum(rs.n + 1 for rs, _ in groups) == 81
-    for name in ("face", "quotient", "_checked_quotient_dual"):
+    for name in ("face", "_quotient_from_face", "_checked_quotient_dual"):
         assert len({(id(c), I) for c, I, *_ in calls[name]}) == counts[name]
     for name in ("parabolic_subgroup", "normalizer_of_span", "subspace_orbits"):
         assert len({(id(g), key) for g, key in calls[name]}) == counts[name]
@@ -673,11 +673,11 @@ def test_run_suite_builds_each_piece_of_geometry_once(built, monkeypatch):
 
 
 def test_default_run_suite_factors_each_cone_once(built, monkeypatch):
-    # F4's default run_suite makes 60 SVDs (135 when each cone factored its
-    # generators twice and face() built two more subspaces): one per
-    # non-zero cone built -- the chamber, its dual, 15 faces, 15 quotients
-    # and 14 quotient duals -- and one span of F_I for each of the 14
-    # quotients with I neither empty nor everything
+    # F4's default run_suite makes 46 SVDs (135 when each cone factored its
+    # generators twice and face() built two more subspaces, 60 when each
+    # quotient factored span(F_I) again): one per non-zero cone built --
+    # the chamber, its dual, 15 faces, 15 quotients and 14 quotient duals;
+    # a quotient projects along the span of the face already built
     rs, g = built("F4")
     calls = 0
     svd = np.linalg.svd
@@ -689,7 +689,7 @@ def test_default_run_suite_factors_each_cone_once(built, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     assert all(r.passed for r in run_suite(rs, g))
-    assert calls == 1 + 1 + 15 + 15 + 14 + 14 == 60
+    assert calls == 1 + 1 + 15 + 15 + 14 == 46
 
 
 def test_geometry_must_describe_the_verified_group(built):
