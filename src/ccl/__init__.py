@@ -5,13 +5,16 @@ angle measures of the cones attached to their chambers (exactly up to
 dimension 5 by default, or by seeded Monte Carlo from dimension 4 when a
 sample count is given), and verifies the chamber-face angle identities
 with exact integer right-hand sides.
+
+Cones come from ``chamber``, ``dual`` and ``face``; the quotient cone C/F_I
+and its dual come from ``ccl.verify.Geometry``, which builds and checks
+each cone once per group.
 """
 
 __version__ = "0.1.0"
 
 from .angles import AngleEstimate, AngleMethod, McConfig, measure
-from .cones import (SimplicialCone, chamber, dual, face, quotient,
-                    quotient_dual)
+from .cones import SimplicialCone, chamber, dual, face
 from .errors import (CacheError, CclError, DegenerateConeError,
                      GenericityError, GroupTooLargeError,
                      InvalidArgumentError, NonFiniteSystemError,
@@ -20,10 +23,9 @@ from .groups import (Group, Subgroup, enumerate_group,
                      group_from_simple_images, normalizer_of_span,
                      parabolic_subgroup, regular_count, solomon_check,
                      subspace_orbits)
-from .linalg import (DEFAULT_TOL, Subspace, ToleranceConfig, kernel_dimension,
-                     orthogonal_projector)
+from .linalg import DEFAULT_TOL, Subspace, ToleranceConfig
 from .roots import (SUPPORTED_TYPES, GroupType, RootSystem, build,
-                    fundamental_weights, generate_roots)
+                    generate_roots)
 from .verify import (SUITE_IDENTITIES, GenericPointSampler,
                      VerificationReport, run_suite, verify_class_sum,
                      verify_covering_count, verify_curious,

@@ -21,11 +21,11 @@ from .errors import DegenerateConeError, InvalidArgumentError, NumericalError
 from .linalg import DEFAULT_TOL, Subspace, ToleranceConfig
 from .roots import RootSystem
 
-__all__ = ["SimplicialCone", "chamber", "dual", "face", "quotient",
-           "quotient_dual"]
+__all__ = ["SimplicialCone", "chamber", "dual", "face"]
 
 # Largest distance, relative to the row's length, between a dual-basis row
-# of quotient(c, I) and the facet normal of c it equals by construction.
+# of the quotient cone C/F_I and the facet normal of C it equals by
+# construction.
 # Over every supported group and face subset the two agree to 3.4e-15,
 # while a wrong or misordered row is off by order 1, so the check does not
 # depend on the value.
@@ -133,16 +133,11 @@ def face(c: SimplicialCone, I) -> SimplicialCone:
     return f
 
 
-def quotient(c: SimplicialCone, I) -> SimplicialCone:
-    """Orthogonal projection of the cone onto the complement of a face span:
-    the cone on the projected remaining generators."""
-    return _quotient_from_face(c, I, face(c, I))
-
-
 def _quotient_from_face(c: SimplicialCone, I,
                         f: SimplicialCone) -> SimplicialCone:
-    """quotient(c, I), projecting along span(F_I) as held by ``f``, the face
-    face(c, I) built by the caller, so the span is not factored again."""
+    """The quotient cone C/F_I: the cone on the generators outside I,
+    projected orthogonally onto span(F_I)-perp.  ``f`` is the face
+    face(c, I), built by the caller, so its span is not factored again."""
     n = c.ambient_dim
     _, rest = _split(I, n)
     if not rest:
@@ -151,23 +146,15 @@ def _quotient_from_face(c: SimplicialCone, I,
     return SimplicialCone.from_generators(c.generators[rest] @ P.T, tol=c.tol)
 
 
-def quotient_dual(c: SimplicialCone, I) -> SimplicialCone:
-    """The face of the dual cone orthogonal to F_I: cone on the facet
-    normals indexed outside I.
-
-    Asserts that this equals the dual of quotient(c, I) computed inside
-    span(F_I)-perp.
-    """
-    return _checked_quotient_dual(c, I, quotient(c, I))
-
-
 def _checked_quotient_dual(c: SimplicialCone, I,
                            q: SimplicialCone) -> SimplicialCone:
-    """quotient_dual(c, I), checked against ``q``, the cone quotient(c, I)
-    built by the caller.  The dual of q within its span is the cone on
-    q.dual_basis, whose rows equal the facet normals d_r, r outside I, in
-    order: d_r lies in span(F_I)-perp and (P g_s, d_r) = (g_s, d_r) =
-    delta_sr for the projection P onto it."""
+    """The quotient dual (C/F_I)*, the face of the dual cone orthogonal to
+    F_I: the cone on the facet normals d_r indexed outside I.
+
+    Asserts that it equals the dual of ``q``, the quotient cone C/F_I built
+    by the caller, within q's span.  That dual is the cone on q.dual_basis,
+    whose rows equal the d_r in order: d_r lies in span(F_I)-perp and
+    (P g_s, d_r) = (g_s, d_r) = delta_sr for the projection P onto it."""
     n = c.ambient_dim
     _, rest = _split(I, n)
     qd = SimplicialCone.from_generators(c.dual_basis[rest], ambient_dim=n,

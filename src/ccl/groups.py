@@ -61,10 +61,6 @@ class Group:
     def n(self) -> int:
         return self.root_system.n
 
-    @property
-    def simple_reflection_ids(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in self.left_mult[:, 0])
-
     @functools.cached_property
     def fixes_weight(self) -> np.ndarray:
         """(order, n) read-only mask: entry (w, i) says that w moves no
@@ -198,7 +194,7 @@ def _element_index(rs: RootSystem, simple_images: np.ndarray):
     by_key = np.argsort(keys)
     sorted_keys = keys[by_key]
     if (sorted_keys[1:] == sorted_keys[:-1]).any():
-        raise InvalidArgumentError("duplicate permutations in element list")
+        raise InvalidArgumentError("duplicate elements in element list")
 
     def find(images: np.ndarray) -> np.ndarray:
         wanted = _image_keys(rs, images)
@@ -253,8 +249,9 @@ def _assemble_group(rs: RootSystem, simple_images: np.ndarray,
             f"reconstructed matrices not orthogonal (err {ortho_err:.2e})")
     mats.setflags(write=False)
 
-    # dim ker(1 - w) is a class function: one SVD per conjugacy class, by
-    # the rule of kernel_dimension, copied to the rest of the class
+    # dim ker(1 - w) is a class function: one SVD per conjugacy class,
+    # counting singular values below eps_rank, copied to the rest of the
+    # class
     labels = _conjugacy_labels(rs, simple_images, find)
     reps = np.flatnonzero(labels == np.arange(order))
     sv = np.linalg.svd(eye - mats[reps], compute_uv=False)

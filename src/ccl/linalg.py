@@ -18,8 +18,6 @@ __all__ = [
     "DEFAULT_TOL",
     "SPAN_MATCH_TOL",
     "Subspace",
-    "kernel_dimension",
-    "orthogonal_projector",
 ]
 
 
@@ -64,15 +62,6 @@ SPAN_MATCH_TOL = 1e-8
 ORTHONORMAL_TOL = 1e-9
 
 
-def _as_matrix(M) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise InvalidArgumentError(f"expected a square matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise InvalidArgumentError("matrix has non-finite entries")
-    return M
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A linear subspace held as an orthonormal basis (rows) of the ambient space."""
@@ -95,23 +84,6 @@ class Subspace:
         return Subspace(B, B.shape[0])
 
     @staticmethod
-    def from_spanning(vectors, ambient_dim: int | None = None,
-                      tol: ToleranceConfig = DEFAULT_TOL) -> "Subspace":
-        """Orthonormalize a spanning set (SVD row basis); rank set by eps_rank."""
-        V = np.asarray(vectors, dtype=float)
-        if V.size == 0:
-            n = ambient_dim if ambient_dim is not None else (V.shape[1] if V.ndim == 2 else 0)
-            return Subspace.zero(n)
-        if not np.isfinite(V).all():
-            raise InvalidArgumentError("spanning vectors have non-finite entries")
-        _, s, vh = np.linalg.svd(V, full_matrices=False)
-        rank = int(np.sum(s > tol.eps_rank))
-        if rank == V.shape[1]:
-            # canonical basis for full spans keeps span coordinates ambient
-            return Subspace.full(V.shape[1])
-        return Subspace.from_basis(vh[:rank])
-
-    @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
         return Subspace.from_basis(np.zeros((0, ambient_dim)))
 
@@ -124,24 +96,11 @@ class Subspace:
         return self.orthonormal_basis.shape[1]
 
     def projector(self) -> np.ndarray:
-        return orthogonal_projector(self)
-
-
-def kernel_dimension(M, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Dimension of the null space of M, counting singular values below
-    eps_rank as zero."""
-    M = _as_matrix(M)
-    s = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(s < tol.eps_rank))
-
-
-def orthogonal_projector(S: Subspace) -> np.ndarray:
-    """Projector onto S: P = sum_i b_i b_i^T.  P is symmetric idempotent."""
-    B = S.orthonormal_basis
-    if B.shape[0] == 0:
-        return np.zeros((S.ambient_dim, S.ambient_dim))
-    gram = B @ B.T
-    if np.abs(gram - np.eye(B.shape[0])).max() > ORTHONORMAL_TOL:
-        raise InvalidArgumentError("subspace basis is not orthonormal")
-    return B.T @ B
-
+        """Projector onto the subspace: P = sum_i b_i b_i^T over the basis
+        rows.  P is symmetric idempotent."""
+        B = self.orthonormal_basis
+        if B.shape[0] == 0:
+            return np.zeros((self.ambient_dim, self.ambient_dim))
+        if np.abs(B @ B.T - np.eye(B.shape[0])).max() > ORTHONORMAL_TOL:
+            raise InvalidArgumentError("subspace basis is not orthonormal")
+        return B.T @ B

@@ -10,7 +10,6 @@ simple reflections to obtain the full unit root set.
 from __future__ import annotations
 
 import functools
-import math
 import re
 from dataclasses import dataclass, field
 
@@ -25,7 +24,7 @@ from .errors import (
 from .linalg import DEFAULT_TOL, ToleranceConfig
 
 __all__ = ["GroupType", "RootSystem", "build", "generate_roots",
-           "fundamental_weights", "SUPPORTED_TYPES"]
+           "SUPPORTED_TYPES"]
 
 _CLOSURE_CAP = 10_000
 
@@ -138,8 +137,9 @@ def _supported_types() -> tuple[GroupType, ...]:
 
 SUPPORTED_TYPES = _supported_types()
 
-# Exponents m_1..m_n; the enumeration-time Solomon check validates these.
-# They also give the root count |Phi| = 2 (m_1 + ... + m_n) and the group
+# Exponents m_1..m_n; `ccl counts` checks them against the enumerated group
+# by the Solomon identity (groups.solomon_check).  They also give the root
+# count |Phi| = 2 (m_1 + ... + m_n), which build checks, and the group
 # order |W| = (m_1 + 1) ... (m_n + 1) (Humphreys, Reflection Groups and
 # Coxeter Groups, 3.9).
 _EXPONENTS = {
@@ -223,9 +223,6 @@ class RootSystem:
     def num_positive_roots(self) -> int:
         return self.all_roots.shape[0] // 2
 
-    def expected_order(self) -> int:
-        return math.prod(m + 1 for m in self.exponents)
-
     @functools.cached_property
     def simple_ids(self) -> np.ndarray:
         """Index of each simple root in the root list."""
@@ -246,10 +243,6 @@ class RootSystem:
         the roots with coefficient 0 on alpha_i for every i in I."""
         coefficients = self.all_roots @ self.fundamental_weights[list(I)].T
         return (np.abs(coefficients) < COEFFICIENT_ZERO_TOL).all(axis=1)
-
-    def match_root(self, v: np.ndarray) -> int:
-        """Index of the root nearest to v; error if none within eps_root_match."""
-        return int(self._nearest_roots(np.asarray(v)[None])[0])
 
     def _nearest_roots(self, vectors: np.ndarray) -> np.ndarray:
         """Index of the root nearest to each row; error if any row has no
@@ -311,19 +304,6 @@ def generate_roots(simple, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return out
 
 
-def fundamental_weights(simple) -> np.ndarray:
-    """Weights omega_i with (alpha_j, omega_i) = delta_ij, as rows."""
-    A = np.asarray(simple, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InvalidArgumentError("simple roots must form a square matrix")
-    s = np.linalg.svd(A, compute_uv=False)
-    if s[-1] <= DEFAULT_TOL.eps_rank:
-        raise InvalidArgumentError("simple roots are linearly dependent")
-    W = np.linalg.inv(A).T
-    W.setflags(write=False)
-    return W
-
-
 def build(t: GroupType, tol: ToleranceConfig = DEFAULT_TOL) -> RootSystem:
     """Construct the root system for a supported group type."""
     t = t.validated()
@@ -342,8 +322,10 @@ def build(t: GroupType, tol: ToleranceConfig = DEFAULT_TOL) -> RootSystem:
         raise NonFiniteSystemError(
             f"{t}: generated {all_roots.shape[0]} roots, expected {expected}")
 
-    weights = fundamental_weights(simple)
-    # weights must lie in the closed fundamental chamber
+    # (alpha_j, omega_i) = delta_ij: the weights are the rows of the inverse
+    # transpose, and they must lie in the closed fundamental chamber
+    weights = np.linalg.inv(simple).T
+    weights.setflags(write=False)
     prods = weights @ simple.T  # (i, j) -> (omega_i, alpha_j)
     if prods.min() < -CHAMBER_SIGN_TOL:
         raise NumericalError("fundamental weights fell outside the chamber")

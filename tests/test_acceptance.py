@@ -17,8 +17,8 @@ import pytest
 
 import ccl
 from ccl.angles import McConfig, _measure_mc, measure
-from ccl.cones import SimplicialCone, chamber, dual, face, quotient, quotient_dual
-from ccl.verify import (verify_class_sum,
+from ccl.cones import SimplicialCone
+from ccl.verify import (Geometry, verify_class_sum,
                         verify_covering_count, verify_curious,
                         verify_equiv_measure, verify_face_decomposition,
                         verify_face_oplus_covering, verify_main,
@@ -150,14 +150,14 @@ def test_criterion_4_cross_method_consistency(built):
     try:
         checked = 0
         for spec in EXACT_GROUPS:
-            rs, _ = built(spec)
-            ch = chamber(rs)
-            cones = [dual(ch)]
+            rs, g = built(spec)
+            geo = Geometry(rs, g)
+            cones = [geo.dual]
             for k in range(rs.n + 1):
                 for I in itertools.combinations(range(rs.n), k):
-                    cones.append(face(ch, I))
-                    cones.append(quotient(ch, I))
-                    cones.append(quotient_dual(ch, I))
+                    cones.append(geo.face(I))
+                    cones.append(geo.quotient(I))
+                    cones.append(geo.quotient_dual(I))
             seen = set()
             for c in cones:
                 if c.dim not in (2, 3):

@@ -100,7 +100,7 @@ def test_rotation_invariance_mc(built):
     rs, g = built("F4")
     d = dual(chamber(rs))
     a = measure(d, McConfig(samples=400_000, seed=7))
-    w = g.matrix_stack[g.simple_reflection_ids[0]]
+    w = g.matrix_stack[g.left_mult[0, 0]]   # s_0
     b = measure(image_cone(w, d), McConfig(samples=400_000, seed=8))
     joint = math.hypot(a.stderr, b.stderr)
     assert abs(a.value - b.value) <= 4 * joint

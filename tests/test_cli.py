@@ -580,3 +580,29 @@ def test_samples_below_minimum_exit_two(capsys):
 
 def test_default_mc_config_is_exact():
     assert ccl.McConfig().samples is None
+
+
+# ---------------------------------------------------------------------------
+# headline outputs, pinned byte for byte
+
+HEADLINE_PINS = {
+    (): (2_358_368,
+         "09d216dfbb6a4ddfa5ed38cb5e7e9aaa3f78855243dbf84d81415780bcc02484"),
+    ("--samples", "20000", "--seed", "42"): (
+        2_431_745,
+        "367d5f1c85a88a985537d263f1eba0776b29fd34d1ddc6925efa27475d367da4"),
+}
+
+
+@pytest.mark.parametrize("extra", sorted(HEADLINE_PINS), ids=" ".join)
+def test_all_groups_json_report_bytes_are_pinned(extra, tmp_path, capsys,
+                                                 monkeypatch):
+    # a change that moves any digit of any report shows up here, as an
+    # edited pin
+    import hashlib
+    monkeypatch.setenv("CCL_CACHE_DIR", str(tmp_path / "cache"))
+    rc = main(["report", "--all-groups", "--format", "json", "--no-cache",
+               *extra])
+    out = capsys.readouterr().out.encode()
+    assert rc == 0
+    assert (len(out), hashlib.sha256(out).hexdigest()) == HEADLINE_PINS[extra]

@@ -13,7 +13,6 @@ from ccl.cones import chamber
 from ccl.groups import (Group, enumerate_group, group_from_simple_images,
                         normalizer_of_span, parabolic_subgroup, regular_count,
                         solomon_check, subspace_orbits)
-from ccl.linalg import Subspace, kernel_dimension
 from ccl.roots import SUPPORTED_TYPES
 
 ORDERS = {
@@ -223,7 +222,7 @@ def test_count_invariants(spec, built):
     assert sum(g.counts_by_fixed_dim) == g.order
     assert g.counts_by_fixed_dim[rs.n] == 1
     assert g.counts_by_fixed_dim[rs.n - 1] == rs.num_positive_roots
-    assert g.order == rs.expected_order()
+    assert g.order == math.prod(m + 1 for m in rs.exponents)
 
 
 def test_element_zero_is_identity(built):
@@ -279,7 +278,7 @@ def test_element_cap():
     # the cap admits exactly the group order
     for spec in ("A4", "H3"):
         rs = ccl.build(ccl.GroupType.parse(spec))
-        order = rs.expected_order()
+        order = math.prod(m + 1 for m in rs.exponents)
         assert enumerate_group(rs, cap=order).order == order
         with pytest.raises(ccl.GroupTooLargeError):
             enumerate_group(rs, cap=order - 1)
@@ -338,7 +337,7 @@ def test_group_from_simple_images_rejects_unclosed_and_ungenerated(built):
     # -1 permutes the roots but is not in W(A2); W and its coset W(-1)
     # together are closed under the generators yet not generated by them.
     # w(-1) sends alpha_i to -w(alpha_i)
-    neg = np.array([rs.match_root(-v) for v in rs.all_roots])
+    neg = np.array([rs._nearest_roots(-v[None])[0] for v in rs.all_roots])
     both = np.vstack([images, neg[images]])
     with pytest.raises(ccl.InvalidArgumentError, match="not generated"):
         group_from_simple_images(rs, both)
@@ -358,19 +357,21 @@ def test_group_from_simple_images_rejects_non_root_entries(built):
         group_from_simple_images(rs, images)
 
 
-def test_build_enumerate_and_load_make_no_match_root_calls(tmp_path, monkeypatch):
-    # root indices of reflections come from one vectorized table per root
-    # system, not from a nearest-root search per vector
+def test_enumerate_and_load_make_no_nearest_root_search(tmp_path, monkeypatch):
+    # root indices of reflections come from the root system's reflection
+    # table, matched by build, not from a nearest-root search per element:
+    # the only search left is each root system's n simple roots, once
     from ccl.cache import load_group, save_group
-    calls = []
-    match_root = ccl.RootSystem.match_root
-    monkeypatch.setattr(ccl.RootSystem, "match_root",
-                        lambda self, v: calls.append(1) or match_root(self, v))
     rs = ccl.build(ccl.GroupType.parse("H3"))
+    fresh = ccl.build(rs.group_type)
+    rows = []
+    nearest = ccl.RootSystem._nearest_roots
+    monkeypatch.setattr(ccl.RootSystem, "_nearest_roots",
+                        lambda self, v: rows.append(len(v)) or nearest(self, v))
     g = enumerate_group(rs)
     save_group(g, tmp_path / "h3.json")
-    load_group(ccl.build(rs.group_type), tmp_path / "h3.json")
-    assert calls == []
+    load_group(fresh, tmp_path / "h3.json")
+    assert rows == [rs.n, rs.n]
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +380,13 @@ def test_build_enumerate_and_load_make_no_match_root_calls(tmp_path, monkeypatch
 def test_fixed_space_dim_identity_and_reflections(built):
     rs, g = built("B3")
     assert g.fixed_dims[0] == 3
-    for sid in g.simple_reflection_ids:
+    for sid in g.left_mult[:, 0]:
         assert g.fixed_dims[sid] == 2
 
 
 def test_fixed_space_dim_coxeter_element_a2(built):
     rs, g = built("A2")
-    s1, s2 = g.simple_reflection_ids
+    s1, s2 = g.left_mult[:, 0]
     cox = compose(perm_rows(g), s1, s2)
     assert g.fixed_dims[cox] == 0
     # oracle: the product of the two reflections is a 120-degree rotation
@@ -397,7 +398,9 @@ def test_fixed_space_dim_coxeter_element_a2(built):
 def test_batched_fixed_dims_match_kernel_dimension(spec, built):
     rs, g = built(spec)
     eye = np.eye(rs.n)
-    per_element = [kernel_dimension(eye - m, rs.tol) for m in g.matrix_stack]
+    # oracle: the kernel dimension of each 1 - w, by its own rank
+    per_element = [rs.n - np.linalg.matrix_rank(eye - m, tol=rs.tol.eps_rank)
+                   for m in g.matrix_stack]
     assert g.fixed_dims.tolist() == per_element
 
 
@@ -632,7 +635,9 @@ def test_left_mult_matches_dict_oracle(spec, built):
     for j, s in enumerate(simple_reflection_perms(rs)):
         expected = [index[s[row].astype(np.int32).tobytes()] for row in rows]
         assert g.left_mult[j].tolist() == expected
-    assert g.simple_reflection_ids == tuple(int(i) for i in g.left_mult[:, 0])
+    # s_j times the identity is the simple reflection s_j
+    assert rows[g.left_mult[:, 0]].tolist() == [
+        s.tolist() for s in simple_reflection_perms(rs)]
 
 
 def test_subspace_orbits_are_w_orbits(built):
@@ -643,7 +648,9 @@ def test_subspace_orbits_are_w_orbits(built):
         W = rs.fundamental_weights
         for k in range(1, rs.n):
             subsets = list(itertools.combinations(range(rs.n), k))
-            P = {I: Subspace.from_spanning(W[list(I)], ambient_dim=rs.n).projector()
+            # projector onto the row span of V: V^T (V V^T)^-1 V
+            P = {I: W[list(I)].T @ np.linalg.solve(W[list(I)] @ W[list(I)].T,
+                                                   W[list(I)])
                  for I in subsets}
             images = {I: g.matrix_stack @ P[I] @ np.transpose(g.matrix_stack, (0, 2, 1))
                       for I in subsets}

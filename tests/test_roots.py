@@ -5,7 +5,7 @@ import pytest
 
 import ccl
 from ccl.roots import (ROOT_SORT_DECIMALS, SUPPORTED_TYPES, GroupType, build,
-                       fundamental_weights, generate_roots)
+                       generate_roots)
 
 ROOT_COUNTS = {
     "A1": 2, "A2": 6, "A3": 12, "A4": 20, "A5": 30,
@@ -61,9 +61,10 @@ def _classical_counts(t):
 
 @pytest.mark.parametrize("t", SUPPORTED_TYPES, ids=str)
 def test_root_count_and_order_follow_from_exponents(t):
-    # build checks |Phi| = 2 sum m_i and expected_order is prod (m_i + 1)
+    # build checks |Phi| = 2 sum m_i, and |W| = prod (m_i + 1)
     rs = build(t)
-    assert (rs.num_roots, rs.expected_order()) == _classical_counts(t)
+    order = math.prod(m + 1 for m in rs.exponents)
+    assert (rs.num_roots, order) == _classical_counts(t)
 
 
 def test_a2_explicit_coordinates():
@@ -124,7 +125,7 @@ def test_simple_reflections_permute_roots(t):
     for j in range(rs.n):
         a = rs.simple_roots[j]
         images = rs.all_roots - 2.0 * np.outer(rs.all_roots @ a, a)
-        perm = [rs.match_root(v) for v in images]
+        perm = [int(rs._nearest_roots(v[None])[0]) for v in images]
         assert sorted(perm) == list(range(rs.num_roots))
         assert rs.reflection_table[rs.simple_ids[j]].tolist() == perm
 
@@ -150,9 +151,11 @@ def test_match_root_tolerance_boundary():
     for k in (0, 5, rs.num_roots - 1):
         offset = rng.standard_normal(rs.n)
         offset /= np.linalg.norm(offset)
-        assert rs.match_root(rs.all_roots[k] + 0.5 * eps * offset) == k
+        near = rs.all_roots[k] + 0.5 * eps * offset
+        assert rs._nearest_roots(near[None])[0] == k
+        far = rs.all_roots[k] + 2.0 * eps * offset
         with pytest.raises(ccl.InvalidArgumentError, match="does not match"):
-            rs.match_root(rs.all_roots[k] + 2.0 * eps * offset)
+            rs._nearest_roots(far[None])
 
 
 @pytest.mark.parametrize("t", SUPPORTED_TYPES, ids=str)
@@ -214,8 +217,20 @@ def test_generate_roots_rejects_bad_gram():
 
 
 def test_fundamental_weights_orthogonal_simple_roots():
-    w = fundamental_weights(np.eye(2))
-    assert np.allclose(w, np.eye(2), atol=1e-12)
+    # (omega_i, alpha_j) = delta_ij: each weight is orthogonal to every other
+    # simple root, for all supported types
+    for t in SUPPORTED_TYPES:
+        rs = build(t)
+        prods = rs.fundamental_weights @ rs.simple_roots.T
+        assert np.abs(prods - np.eye(rs.n)).max() <= 1e-12, str(t)
+        assert not rs.fundamental_weights.flags.writeable
+
+
+def test_fundamental_weights_rank1():
+    # A1: the one weight is the unit simple root itself
+    rs = build(GroupType.parse("A1"))
+    assert rs.fundamental_weights[0, 0] > 0
+    assert np.allclose(rs.fundamental_weights, rs.simple_roots, atol=1e-12)
 
 
 def test_root_coefficients_are_zero_or_at_least_one():
@@ -225,11 +240,6 @@ def test_root_coefficients_are_zero_or_at_least_one():
         rs = build(t)
         c = np.abs(rs.all_roots @ rs.fundamental_weights.T)
         assert ((c <= 1e-12) | (c >= 1 - 1e-12)).all(), str(t)
-
-
-def test_fundamental_weights_rank1():
-    w = fundamental_weights(np.array([[1.0]]))
-    assert w[0, 0] > 0
 
 
 def test_deterministic_construction():
@@ -247,8 +257,21 @@ def test_failed_gram_check_is_numerical_error(monkeypatch):
 
 
 def test_weights_outside_chamber_is_numerical_error(monkeypatch):
-    import ccl.roots
-    weights = ccl.roots.fundamental_weights
-    monkeypatch.setattr(ccl.roots, "fundamental_weights", lambda s: -weights(s))
-    with pytest.raises(ccl.NumericalError):
+    # build reads the weights off the inverse of the simple roots; negated,
+    # they lie in the opposite chamber
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: -inv(a))
+    with pytest.raises(ccl.NumericalError, match="outside the chamber"):
         build(GroupType.parse("A2"))
+
+
+def test_build_makes_no_svd(monkeypatch):
+    # generate_roots decides the rank of the simple roots from the
+    # eigenvalues of their Gram matrix, and no other step of build needs one
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    for t in SUPPORTED_TYPES:
+        build(t)
+    assert calls == []
