@@ -67,8 +67,10 @@ class Group:
         coordinate of omega_i by more than SPAN_MATCH_TOL.  Built on first
         use, from one product with the whole matrix stack."""
         weights = self.root_system.fundamental_weights
-        moved = np.abs(self.matrix_stack @ weights.T - weights.T).max(axis=1)
-        fixes = moved <= SPAN_MATCH_TOL
+        # |w omega_i - omega_i| in one temporary, made absolute in place
+        moved = self.matrix_stack @ weights.T
+        moved -= weights.T
+        fixes = np.abs(moved, out=moved).max(axis=1) <= SPAN_MATCH_TOL
         fixes.setflags(write=False)
         return fixes
 
@@ -230,6 +232,15 @@ def _conjugacy_labels(rs: RootSystem, simple_images: np.ndarray, find) -> np.nda
         labels = new
 
 
+def _orthogonality_error(mats: np.ndarray) -> float:
+    """Largest entry of |w^T w - 1| over a (order, n, n) stack, computed in
+    one temporary: the product, less the identity and made absolute in
+    place."""
+    gram = np.swapaxes(mats, 1, 2) @ mats
+    gram -= np.eye(mats.shape[1])
+    return float(np.abs(gram, out=gram).max())
+
+
 def _assemble_group(rs: RootSystem, simple_images: np.ndarray,
                     left_mult: np.ndarray, find) -> Group:
     n = rs.n
@@ -238,12 +249,11 @@ def _assemble_group(rs: RootSystem, simple_images: np.ndarray,
 
     # Reconstruct matrices from the images of the simple roots.
     A_inv = np.linalg.inv(rs.simple_roots)            # rows alpha_i
-    images = rs.all_roots[simple_images]              # (order, n, n) rows = images
-    mats = np.transpose(images, (0, 2, 1)) @ A_inv.T
-    # mats[k] = images[k].T @ A_inv.T  ==  (A_inv @ images[k]).T
+    # mats[k] = images[k].T @ A_inv.T  ==  (A_inv @ images[k]).T, where the
+    # rows of images[k] = all_roots[simple_images[k]] are the images
+    mats = np.transpose(rs.all_roots[simple_images], (0, 2, 1)) @ A_inv.T
 
-    eye = np.eye(n)
-    ortho_err = np.abs(np.swapaxes(mats, 1, 2) @ mats - eye).max()
+    ortho_err = _orthogonality_error(mats)
     if ortho_err > ORTHOGONALITY_TOL:
         raise NumericalError(
             f"reconstructed matrices not orthogonal (err {ortho_err:.2e})")
@@ -254,7 +264,7 @@ def _assemble_group(rs: RootSystem, simple_images: np.ndarray,
     # class
     labels = _conjugacy_labels(rs, simple_images, find)
     reps = np.flatnonzero(labels == np.arange(order))
-    sv = np.linalg.svd(eye - mats[reps], compute_uv=False)
+    sv = np.linalg.svd(np.eye(n) - mats[reps], compute_uv=False)
     fixed = np.zeros(order, dtype=np.int64)
     fixed[reps] = (sv < rs.tol.eps_rank).sum(axis=1)
     fixed = fixed[labels]

@@ -232,9 +232,49 @@ class RootSystem:
     def reflection_table(self) -> np.ndarray:
         """(num_roots, num_roots) read-only int32 table: entry (b, c) is the
         index of s_b(c), s_b the reflection in root b; row ``simple_ids[j]``
-        is s_j.  Matched one row of images at a time."""
-        table = np.stack([self._nearest_roots(_reflect(self.all_roots, b))
-                          for b in self.all_roots]).astype(np.int32)
+        is s_j.
+
+        Only the n simple rows are matched to the root list.  Every other
+        row follows breadth-first from the simple roots by conjugation,
+        s_{s_j(b)} = s_j s_b s_j, and every entry is then checked against
+        the geometry: |s_b(c) - root[table[b, c]]| <= eps_root_match."""
+        R, N = self.all_roots, self.num_roots
+        gens = self._nearest_roots(
+            (R[None] - 2.0 * (self.simple_roots @ R.T)[:, :, None]
+             * self.simple_roots[:, None]).reshape(-1, self.n))
+        gens = gens.reshape(self.n, N).astype(np.int32)
+        table = np.empty((N, N), dtype=np.int32)
+        table[self.simple_ids] = gens
+        known = np.zeros(N, dtype=bool)
+        known[self.simple_ids] = True
+        frontier = self.simple_ids
+        while frontier.size:
+            # the roots s_j(b), generator-major, for frontier roots b
+            reached, first = np.unique(gens[:, frontier], return_index=True)
+            new = ~known[reached]
+            c = reached[new]
+            j, b = np.divmod(first[new], len(frontier))
+            # row c maps x to s_j(s_b(s_j(x)))
+            table[c] = np.take_along_axis(
+                gens[j], np.take_along_axis(table[frontier[b]], gens[j], axis=1),
+                axis=1)
+            known[c] = True
+            frontier = c
+        if not known.all():
+            raise NonFiniteSystemError(
+                f"root {np.argmin(known)} is not reached from the simple roots")
+        # err[b, c] = root[table[b, c]] - s_b(c), with s_b(c) = c - 2 (b, c) b,
+        # for as many rows b as fit in _DISTANCE_ENTRIES entries at a time;
+        # einsum squares and sums it without a second temporary
+        gram = R @ R.T
+        rows = max(1, _DISTANCE_ENTRIES // (N * self.n))
+        for a in range(0, N, rows):
+            err = R[table[a:a + rows]] - R
+            err += 2.0 * gram[a:a + rows, :, None] * R[a:a + rows, None]
+            if (np.einsum("bci,bci->bc", err, err)
+                    > self.tol.eps_root_match ** 2).any():
+                raise NonFiniteSystemError(
+                    "a reflected root does not match its reflection table entry")
         table.setflags(write=False)
         return table
 
@@ -254,10 +294,6 @@ class RootSystem:
         if (d > self.tol.eps_root_match).any():
             raise InvalidArgumentError("vector does not match any root")
         return nearest
-
-
-def _reflect(roots: np.ndarray, a: np.ndarray) -> np.ndarray:
-    return roots - 2.0 * np.outer(roots @ a, a)
 
 
 def generate_roots(simple, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

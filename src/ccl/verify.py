@@ -15,9 +15,11 @@ parabolic) ask one question: how many of a set of cones contain a point.
 Each builds the unit inward facet normals of its cones as one (cones,
 facets, n) stack, draws its points in one subspace, and classifies them
 with ``_cone_classifier``.  Classification is facet-major, as in the Monte
-Carlo kernel: a block's coordinates are a (points, facets, cones) array, so
-``_count_inside`` reduces over whole rows of cones; ``_translates`` stores
-its stacks in that layout, so the classifier multiplies by a view of them.
+Carlo kernel, and runs one tile of ``TILE_CONES`` cones at a time: a
+block's coordinates on a tile are a (points, facets, tile) array, so
+``_count_inside`` reduces over whole rows of cones, and a point's count is
+the sum over the tiles.  ``_translates`` stores its stacks as (n, facets,
+cones), so every tile the classifier multiplies by is a view of them.
 
 Genericity is enforced by margin-and-resample: a trial point that lands
 within the root system's relative margin (``rs.tol.generic_margin``) of
@@ -27,7 +29,7 @@ fresh :class:`GenericPointSampler` on its own seed, so its report's
 ``seed`` and ``resamples`` describe the stream its points came from.
 Points are drawn and classified in blocks.  A block asks the sampler's
 PCG64 stream for exactly the trials still missing (at most
-``BLOCK_ENTRIES`` float entries of classification work), as one
+``BLOCK_ENTRIES`` float entries of one tile's classification), as one
 ``standard_normal((m, d))`` or ``uniform(size=(m, d))`` call, which yields
 the same variates in the same order as m one-point draws.  Rejected rows
 are counted in order, and the next block asks for the rest.  So a check
@@ -96,12 +98,22 @@ class VerificationReport:
         return d
 
 
-# Largest number of float64 entries (points x cones x facets) one block's
-# classification may hold in a temporary: 512 KiB.  It bounds the peak
-# memory of the largest checks (H4 covering and oplus test 14 400 cones, so
-# their blocks hold one point) and decides nothing else: the stream
-# definition makes results independent of the block size.
+# Largest number of float64 entries (points x facets x tile cones) one
+# block's classification may hold in a temporary: 512 KiB.  A block is
+# classified one tile of cones at a time, so it holds at least
+# BLOCK_ENTRIES // (facets * TILE_CONES) points, even when a stack has
+# 14 400 cones (H4 covering and oplus).  It bounds the peak memory of the checks and decides
+# nothing else: the stream definition makes results independent of the
+# block size.
 BLOCK_ENTRIES = 1 << 16
+
+# Cones per tile: square tiles for 4 facets, so a block of a rank-4 check
+# holds 128 points and 100 trials fit in one.  In-process medians of 25
+# run_suite calls of waldspurger, covering, oplus and parabolic (one BLAS
+# thread, 2-core guest), tiles of 128 / 256 cones against one tile per
+# stack: H4 124 / 120 against 184-198 ms, F4 35 / 47 against 53-56 ms, B4
+# 17 / 20 ms, A5 57 / 63 ms.  Tiles of 64 cones took H4 144 ms.
+TILE_CONES = 128
 
 # Largest entry of (1 - w)(1 - w)^-1 - 1 accepted for the Waldspurger
 # inverses, computed once per group.  (1 - w) is invertible for a
@@ -139,7 +151,7 @@ class GenericPointSampler:
         one array call, so that m rows take the variates of m one-row
         draws.  ``classify(points)`` returns one int per row, -1 for a point
         to resample.  ``entries_per_point`` is the float entries classify
-        holds per point (cones x facets); it sizes the blocks.  A check of
+        holds per point (facets x tile cones); it sizes the blocks.  A check of
         no trials would pass vacuously, so ``trials`` must be at least 1.
         """
         if trials < 1:
@@ -183,23 +195,41 @@ def _count_inside(coords: np.ndarray, band) -> np.ndarray:
     return np.where(near, -1, inside)
 
 
+def _tile_entries(cones: int, facets: int) -> int:
+    """Float entries ``_cone_classifier`` holds per point: one tile's
+    (facets, tile) coordinates.  It sizes the sampler's blocks."""
+    return facets * min(cones, TILE_CONES)
+
+
 def _cone_classifier(normals: np.ndarray, margin: float, roots=None):
     """Block classify for the cones with unit inward facet normals
     ``normals`` (cones, facets, n): the number of cones containing each
     point, or -1 for a point within the relative margin of a facet or,
-    when ``roots`` is given, of a reflection hyperplane.  The points are
-    multiplied by one (n, facets * cones) frame; it is a view of a stack
+    when ``roots`` is given, of a reflection hyperplane.
+
+    The stack is read as one (n, facets, cones) frame, a view of a stack
     stored facet-major, as ``_translates`` stores it, and a copy of any
-    other."""
+    other.  Its tiles are slices of ``TILE_CONES`` cones, each a view of
+    the frame: a block of points gets one (points, facets, tile) array per
+    tile, counted by ``_count_inside``; a point's count is the sum over the
+    tiles, or -1 when any tile puts it near a facet."""
     cones, facets, n = normals.shape
-    frame = normals.transpose(2, 1, 0).reshape(n, facets * cones)
+    frame = np.ascontiguousarray(normals.transpose(2, 1, 0))
+    # (facets, n, tile) views: points @ tile is (facets, points, tile)
+    tiles = [frame[:, :, a:a + TILE_CONES].transpose(1, 0, 2)
+             for a in range(0, cones, TILE_CONES)]
 
     def classify(points):
-        coords = (points @ frame).reshape(len(points), facets, cones)
         band = margin * np.linalg.norm(points, axis=1)
-        counts = _count_inside(coords, band)
+        counts = np.zeros(len(points), dtype=np.intp)
+        near = np.zeros(len(points), dtype=bool)
+        for tile in tiles:
+            inside = _count_inside((points @ tile).transpose(1, 0, 2), band)
+            near |= inside < 0
+            counts += inside
         if roots is not None:
-            counts[np.abs(points @ roots.T).min(axis=1) <= band] = -1
+            near |= np.abs(points @ roots.T).min(axis=1) <= band
+        counts[near] = -1
         return counts
 
     return classify
@@ -209,16 +239,22 @@ def _translates(g: Group, blocks) -> np.ndarray:
     """Unit inward facet normals of the cones w K, as one (cones, facets, n)
     stack, from (dual basis of K, element indices of the w) pairs.  Each K's
     normals are normalized once; the elements are orthogonal, so they map
-    unit normals of K to unit normals of w K.  The stack is stored
-    facet-major, (n, facets, cones) in memory, and returned as its
-    transposed view, so ``_cone_classifier`` takes its frame without a
-    copy."""
-    # (facets, n) @ (n, n, ws) -> (n, facets, ws): entry [j, f, w] is the
-    # j-th coordinate of w applied to unit normal f
-    return np.concatenate([
-        (duals / np.linalg.norm(duals, axis=1, keepdims=True))
-        @ np.transpose(g.matrix_stack[ws], (1, 2, 0))
-        for duals, ws in blocks], axis=2).transpose(2, 1, 0)
+    unit normals of K to unit normals of w K.  The stack is written
+    facet-major, (n, facets, cones) in memory, one product per pair, and
+    returned as its transposed view, so every tile of ``_cone_classifier``
+    is a view of it."""
+    blocks = [(duals / np.linalg.norm(duals, axis=1, keepdims=True), ws)
+              for duals, ws in blocks]
+    facets, n = blocks[0][0].shape
+    stack = np.empty((n, facets, sum(len(ws) for _, ws in blocks)))
+    a = 0
+    for unit, ws in blocks:
+        # (facets, n) @ (n, n, ws) -> (n, facets, ws): entry [j, f, w] is
+        # the j-th coordinate of w applied to unit normal f
+        np.matmul(unit, np.transpose(g.matrix_stack[ws], (1, 2, 0)),
+                  out=stack[:, :, a:a + len(ws)])
+        a += len(ws)
+    return stack.transpose(2, 1, 0)
 
 
 def _sampler(rs: RootSystem, seed: int) -> GenericPointSampler:
@@ -243,7 +279,7 @@ def _containment_counts(sampler: GenericPointSampler, trials: int,
 
     return sampler.sample(
         draw, _cone_classifier(normals, sampler.generic_margin, roots),
-        trials, cones * facets)
+        trials, _tile_entries(cones, facets))
 
 
 def _pass_rule(abs_error: float, stderr: float,
@@ -552,7 +588,8 @@ def verify_waldspurger_partition(rs: RootSystem, g: Group,
         counts[U.min(axis=1) <= margin] = -1
         return counts
 
-    counts = sampler.sample(draw, classify, trials, len(regular) * n)
+    counts = sampler.sample(draw, classify, trials,
+                            _tile_entries(len(regular), n))
     return _count_report(
         "waldspurger", rs, None, 1, counts, sampler.seed, trials,
         [("regular_elements", float(len(regular)), 0.0),

@@ -359,19 +359,21 @@ def test_group_from_simple_images_rejects_non_root_entries(built):
 
 def test_enumerate_and_load_make_no_nearest_root_search(tmp_path, monkeypatch):
     # root indices of reflections come from the root system's reflection
-    # table, matched by build, not from a nearest-root search per element:
-    # the only search left is each root system's n simple roots, once
+    # table, not from a nearest-root search per element, and build derives
+    # the table from its n simple rows: the only searches left are each
+    # root system's n * num_roots images in those rows and its n simple
+    # roots, once
     from ccl.cache import load_group, save_group
-    rs = ccl.build(ccl.GroupType.parse("H3"))
-    fresh = ccl.build(rs.group_type)
     rows = []
     nearest = ccl.RootSystem._nearest_roots
     monkeypatch.setattr(ccl.RootSystem, "_nearest_roots",
                         lambda self, v: rows.append(len(v)) or nearest(self, v))
+    rs = ccl.build(ccl.GroupType.parse("H3"))
+    fresh = ccl.build(rs.group_type)
     g = enumerate_group(rs)
     save_group(g, tmp_path / "h3.json")
     load_group(fresh, tmp_path / "h3.json")
-    assert rows == [rs.n, rs.n]
+    assert rows == [rs.n * rs.num_roots, rs.n] * 2
 
 
 # ---------------------------------------------------------------------------

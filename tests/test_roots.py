@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -142,6 +143,38 @@ def test_reflection_table_matches_nearest_root_oracle(t):
         assert rs.reflection_table[b].tolist() == d.argmin(axis=1).tolist()
     assert rs.reflection_table.dtype == np.int32
     assert not rs.reflection_table.flags.writeable
+
+
+def test_reflection_table_needs_every_root_reached():
+    # the 12 unit vectors at multiples of 30 degrees are closed under the
+    # reflections of A2, whose roots are the multiples of 60 degrees: the
+    # simple rows match, but conjugation never reaches the other six
+    rs = build(GroupType.parse("A2"))
+    angles = np.arange(12) * np.pi / 6
+    circle = np.column_stack([np.cos(angles), np.sin(angles)])
+    wide = dataclasses.replace(rs, all_roots=circle)
+    with pytest.raises(ccl.NonFiniteSystemError, match="not reached"):
+        wide.reflection_table
+
+
+def test_reflection_table_entries_checked_against_geometry():
+    # turning one non-simple root by 0.8 eps_root_match, orthogonally to
+    # itself and to the simple roots whose reflections fix it, keeps every
+    # simple row within the match distance; but the reflection in the
+    # turned root moves the image of a root at 45 degrees to it by more
+    # than eps_root_match
+    rs = build(GroupType.parse("B3"))
+    eps = rs.tol.eps_root_match
+    k = next(i for i in range(rs.num_roots) if i not in rs.simple_ids)
+    roots = rs.all_roots.copy()
+    fixing = rs.simple_roots[np.abs(rs.simple_roots @ roots[k]) < 1e-12]
+    assert len(fixing) <= rs.n - 2
+    turn = np.linalg.svd(np.vstack([roots[k], fixing]))[2][-1]
+    roots[k] += 0.8 * eps * turn
+    roots[k] /= np.linalg.norm(roots[k])
+    bent = dataclasses.replace(rs, all_roots=roots)
+    with pytest.raises(ccl.NonFiniteSystemError, match="does not match"):
+        bent.reflection_table
 
 
 def test_match_root_tolerance_boundary():

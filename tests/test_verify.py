@@ -219,6 +219,24 @@ def test_classify_matches_per_cone_reference(spec, checks, built,
     # per-cone loop does: on Gaussian points, on points placed on a facet
     # and on points half the margin from one
     rs, g = built(spec)
+    check_classify_against_reference(rs, g, checks, monkeypatch)
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "H3"])
+def test_classify_in_small_tiles_matches_per_cone_reference(spec, built,
+                                                           monkeypatch):
+    # with tiles of 3 cones, most stacks span several tiles and end in a
+    # partial one; the counts summed over the tiles are still the per-cone
+    # counts
+    rs, g = built(spec)
+    monkeypatch.setattr(ccl.verify, "TILE_CONES", 3)
+    check_classify_against_reference(rs, g, COUNTING_CHECKS, monkeypatch)
+
+
+def check_classify_against_reference(rs, g, checks, monkeypatch):
+    """Run ``checks`` on rs and g, then compare each classify they built
+    with ``reference_count`` on Gaussian points and on points on or half
+    the margin from a facet."""
     recorded = record_classifiers(monkeypatch)
     run_suite(rs, g, checks, trials=5)
     rng = np.random.default_rng(11)
@@ -238,17 +256,22 @@ def test_classify_matches_per_cone_reference(spec, checks, built,
 
 def test_classifier_frame_is_a_view_of_the_translates_stack(built,
                                                             monkeypatch):
-    # _translates stores its stack facet-major, so the classifier's
-    # (n, facets * cones) frame is a view of it, not a second copy
+    # _translates stores its stack facet-major, so every tile of the
+    # classifier's frame is a view of it, not a second copy
     rs, g = built("B3")
+    monkeypatch.setattr(ccl.verify, "TILE_CONES", 7)
     recorded = record_classifiers(monkeypatch)
     run_suite(rs, g, ["covering", "oplus", "decomposition", "parabolic"],
               trials=5)
     assert len(recorded) > 4
+    assert max(len(normals) for normals, *_ in recorded) > 7
     for normals, _, _, classify in recorded:
-        frame = inspect.getclosurevars(classify).nonlocals["frame"]
-        assert frame.shape == (rs.n, normals.shape[0] * normals.shape[1])
-        assert np.shares_memory(frame, normals)
+        tiles = inspect.getclosurevars(classify).nonlocals["tiles"]
+        cones, facets, n = normals.shape
+        assert [t.shape for t in tiles] == [
+            (facets, n, min(7, cones - a)) for a in range(0, cones, 7)]
+        for tile in tiles:
+            assert np.shares_memory(tile, normals)
 
 
 @pytest.mark.parametrize("spec", ["A3", "H4"])
@@ -821,6 +844,27 @@ def counting_checks(rs, g, trials=40):
 @pytest.mark.parametrize("margin", [DEFAULT_TOL.generic_margin, 0.01])
 @pytest.mark.parametrize("spec", ["A3", "B3", "H3"])
 def test_block_sampling_matches_per_point_reference(spec, margin, monkeypatch):
+    check_block_sampling(spec, margin, monkeypatch)
+
+
+# with tiles of 1 cone every stack spans several tiles; with tiles of 3,
+# every stack of 4, 8, 10, ... cones ends in a partial one
+@pytest.mark.parametrize("tile", [1, 3])
+@pytest.mark.parametrize("margin", [DEFAULT_TOL.generic_margin, 0.01])
+@pytest.mark.parametrize("spec", ["A3", "B3", "H3"])
+def test_block_sampling_in_small_tiles_matches_per_point_reference(
+        spec, margin, tile, monkeypatch):
+    monkeypatch.setattr(ccl.verify, "TILE_CONES", tile)
+    classifiers = record_classifiers(monkeypatch)
+    check_block_sampling(spec, margin, monkeypatch)
+    cones = [len(normals) for normals, *_ in classifiers]
+    assert min(cones) >= 2 if tile == 1 else any(c > 3 and c % 3 for c in cones)
+
+
+def check_block_sampling(spec, margin, monkeypatch):
+    """Run every counting check of ``spec`` on ``margin`` with block
+    sampling and with ``per_point_sample``, and compare their counts and
+    resamples."""
     rs, g = built_with_margin(spec, margin)
     runs = []
     for sample in (GenericPointSampler.sample, per_point_sample):
@@ -841,6 +885,33 @@ def test_block_sampling_matches_per_point_reference(spec, margin, monkeypatch):
     assert blocked == reference
     resamples = sum(r for _, r in blocked)
     assert resamples > 0 if margin == 0.01 else resamples == 0
+
+
+def test_h4_covering_classifies_in_tiles_within_block_entries(built,
+                                                              monkeypatch):
+    # H4 covering's 14 400 cones are classified one tile at a time, so its
+    # 100 trials fit in at most 2 blocks, and no coordinate array that
+    # _count_inside reduces holds more than BLOCK_ENTRIES entries
+    rs, g = built("H4")
+    blocks, inputs = [], []
+    inner_classifier, inner_count = ccl.verify._cone_classifier, ccl.verify._count_inside
+
+    def classifier(normals, margin, roots=None):
+        classify = inner_classifier(normals, margin, roots)
+        return lambda points: blocks.append(len(points)) or classify(points)
+
+    def count_inside(coords, band):
+        inputs.append(coords.shape)
+        return inner_count(coords, band)
+
+    monkeypatch.setattr(ccl.verify, "_cone_classifier", classifier)
+    monkeypatch.setattr(ccl.verify, "_count_inside", count_inside)
+    report = verify_covering_count(rs, g, trials=100)
+    assert report.passed
+    assert 1 <= len(blocks) <= 2 and sum(blocks) >= 100
+    assert all(np.prod(shape) <= ccl.verify.BLOCK_ENTRIES for shape in inputs)
+    # every block's tiles cover the whole stack once
+    assert sum(shape[2] for shape in inputs) == len(blocks) * g.order
 
 
 @pytest.mark.parametrize("cap", [1, 2, 5, None])
