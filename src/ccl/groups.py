@@ -9,15 +9,16 @@ so element indices are stable across runs.
 
 A Group holds its elements as stacked arrays (simple-root images, matrices,
 fixed-space dimensions) and the table ``left_mult`` of the index of s_j w,
-looked up by sorting on the images; a cache reload starts from the images.
+looked up by sorting on the images; enumeration and a cache reload both
+build it, with the same checks, by ``group_from_simple_images``.
 dim ker(1 - w) is a class function, so it is computed by one SVD per
 conjugacy class, the classes being found by the same lookup of s_j w s_j,
 through (w s_j)(alpha_i) = s_{w alpha_j}(w alpha_i) on the root system's
 reflection table.  Parabolic subgroups are array closures over the rows of
 ``left_mult``, checked against one per-group table of the elements fixing
-each fundamental weight.  Face spans are matched as root subsets on the
-images: w carries span(F_J) onto span(F_I) when it sends the simple roots
-outside J into span(F_I)-perp.
+each fundamental weight.  Face spans are matched, by ``face_carriers``
+alone, as root subsets on the images: w carries span(F_J) onto span(F_I)
+when it sends the simple roots outside J into span(F_I)-perp.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .roots import RootSystem
 
 __all__ = ["Group", "Subgroup", "enumerate_group", "group_from_simple_images",
            "solomon_check", "parabolic_subgroup", "regular_count",
-           "normalizer_of_span", "subspace_orbits", "span_carriers"]
+           "normalizer_of_span", "subspace_orbits", "face_carriers"]
 
 DEFAULT_ELEMENT_CAP = 20_000
 
@@ -97,8 +98,7 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
     keyed on its simple-root images, and the keys of earlier layers and
     repeats within the layer are dropped.  Each layer is ordered
     lexicographically on its full permutation rows.  Raises
-    GroupTooLargeError when more than ``cap`` elements appear.  Fixed-space
-    dimensions count singular values below ``rs.tol.eps_rank``.
+    GroupTooLargeError when more than ``cap`` elements appear.
     """
     gens = rs.reflection_table[rs.simple_ids]
     identity = np.arange(rs.num_roots, dtype=np.int32)[None]
@@ -124,20 +124,18 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
         frontier = np.take(gens, (j * rs.num_roots)[:, None] + frontier[w])
         frontier = frontier[np.argsort(_row_bytes(frontier))]
         layers.append(frontier[:, rs.simple_ids])
-
-    simple_images = np.concatenate(layers)
-    find = _element_index(rs, simple_images)
-    return _assemble_group(rs, simple_images, find(gens[:, simple_images]), find)
+    return group_from_simple_images(rs, np.concatenate(layers))
 
 
 def group_from_simple_images(rs: RootSystem, simple_images: np.ndarray) -> Group:
-    """Rebuild a Group from its (order, n) table of simple-root images (cache
-    reload).  An element is determined by these images.
+    """Build a Group from its (order, n) table of simple-root images, as
+    enumerated or cached.  An element is determined by these images.
 
     Element order is preserved.  Raises InvalidArgumentError if the table
     does not start with the identity, holds an entry that is not a root
     index, has duplicates, is not closed under the simple reflections or is
-    not generated by them.
+    not generated by them.  Fixed-space dimensions count singular values
+    below ``rs.tol.eps_rank``.
     """
     simple_images = np.asarray(simple_images)
     if simple_images.ndim != 2 or simple_images.shape[1] != rs.n:
@@ -154,7 +152,41 @@ def group_from_simple_images(rs: RootSystem, simple_images: np.ndarray) -> Group
     if not _closure(left_mult).all():
         raise InvalidArgumentError("element list is not generated by the "
                                    "simple reflections")
-    return _assemble_group(rs, simple_images, left_mult, find)
+    n, order = rs.n, simple_images.shape[0]
+    simple_images.setflags(write=False)
+
+    # Reconstruct matrices from the images of the simple roots.
+    A_inv = np.linalg.inv(rs.simple_roots)            # rows alpha_i
+    # mats[k] = images[k].T @ A_inv.T  ==  (A_inv @ images[k]).T, where the
+    # rows of images[k] = all_roots[simple_images[k]] are the images
+    mats = np.transpose(rs.all_roots[simple_images], (0, 2, 1)) @ A_inv.T
+
+    ortho_err = _orthogonality_error(mats)
+    if ortho_err > ORTHOGONALITY_TOL:
+        raise NumericalError(
+            f"reconstructed matrices not orthogonal (err {ortho_err:.2e})")
+    mats.setflags(write=False)
+
+    # dim ker(1 - w) is a class function: one SVD per conjugacy class,
+    # counting singular values below eps_rank, copied to the rest of the
+    # class
+    labels = _conjugacy_labels(rs, simple_images, find)
+    reps = np.flatnonzero(labels == np.arange(order))
+    sv = np.linalg.svd(np.eye(n) - mats[reps], compute_uv=False)
+    fixed = np.zeros(order, dtype=np.int64)
+    fixed[reps] = (sv < rs.tol.eps_rank).sum(axis=1)
+    fixed = fixed[labels]
+    counts = tuple(int(c) for c in np.bincount(fixed, minlength=n + 1))
+
+    return Group(
+        root_system=rs,
+        order=order,
+        counts_by_fixed_dim=counts,
+        fixed_dims=fixed,
+        matrix_stack=mats,
+        simple_images=simple_images,
+        left_mult=left_mult,
+    )
 
 
 def _closure(table: np.ndarray) -> np.ndarray:
@@ -241,46 +273,6 @@ def _orthogonality_error(mats: np.ndarray) -> float:
     return float(np.abs(gram, out=gram).max())
 
 
-def _assemble_group(rs: RootSystem, simple_images: np.ndarray,
-                    left_mult: np.ndarray, find) -> Group:
-    n = rs.n
-    order = simple_images.shape[0]
-    simple_images.setflags(write=False)
-
-    # Reconstruct matrices from the images of the simple roots.
-    A_inv = np.linalg.inv(rs.simple_roots)            # rows alpha_i
-    # mats[k] = images[k].T @ A_inv.T  ==  (A_inv @ images[k]).T, where the
-    # rows of images[k] = all_roots[simple_images[k]] are the images
-    mats = np.transpose(rs.all_roots[simple_images], (0, 2, 1)) @ A_inv.T
-
-    ortho_err = _orthogonality_error(mats)
-    if ortho_err > ORTHOGONALITY_TOL:
-        raise NumericalError(
-            f"reconstructed matrices not orthogonal (err {ortho_err:.2e})")
-    mats.setflags(write=False)
-
-    # dim ker(1 - w) is a class function: one SVD per conjugacy class,
-    # counting singular values below eps_rank, copied to the rest of the
-    # class
-    labels = _conjugacy_labels(rs, simple_images, find)
-    reps = np.flatnonzero(labels == np.arange(order))
-    sv = np.linalg.svd(np.eye(n) - mats[reps], compute_uv=False)
-    fixed = np.zeros(order, dtype=np.int64)
-    fixed[reps] = (sv < rs.tol.eps_rank).sum(axis=1)
-    fixed = fixed[labels]
-    counts = tuple(int(c) for c in np.bincount(fixed, minlength=n + 1))
-
-    return Group(
-        root_system=rs,
-        order=order,
-        counts_by_fixed_dim=counts,
-        fixed_dims=fixed,
-        matrix_stack=mats,
-        simple_images=simple_images,
-        left_mult=left_mult,
-    )
-
-
 def solomon_check(g: Group, exps) -> bool:
     """Exact check that sum_k |W^{n-k}| t^k equals prod_i (1 + m_i t)."""
     exps = list(exps)
@@ -328,21 +320,34 @@ def regular_count(sub: Subgroup, ambient_subspace_dim: int) -> int:
     return int(np.sum(g.fixed_dims[list(sub.indices)] == target))
 
 
-def span_carriers(g: Group, I, J, within: np.ndarray | bool = True) -> np.ndarray:
-    """Mask of the elements w with w . span(F_J) = span(F_I), for |I| = |J|:
-    those sending the simple roots outside J, which span span(F_J)-perp, to
-    roots orthogonal to span(F_I) (and, given the root mask ``within``, in
-    it).  The complements have equal dimension, so into is onto."""
-    rs = g.root_system
-    targets = rs.orthogonal_roots(I) & within
-    rest = [j for j in range(g.n) if j not in J]
-    return targets[g.simple_images[:, rest]].all(axis=1)
+def face_carriers(g: Group, I, within: np.ndarray | bool = True
+                  ) -> dict[tuple[int, ...], np.ndarray]:
+    """The elements w with w . span(F_J) = span(F_I), as ascending index
+    arrays by face type J (|J| = |I|, in lexicographic order), for every J
+    that has one; with a root mask ``within``, only those that also send
+    the simple roots outside J into it.
+
+    w carries span(F_J) onto span(F_I) when it sends the simple roots
+    outside J, which span span(F_J)-perp, into span(F_I)-perp (equal
+    dimensions, so into is onto).  The images are linearly independent, so
+    at most n - |I| of them fit there: w carries F_J exactly when the simple
+    roots it sends there are those outside J."""
+    I = _face_subset(g, I)
+    targets = g.root_system.orthogonal_roots(I) & within
+    # bit j of masks[w]: w alpha_j is a target root
+    masks = np.take(targets, g.simple_images) @ (1 << np.arange(g.n))
+    carriers = {}
+    for J in itertools.combinations(range(g.n), len(I)):
+        ws = np.flatnonzero(masks == sum(1 << j for j in range(g.n) if j not in J))
+        if ws.size:
+            carriers[J] = ws
+    return carriers
 
 
 def normalizer_of_span(g: Group, I) -> Subgroup:
     """Elements mapping span{omega_i : i in I} onto itself."""
-    I = _face_subset(g, I)
-    return Subgroup(g, tuple(np.flatnonzero(span_carriers(g, I, I)).tolist()))
+    I = tuple(sorted(_face_subset(g, I)))
+    return Subgroup(g, tuple(face_carriers(g, I)[I].tolist()))
 
 
 def subspace_orbits(g: Group, k: int) -> list[list[tuple[int, ...]]]:
@@ -356,11 +361,11 @@ def subspace_orbits(g: Group, k: int) -> list[list[tuple[int, ...]]]:
     if not 0 <= k <= n:
         raise InvalidArgumentError(f"k must be in 0..{n}")
     # W-orbits partition the subsets, so the class of the first unplaced
-    # subset is every unplaced subset some element carries onto it.
+    # subset is every face type some element carries onto it.
     unplaced = list(itertools.combinations(range(n), k))
     classes = []
     while unplaced:
-        cls = [J for J in unplaced if span_carriers(g, unplaced[0], J).any()]
+        cls = list(face_carriers(g, unplaced[0]))
         classes.append(cls)
         unplaced = [J for J in unplaced if J not in cls]
     return classes

@@ -58,8 +58,8 @@ from .angles import DEFAULT_MC, MC_SIGMAS, AngleEstimate, McConfig, measure
 from .cones import (SimplicialCone, _checked_quotient_dual, _quotient_from_face,
                     chamber, dual, face)
 from .errors import GenericityError, InvalidArgumentError, NumericalError
-from .groups import (Group, Subgroup, normalizer_of_span, parabolic_subgroup,
-                     regular_count, span_carriers, subspace_orbits)
+from .groups import (Group, Subgroup, face_carriers, normalizer_of_span,
+                     parabolic_subgroup, regular_count, subspace_orbits)
 from .linalg import DEFAULT_TOL
 from .roots import RootSystem
 
@@ -115,6 +115,9 @@ BLOCK_ENTRIES = 1 << 16
 # 17 / 20 ms, A5 57 / 63 ms.  Tiles of 64 cones took H4 144 ms.
 TILE_CONES = 128
 
+# Most consecutive non-generic points the sampler redraws.
+RESAMPLE_LIMIT = 100
+
 # Largest entry of (1 - w)(1 - w)^-1 - 1 accepted for the Waldspurger
 # inverses, computed once per group.  (1 - w) is invertible for a
 # fixed-point-free w; over every supported group the entries stay below
@@ -129,13 +132,12 @@ class GenericPointSampler:
 
     :meth:`sample` draws points in blocks from one PCG64 stream and keeps
     the classifications of the generic ones; a run of more than
-    ``resample_limit`` consecutive rejected points raises
+    ``RESAMPLE_LIMIT`` consecutive rejected points raises
     :class:`GenericityError`.  Each call of a counting check builds its
     own, so ``resamples`` counts the rejections of that call alone.
     """
 
     seed: int = 42
-    resample_limit: int = 100
     generic_margin: float = DEFAULT_TOL.generic_margin
     resamples: int = field(default=0, init=False)
 
@@ -166,12 +168,12 @@ class GenericPointSampler:
             # reject runs before, between and after the kept rows; the
             # first continues the run carried over from the last block
             gaps = np.diff(ok, prepend=-1 - run, append=m) - 1
-            over = np.flatnonzero(gaps > self.resample_limit)
+            over = np.flatnonzero(gaps > RESAMPLE_LIMIT)
             if over.size:
                 i = over[0]
-                self.resamples += int(gaps[:i].sum()) + self.resample_limit + 1 - run
+                self.resamples += int(gaps[:i].sum()) + RESAMPLE_LIMIT + 1 - run
                 raise GenericityError(
-                    f"no generic point found within {self.resample_limit} resamples")
+                    f"no generic point found within {RESAMPLE_LIMIT} resamples")
             self.resamples += m - ok.size
             run = int(gaps[-1])
             kept.append(counts[ok])
@@ -351,30 +353,6 @@ def _subset(I) -> tuple[int, ...]:
 # chamber geometry
 
 
-def _pairs_spanning(rs: RootSystem, g: Group, I,
-                    within: np.ndarray | bool = True) -> dict[tuple[int, ...], np.ndarray]:
-    """The elements w with w . span(F_J) = span(F_I), as index arrays by
-    face type J (|J| = |I|, in lexicographic order), for every J that has
-    one; with a root mask ``within``, only those that send the simple roots
-    outside J into it."""
-    pairs: dict[tuple[int, ...], np.ndarray] = {}
-    for J in itertools.combinations(range(rs.n), len(I)):
-        ws = np.flatnonzero(span_carriers(g, I, J, within))
-        if ws.size:
-            pairs[J] = ws
-    return pairs
-
-
-def _pieces_in_span(rs: RootSystem, g: Group, I) -> dict[tuple[int, ...], np.ndarray]:
-    """The distinct chamber faces w . F_J spanning span(F_I), as indices w
-    by face type J.  A face is a coset w W_J (W_J fixes F_J); its shortest
-    element keeps every simple root outside J positive and, as enumeration
-    is by word length, has the smallest index in the coset."""
-    # every root has |(beta, omega_1 + ... + omega_n)| >= 1: no sign is close to 0
-    positive = rs.all_roots @ rs.fundamental_weights.sum(axis=0) > 0
-    return _pairs_spanning(rs, g, I, positive)
-
-
 class Geometry:
     """The chamber geometry of one (root system, group), each piece built
     on first use and kept for the life of the object.  Every cone derives
@@ -384,9 +362,10 @@ class Geometry:
     is F_I, ``quotient(I)`` the quotient cone C/F_I and ``quotient_dual(I)``
     its dual; ``parabolic(I)`` is W_I and ``normalizer(I)`` the elements
     mapping span(F_I) onto itself; ``pairs(I)`` and ``pieces(I)`` are the
-    elements carrying a face span onto span(F_I), and the shortest ones
-    among them, by face type J; ``orbits(k)`` are the classes of face spans
-    of dimension k.  ``measure(kind, I, mc)`` measures a cone once per
+    ``face_carriers`` tables of the elements carrying a face span onto
+    span(F_I), and of the shortest ones among them, by face type J;
+    ``orbits(k)`` are the classes of face spans of dimension k.
+    ``measure(kind, I, mc)`` measures a cone once per
     (kind, subset, McConfig).  The checks made while building a piece (face
     span, quotient dual, Steinberg fixator) run once per distinct input;
     ``quotient_dual(I)`` is checked against this geometry's ``quotient(I)``.
@@ -398,6 +377,8 @@ class Geometry:
     def __init__(self, rs: RootSystem, g: Group):
         self.rs, self.g = rs, g
         self._memo: dict[tuple, object] = {}
+        # every root has |(beta, omega_1 + ... + omega_n)| >= 1: no sign is close to 0
+        self._positive = rs.all_roots @ rs.fundamental_weights.sum(axis=0) > 0
 
     def _once(self, key: tuple, build, *args):
         if key not in self._memo:
@@ -430,10 +411,15 @@ class Geometry:
         return self._once(("normalizer", I), normalizer_of_span, self.g, I)
 
     def pairs(self, I) -> dict[tuple[int, ...], np.ndarray]:
-        return self._once(("pairs", I), _pairs_spanning, self.rs, self.g, I)
+        return self._once(("pairs", I), face_carriers, self.g, I)
 
     def pieces(self, I) -> dict[tuple[int, ...], np.ndarray]:
-        return self._once(("pieces", I), _pieces_in_span, self.rs, self.g, I)
+        """The distinct chamber faces w . F_J spanning span(F_I), as indices
+        w by face type J.  A face is a coset w W_J (W_J fixes F_J); its
+        shortest element keeps every simple root outside J positive and, as
+        enumeration is by word length, has the smallest index in the
+        coset."""
+        return self._once(("pieces", I), face_carriers, self.g, I, self._positive)
 
     def orbits(self, k: int) -> list[list[tuple[int, ...]]]:
         return self._once(("orbits", k), subspace_orbits, self.g, k)

@@ -1,9 +1,12 @@
 import argparse
 import base64
+import contextlib
 import dataclasses
+import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -594,15 +597,56 @@ HEADLINE_PINS = {
 }
 
 
+# the same two runs as a table that does not depend on the report schema:
+# one [identity, group, k, passed, rhs_numerator, rhs_denominator, lhs] row
+# per verdict, in report order, under the runs' extra arguments joined by
+# spaces
+HEADLINE_TABLE = Path(__file__).resolve().parent / "data" / "all-groups-verdicts.json"
+VERDICT_FIELDS = ("identity", "group", "k", "passed", "rhs_numerator",
+                  "rhs_denominator", "lhs")
+
+
+@pytest.fixture(scope="module")
+def headline_report(tmp_path_factory):
+    """(exit code, stdout bytes) of ``report --all-groups --format json
+    --no-cache`` with the given extra arguments, run in process once per
+    module, so the byte pin and the table pin read one run."""
+    outputs = {}
+
+    def report(extra):
+        if extra not in outputs:
+            with (pytest.MonkeyPatch.context() as mp,
+                  contextlib.redirect_stdout(io.StringIO()) as out):
+                mp.setenv("CCL_CACHE_DIR", str(tmp_path_factory.mktemp("cache")))
+                rc = main(["report", "--all-groups", "--format", "json",
+                           "--no-cache", *extra])
+            outputs[extra] = rc, out.getvalue().encode()
+        return outputs[extra]
+
+    return report
+
+
 @pytest.mark.parametrize("extra", sorted(HEADLINE_PINS), ids=" ".join)
-def test_all_groups_json_report_bytes_are_pinned(extra, tmp_path, capsys,
-                                                 monkeypatch):
+def test_all_groups_json_report_bytes_are_pinned(extra, headline_report):
     # a change that moves any digit of any report shows up here, as an
     # edited pin
     import hashlib
-    monkeypatch.setenv("CCL_CACHE_DIR", str(tmp_path / "cache"))
-    rc = main(["report", "--all-groups", "--format", "json", "--no-cache",
-               *extra])
-    out = capsys.readouterr().out.encode()
+    rc, out = headline_report(extra)
     assert rc == 0
     assert (len(out), hashlib.sha256(out).hexdigest()) == HEADLINE_PINS[extra]
+
+
+@pytest.mark.parametrize("extra", sorted(HEADLINE_PINS), ids=" ".join)
+def test_all_groups_verdict_table_is_pinned(extra, headline_report):
+    # every verdict's identity, group, k, pass flag and rhs exactly, and its
+    # lhs to 1e-12 relative, whatever the rest of the report holds; a
+    # mismatch names the first verdict that differs
+    import math
+    _, out = headline_report(extra)
+    rows = [[doc[f] for f in VERDICT_FIELDS] for doc in json.loads(out)]
+    pinned = json.loads(HEADLINE_TABLE.read_text())[" ".join(extra)]
+    for i, (row, pin) in enumerate(zip(rows, pinned)):
+        assert row[:-1] == pin[:-1] and math.isclose(
+            row[-1], pin[-1], rel_tol=1e-12, abs_tol=0.0), (
+            f"verdict {i} differs: {row} against pinned {pin}")
+    assert len(rows) == len(pinned)

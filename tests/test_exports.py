@@ -1,4 +1,5 @@
-"""Every exported function and class of ccl has a caller inside ccl.
+"""Every exported function and class of ccl has a caller inside ccl, and
+every name a module lists in ``__all__`` is one it defines.
 
 A public name that only the tests call is a second path to keep in step
 with the one ccl runs.  The oracles the tests need live in the tests.
@@ -21,6 +22,22 @@ def dunder_all(tree):
                         for t in node.targets)):
             return {elt.value for elt in node.value.elts}
     return set()
+
+
+def module_bindings(tree):
+    """Names bound at module level: functions, classes, assignments and
+    imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.asname or alias.name.split(".")[0]
+                      for alias in node.names}
+    return names
 
 
 def relative_imports(tree):
@@ -66,3 +83,15 @@ def test_every_exported_function_and_class_has_a_production_use():
               if (module, name) not in imported
               and not loads_outside(modules[module], name, node)]
     assert unused == []
+
+
+def test_every_dunder_all_entry_is_defined_by_its_module():
+    modules = parse_modules()
+    listed = {(module, name) for module, tree in modules.items()
+              for name in dunder_all(tree)}
+    # the check would pass vacuously if it found nothing to check
+    assert {("groups", "face_carriers"), ("linalg", "DEFAULT_TOL"),
+            ("verify", "SUITE_IDENTITIES")} <= listed
+    undefined = sorted(f"{module}.{name}" for module, name in listed
+                       if name not in module_bindings(modules[module]))
+    assert undefined == []

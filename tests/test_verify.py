@@ -13,9 +13,8 @@ from ccl.cones import SimplicialCone, chamber
 from ccl.groups import normalizer_of_span
 from ccl.linalg import DEFAULT_TOL, ToleranceConfig
 from ccl.roots import SUPPORTED_TYPES
-from ccl.verify import (GenericPointSampler, Geometry, _pairs_spanning,
-                        _pieces_in_span, run_suite, verify_class_sum,
-                        verify_covering_count, verify_curious,
+from ccl.verify import (GenericPointSampler, Geometry, run_suite,
+                        verify_class_sum, verify_covering_count, verify_curious,
                         verify_equiv_measure, verify_face_decomposition,
                         verify_face_oplus_covering, verify_main,
                         verify_parabolic_quotient,
@@ -374,6 +373,7 @@ def test_decomposition_b2_axis_line(built):
 def test_span_pairs_and_normalizers_match_projector_oracle(spec, built):
     # oracle: w . span(F_J) = span(F_I) when w P_J w^T = P_I
     rs, g = built(spec)
+    geo = Geometry(rs, g)
     n, W, stack = rs.n, rs.fundamental_weights, g.matrix_stack
 
     def projector(J):
@@ -389,7 +389,7 @@ def test_span_pairs_and_normalizers_match_projector_oracle(spec, built):
             target = projector(I)
             expected = [(int(w), J) for J in types for w in np.flatnonzero(
                 np.abs(images[J] - target).max(axis=(1, 2)) <= 1e-8)]
-            assert [(int(w), J) for J, ws in _pairs_spanning(rs, g, I).items()
+            assert [(int(w), J) for J, ws in geo.pairs(I).items()
                     for w in ws] == expected
             assert normalizer_of_span(g, I).indices == tuple(
                 w for w, J in expected if J == I)
@@ -400,6 +400,7 @@ def test_decomposition_pieces_per_type_are_cosets(spec, built):
     # the pieces of type J are the cosets w W_J among the elements w with
     # w . span(F_J) = span(F_I); W_J is the pointwise fixator of F_J
     rs, g = built(spec)
+    geo = Geometry(rs, g)
     n, W, stack = rs.n, rs.fundamental_weights, g.matrix_stack
 
     def projector(J):
@@ -421,7 +422,7 @@ def test_decomposition_pieces_per_type_are_cosets(spec, built):
                 assert hits % fixator[J] == 0
                 if hits:
                     expected[J] = hits // fixator[J]
-            pieces = _pieces_in_span(rs, g, I)
+            pieces = geo.pieces(I)
             assert {J: len(ws) for J, ws in pieces.items()} == expected
             if k == n:
                 assert sum(expected.values()) == g.order
@@ -655,10 +656,11 @@ def test_standalone_measure_checks_draw_from_the_mc_seed(built):
 def test_run_suite_builds_each_piece_of_geometry_once(built, monkeypatch):
     # default run_suite over the catalog: one chamber per group, and one
     # face, quotient cone, quotient dual, parabolic subgroup, normalizer,
-    # orbit set and exact quadrature per distinct input (without the shared
-    # geometry: 786 chambers, 752 faces, 622 parabolic subgroups, 81
-    # quadratures)
+    # orbit set, carrier table and exact quadrature per distinct input
+    # (without the shared geometry: 786 chambers, 752 faces, 622 parabolic
+    # subgroups, 81 quadratures)
     import ccl.angles
+    import ccl.groups
     calls = {}
 
     def counted(owner, name):
@@ -674,6 +676,21 @@ def test_run_suite_builds_each_piece_of_geometry_once(built, monkeypatch):
                  "parabolic_subgroup", "normalizer_of_span", "subspace_orbits"):
         counted(ccl.verify, name)
     counted(ccl.angles, "_measure_plackett")
+    # Geometry.pairs and .pieces call face_carriers from ccl.verify,
+    # normalizer_of_span and subspace_orbits from ccl.groups
+    counted(ccl.verify, "face_carriers")
+    counted(ccl.groups, "face_carriers")
+    # (face_carriers calls, classes) of each subspace_orbits call
+    per_orbits = []
+    orbits = ccl.verify.subspace_orbits
+
+    def counted_orbits(g, k):
+        before = len(calls.get("face_carriers", ()))
+        classes = orbits(g, k)
+        per_orbits.append((len(calls["face_carriers"]) - before, len(classes)))
+        return classes
+
+    monkeypatch.setattr(ccl.verify, "subspace_orbits", counted_orbits)
     groups = [built(str(t)) for t in SUPPORTED_TYPES]
     for rs, g in groups:
         assert all(r.passed for r in run_suite(rs, g))
@@ -681,7 +698,18 @@ def test_run_suite_builds_each_piece_of_geometry_once(built, monkeypatch):
     assert counts == {"chamber": 22, "face": 186, "_quotient_from_face": 186,
                       "_checked_quotient_dual": 164, "parabolic_subgroup": 186,
                       "normalizer_of_span": 125, "subspace_orbits": 81,
-                      "_measure_plackett": 22}
+                      "face_carriers": 600, "_measure_plackett": 22}
+    # subspace_orbits makes one carrier table per class it returns: 125
+    # classes over the 81 values of k
+    assert all(made == classes for made, classes in per_orbits)
+    classes = sum(c for _, c in per_orbits)
+    assert len(per_orbits) == 81 and classes == 125
+    # the 600 tables: pairs(I) for the 186 subsets, pieces(I) for the 164
+    # subsets I other than {} (decomposition), one per normalizer and one
+    # per class
+    pieces = sum(len(args) == 3 for args in calls["face_carriers"])
+    assert pieces == 164
+    assert counts["face_carriers"] == 186 + pieces + 125 + classes
     # 186 = the 2^n face subsets of the 22 groups; the quotient dual is
     # built for the 164 subsets I other than {}, measured as the dual
     # chamber, and the quotient for the subsets other than {0..n-1}
@@ -777,8 +805,9 @@ def test_run_suite_rejects_k_out_of_range(k, built):
         run_suite(rs, g, identities=("oplus",), k=k)
 
 
-def test_sampler_exhaustion():
-    s = GenericPointSampler(seed=1, resample_limit=3)
+def test_sampler_exhaustion(monkeypatch):
+    monkeypatch.setattr(ccl.verify, "RESAMPLE_LIMIT", 3)
+    s = GenericPointSampler(seed=1)
     blocks = itertools.count()
 
     def reject(V):
@@ -815,10 +844,10 @@ def test_genericity_margin_is_respected(built):
 
 def per_point_sample(self, draw, classify, trials, entries_per_point=1):
     """Reference for GenericPointSampler.sample: one draw and one classify
-    per point, redrawing a non-generic point up to resample_limit times."""
+    per point, redrawing a non-generic point up to RESAMPLE_LIMIT times."""
     counts = []
     for _ in range(trials):
-        for _ in range(self.resample_limit + 1):
+        for _ in range(ccl.verify.RESAMPLE_LIMIT + 1):
             c = int(classify(draw(self._rng, 1))[0])
             if c >= 0:
                 break
@@ -916,8 +945,9 @@ def test_h4_covering_classifies_in_tiles_within_block_entries(built,
 
 @pytest.mark.parametrize("cap", [1, 2, 5, None])
 def test_reject_runs_across_blocks(cap, monkeypatch):
-    # kept, kept, then a run of resample_limit + 1 = 4 rejects: the runs of
+    # kept, kept, then a run of RESAMPLE_LIMIT + 1 = 4 rejects: the runs of
     # 3 are allowed and the run of 4 raises, whatever blocks they fall in
+    monkeypatch.setattr(ccl.verify, "RESAMPLE_LIMIT", 3)
     if cap is not None:
         monkeypatch.setattr(ccl.verify, "BLOCK_ENTRIES", cap)
     pattern = iter([-1, -1, -1, 7, -1, -1, -1, 8, -1, -1, -1, -1, 9])
@@ -930,7 +960,7 @@ def test_reject_runs_across_blocks(cap, monkeypatch):
     def classify(V):
         return np.array([next(pattern) for _ in V])
 
-    s = GenericPointSampler(seed=1, resample_limit=3)
+    s = GenericPointSampler(seed=1)
     assert s.sample(draw, classify, trials=2).tolist() == [7, 8]
     assert s.resamples == 6 and sum(drawn) == 8
     with pytest.raises(ccl.GenericityError):
