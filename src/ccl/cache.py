@@ -12,11 +12,13 @@ the simple roots, which determine w; it is the Group's own
 identity, holds only root indices, has no duplicates, is closed under the
 simple reflections and is generated by them, and recomputes the matrices
 from the stored roots and images and the fixed-space dimensions by one SVD
-per conjugacy class, whose counts must equal the stored ones.  A file of another schema
-version (schema 1 stored every permutation as nested integer lists, schema
-2 as a base64 table of all num_roots columns) or any malformed payload
-raises CacheError; ``load_or_enumerate`` then says on stderr why the file
-was ignored and enumerates instead.
+per conjugacy class, whose counts must equal the stored ones.  The images
+are searched once, for the table of s_j w; the generation check and the
+conjugacy classes are read off that table, with no second search.  A file
+of another schema version (schema 1 stored every permutation as nested
+integer lists, schema 2 as a base64 table of all num_roots columns) or any
+malformed payload raises CacheError; ``load_or_enumerate`` then says on
+stderr why the file was ignored and enumerates instead.
 """
 
 from __future__ import annotations

@@ -9,16 +9,19 @@ so element indices are stable across runs.
 
 A Group holds its elements as stacked arrays (simple-root images, matrices,
 fixed-space dimensions) and the table ``left_mult`` of the index of s_j w,
-looked up by sorting on the images; enumeration and a cache reload both
-build it, with the same checks, by ``group_from_simple_images``.
-dim ker(1 - w) is a class function, so it is computed by one SVD per
-conjugacy class, the classes being found by the same lookup of s_j w s_j,
-through (w s_j)(alpha_i) = s_{w alpha_j}(w alpha_i) on the root system's
-reflection table.  Parabolic subgroups are array closures over the rows of
-``left_mult``, checked against one per-group table of the elements fixing
-each fundamental weight.  Face spans are matched, by ``face_carriers``
-alone, as root subsets on the images: w carries span(F_J) onto span(F_I)
-when it sends the simple roots outside J into span(F_I)-perp.
+looked up by sorting on the images, the one search of element keys;
+enumeration and a cache reload both build it, with the same checks, by
+``group_from_simple_images``.  dim ker(1 - w) is a class function, so it
+is computed by one SVD per conjugacy class.  The classes come from
+``left_mult`` alone: one breadth-first pass from the identity, which is
+also the check that the simple reflections generate the elements, builds
+the table of w s_j = s_i (u s_j) for w = s_i u, and s_j w s_j is entry
+w s_j of row j of ``left_mult``.  Parabolic subgroups are array closures
+over the rows of ``left_mult``, checked against one per-group table of the
+elements fixing each fundamental weight.  Face spans are matched, by
+``face_carriers`` alone, as root subsets on the images: w carries span(F_J)
+onto span(F_I) when it sends the simple roots outside J into
+span(F_I)-perp.
 """
 
 from __future__ import annotations
@@ -68,8 +71,10 @@ class Group:
         coordinate of omega_i by more than SPAN_MATCH_TOL.  Built on first
         use, from one product with the whole matrix stack."""
         weights = self.root_system.fundamental_weights
-        # |w omega_i - omega_i| in one temporary, made absolute in place
-        moved = self.matrix_stack @ weights.T
+        # |w omega_i - omega_i| in one temporary, made absolute in place;
+        # one product with the (order * n, n) rows of the stack
+        stack = self.matrix_stack
+        moved = (stack.reshape(-1, self.n) @ weights.T).reshape(stack.shape)
         moved -= weights.T
         fixes = np.abs(moved, out=moved).max(axis=1) <= SPAN_MATCH_TOL
         fixes.setflags(write=False)
@@ -149,9 +154,9 @@ def group_from_simple_images(rs: RootSystem, simple_images: np.ndarray) -> Group
     simple_images = simple_images.astype(np.int32)
     find = _element_index(rs, simple_images)
     left_mult = find(rs.reflection_table[rs.simple_ids][:, simple_images])
-    if not _closure(left_mult).all():
-        raise InvalidArgumentError("element list is not generated by the "
-                                   "simple reflections")
+    # the breadth-first pass that finds each w s_j also checks that the
+    # simple reflections generate the elements
+    labels = _conjugacy_labels(left_mult, _right_mult(left_mult))
     n, order = rs.n, simple_images.shape[0]
     simple_images.setflags(write=False)
 
@@ -170,7 +175,6 @@ def group_from_simple_images(rs: RootSystem, simple_images: np.ndarray) -> Group
     # dim ker(1 - w) is a class function: one SVD per conjugacy class,
     # counting singular values below eps_rank, copied to the rest of the
     # class
-    labels = _conjugacy_labels(rs, simple_images, find)
     reps = np.flatnonzero(labels == np.arange(order))
     sv = np.linalg.svd(np.eye(n) - mats[reps], compute_uv=False)
     fixed = np.zeros(order, dtype=np.int64)
@@ -246,16 +250,47 @@ def _element_index(rs: RootSystem, simple_images: np.ndarray):
     return find
 
 
-def _conjugacy_labels(rs: RootSystem, simple_images: np.ndarray, find) -> np.ndarray:
+def _right_mult(left_mult: np.ndarray) -> np.ndarray:
+    """(order, n) table of the index of w s_j, from ``left_mult`` alone by
+    one breadth-first pass from the identity (index 0).
+
+    Row 0 holds the s_j.  An element w = s_i u first reached from u, one
+    layer earlier, has w s_j = s_i (u s_j): entry u s_j of row i of
+    ``left_mult``.  Which of w's parents is taken does not matter.  Raises
+    InvalidArgumentError when an element is never reached, that is, when
+    the elements are not generated by the simple reflections."""
+    n, order = left_mult.shape
+    right = np.empty((order, n), dtype=left_mult.dtype)
+    right[0] = left_mult[:, 0]
+    # slot[w]: the position among its layer's children that reached w
+    slot = np.full(order, -1, dtype=np.intp)
+    slot[0] = 0
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        # children s_i u of the frontier elements u, generator-major
+        children = left_mult[:, frontier].ravel()
+        fresh = np.flatnonzero(slot[children] < 0)
+        w = children[fresh]
+        slot[w] = fresh
+        first = slot[w] == fresh        # one of the positions of each w
+        w, fresh = w[first], fresh[first]
+        i, u = np.divmod(fresh, frontier.size)
+        right[w] = np.take(left_mult, (i * order)[:, None] + right[frontier[u]])
+        frontier = w
+    if (slot < 0).any():
+        raise InvalidArgumentError("element list is not generated by the "
+                                   "simple reflections")
+    return right
+
+
+def _conjugacy_labels(left_mult: np.ndarray, right_mult: np.ndarray) -> np.ndarray:
     """Index of the first element of each element's conjugacy class: the
     classes are the components of w ~ s_j w s_j, labelled by propagating
     the least index along those edges."""
-    table, N = rs.reflection_table, rs.num_roots
-    # s_b(c) is entry b * N + c; for (j, w, i): (w s_j)(alpha_i) =
-    # s_{w alpha_j}(w alpha_i), then s_j of it
-    ws = np.take(table, simple_images.T[:, :, None] * N + simple_images[None])
-    conj = find(np.take(table, (rs.simple_ids * N)[:, None, None] + ws))
-    labels = np.arange(len(simple_images))
+    n, order = left_mult.shape
+    # s_j w s_j, entry (j, w): entry w s_j of row j of left_mult
+    conj = np.take(left_mult, right_mult.T + (np.arange(n) * order)[:, None])
+    labels = np.arange(order)
     while True:
         new = np.minimum.reduce([labels, *labels[conj]])
         new = new[new]

@@ -28,13 +28,16 @@ __all__ = ["GroupType", "RootSystem", "build", "generate_roots",
 
 _CLOSURE_CAP = 10_000
 
-# Largest number of float64 entries (images x vectors x coordinates) in one
-# distance array of the root closure: 32 KiB, so the closure's temporaries
-# peak at 114 KiB over every supported group and stay bounded for input
-# whose closure runs towards _CLOSURE_CAP.  One array per layer (13 275
-# entries at most) peaked at 261 KiB and raised the peak RSS of an A5
-# build by 0.2 MiB.
+# Largest number of float64 entries (rows x roots x coordinates) in one
+# difference array of the reflection table's entry check.
 _DISTANCE_ENTRIES = 1 << 12
+
+# Largest number of float64 entries (images x vectors) in one product of
+# inner products in the root closure: 192 KiB.  Every layer of every
+# supported group fits in one product (2 712 entries at most, for H4), and
+# the closure's temporaries peak at 50 KiB over them; a pool of 10 000
+# vectors, near _CLOSURE_CAP, still compares two images per product.
+_CLOSURE_ENTRIES = 24_576
 
 # Threshold on |c| that tells a zero coefficient c = (beta, omega_i) of a
 # root beta on a unit simple root alpha_i from a nonzero one.  Over every
@@ -321,23 +324,45 @@ def generate_roots(simple, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
                   - 2.0 * (frontier @ S.T)[:, :, None] * S[None]).reshape(-1, n)
         # an image is new when the first vector within eps_root_match of it,
         # among the roots so far and the layer's images, is itself
-        pool = np.vstack([stack, images])
-        new = np.zeros(len(images), dtype=bool)
-        rows = max(1, _DISTANCE_ENTRIES // (len(pool) * n))
-        for a in range(0, len(images), rows):
-            b = min(a + rows, len(images))
-            dists = np.linalg.norm(images[a:b, None] - pool[None, :len(stack) + b], axis=2)
-            first = (dists <= tol.eps_root_match).argmax(axis=1)
-            new[a:b] = first == len(stack) + np.arange(a, b)
-            if len(stack) + np.count_nonzero(new) > _CLOSURE_CAP:
-                raise NonFiniteSystemError(
-                    f"root closure exceeded {_CLOSURE_CAP} vectors")
+        new = _first_within(np.vstack([stack, images]), len(stack),
+                            tol.eps_root_match)
+        if len(stack) + np.count_nonzero(new) > _CLOSURE_CAP:
+            raise NonFiniteSystemError(
+                f"root closure exceeded {_CLOSURE_CAP} vectors")
         frontier = images[new]
         stack = np.vstack([stack, frontier])
 
     out = stack[np.lexsort(np.round(stack, ROOT_SORT_DECIMALS).T[::-1])]
     out.setflags(write=False)
     return out
+
+
+def _first_within(pool: np.ndarray, start: int, eps: float) -> np.ndarray:
+    """Mask of the rows of ``pool`` from ``start`` on whose first row within
+    ``eps`` is the row itself.
+
+    |v - r|^2 = |v|^2 + |r|^2 - 2 (v, r), one product of inner products per
+    chunk of at most _CLOSURE_ENTRIES entries, is off by a few roundings of
+    |v|^2 + |r|^2.  It decides every pair but those within that rounding
+    of eps^2; these, which for an eps below about 1e-7 include v itself,
+    are decided by the norm of v - r."""
+    sq = np.einsum("ij,ij->i", pool, pool)
+    rounding = 4 * (pool.shape[1] + 4) * np.finfo(float).eps
+    rows = max(1, _CLOSURE_ENTRIES // len(pool))
+    first = np.empty(len(pool) - start, dtype=np.intp)
+    for a in range(start, len(pool), rows):
+        b = min(a + rows, len(pool))
+        d2 = pool[a:b] @ pool[:b].T
+        d2 *= -2.0
+        d2 += sq[a:b, None]
+        d2 += sq[:b] - eps ** 2
+        margin = rounding * (2.0 * sq[:b].max() + eps ** 2)
+        within = d2 < -margin
+        v, r = np.nonzero(np.abs(d2, out=d2) <= margin)
+        if len(v):
+            within[v, r] = np.linalg.norm(pool[a + v] - pool[r], axis=1) <= eps
+        first[a - start:b - start] = within.argmax(axis=1)
+    return first == np.arange(start, len(pool))
 
 
 def build(t: GroupType, tol: ToleranceConfig = DEFAULT_TOL) -> RootSystem:

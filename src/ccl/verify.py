@@ -190,10 +190,13 @@ def _count_inside(coords: np.ndarray, band) -> np.ndarray:
     A cone counts when its smallest facet coordinate exceeds ``band``.  A
     point gets -1 (resample) when its smallest entry in absolute value lies
     within ``band`` of zero.  ``band`` is a scalar or one value per point.
+
+    Consumes ``coords``: once the cones are counted it is made absolute in
+    place, so callers pass a temporary.
     """
     band = np.reshape(band, (-1, 1))
-    near = np.abs(coords).min(axis=(1, 2)) <= band[:, 0]
     inside = np.count_nonzero(coords.min(axis=1) > band, axis=1)
+    near = np.abs(coords, out=coords).min(axis=(1, 2)) <= band[:, 0]
     return np.where(near, -1, inside)
 
 

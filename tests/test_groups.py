@@ -10,7 +10,8 @@ import pytest
 import ccl
 from ccl.cache import load_group
 from ccl.cones import chamber
-from ccl.groups import (Group, enumerate_group, group_from_simple_images,
+from ccl.groups import (Group, _conjugacy_labels, _element_index, _right_mult,
+                        enumerate_group, group_from_simple_images,
                         normalizer_of_span, parabolic_subgroup, regular_count,
                         solomon_check, subspace_orbits)
 from ccl.roots import SUPPORTED_TYPES
@@ -355,6 +356,101 @@ def test_group_from_simple_images_rejects_non_root_entries(built):
     images[3, 1] = -1
     with pytest.raises(ccl.InvalidArgumentError, match="not a root index"):
         group_from_simple_images(rs, images)
+
+
+def test_non_orthogonal_matrices_are_numerical_error(built, monkeypatch):
+    # the matrices are rebuilt through the inverse of the simple roots;
+    # scaled by 1 + 1e-8, every w^T w is off the identity by about 2e-8
+    rs, g = built("B3")
+    inv = np.linalg.inv
+    monkeypatch.setattr(ccl.groups.np.linalg, "inv",
+                        lambda a: (1 + 1e-8) * inv(a))
+    with pytest.raises(ccl.NumericalError, match="not orthogonal"):
+        group_from_simple_images(rs, g.simple_images)
+
+
+def geometric_right_mult(rs, g):
+    """Oracle (order, n, n) table of the root indices of (w s_j)(alpha_i) =
+    s_{w alpha_j}(w alpha_i), read off the root system's reflection table."""
+    images, N = g.simple_images, rs.num_roots
+    return np.take(rs.reflection_table, images[:, :, None] * N + images[:, None, :])
+
+
+def conjugacy_components(conj):
+    """Least index of each element's component under w ~ conj[j, w], by a
+    union-find over the edges."""
+    parent = list(range(conj.shape[1]))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for j in range(conj.shape[0]):
+        for w, c in enumerate(conj[j].tolist()):
+            a, b = root(w), root(c)
+            parent[max(a, b)] = min(a, b)
+    return np.array([root(w) for w in range(conj.shape[1])])
+
+
+@pytest.mark.parametrize("t", SUPPORTED_TYPES, ids=str)
+def test_right_mult_and_conjugates_match_geometric_oracle(t, built):
+    # w s_j and s_j w s_j from the left-multiplication table alone equal
+    # the elements found by the images of w s_j and of s_j w s_j
+    rs, g = built(str(t))
+    find = _element_index(rs, g.simple_images)
+    ws = geometric_right_mult(rs, g)
+    right = _right_mult(g.left_mult)
+    assert np.array_equal(right, find(ws))
+    sj_ws = np.take(rs.reflection_table,
+                    (rs.simple_ids * rs.num_roots)[None, :, None] + ws)
+    conj = find(sj_ws).T                  # (n, order): s_j w s_j
+    assert np.array_equal(np.take_along_axis(g.left_mult, right.T, axis=1), conj)
+    labels = _conjugacy_labels(g.left_mult, right)
+    assert np.array_equal(labels, conjugacy_components(conj))
+    assert len(np.unique(labels)) == class_number(t)
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "H3"])
+def test_right_mult_is_the_matrix_product(spec, built):
+    rs, g = built(spec)
+    right = _right_mult(g.left_mult)
+    for j, a in enumerate(rs.simple_roots):
+        s_j = np.eye(rs.n) - 2.0 * np.outer(a, a)
+        assert np.abs(g.matrix_stack[right[:, j]] - g.matrix_stack @ s_j).max() <= 1e-12
+
+
+def wrap_searchsorted(monkeypatch):
+    """List that records the number of queries of every np.searchsorted."""
+    sizes = []
+    searchsorted = np.searchsorted
+
+    def recorded(a, v, *args, **kwargs):
+        sizes.append(np.size(v))
+        return searchsorted(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("t", SUPPORTED_TYPES, ids=str)
+def test_enumeration_makes_one_element_key_search(t, monkeypatch):
+    # the layers search their new keys among the keys seen so far (fewer
+    # than n * order queries each); the Group's set-up makes one search of
+    # the n * order images of s_j w, and none for s_j w s_j
+    rs = ccl.build(t)
+    sizes = wrap_searchsorted(monkeypatch)
+    g = enumerate_group(rs)
+    assert sizes.count(rs.n * g.order) == 1
+    assert sorted(sizes)[-2] < rs.n * g.order
+
+
+def test_h4_cache_load_makes_one_element_key_search(tmp_path, monkeypatch):
+    rs = ccl.build(ccl.GroupType.parse("H4"))
+    path = h4_schema3_file(tmp_path)
+    sizes = wrap_searchsorted(monkeypatch)
+    g = load_group(rs, path)
+    assert sizes == [rs.n * g.order]
 
 
 def test_enumerate_and_load_make_no_nearest_root_search(tmp_path, monkeypatch):

@@ -230,6 +230,19 @@ def test_generate_roots_matches_sequential_closure(t):
     assert rs.all_roots.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("eps", [1e-8, 1e-10, 1e-12])
+@pytest.mark.parametrize("spec", ["A3", "B4", "H4"])
+def test_generate_roots_with_small_eps_matches_sequential_closure(spec, eps):
+    # below about 1e-8, eps^2 is smaller than the rounding of
+    # |v|^2 + |r|^2 - 2 (v, r) for unit vectors: a root is still matched
+    # to itself and to the copies of it reached by other paths
+    simple = build(GroupType.parse(spec)).simple_roots
+    roots = generate_roots(simple, ccl.ToleranceConfig(eps_root_match=eps))
+    expected = sequential_closure(simple, eps)
+    assert roots.shape == expected.shape == (ROOT_COUNTS.get(spec, 120), simple.shape[1])
+    assert roots.tobytes() == expected.tobytes()
+
+
 def test_generate_roots_a1():
     roots = generate_roots(np.array([[1.0]]))
     assert roots.shape == (2, 1)
