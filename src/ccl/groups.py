@@ -105,7 +105,7 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
     lexicographically on its full permutation rows.  Raises
     GroupTooLargeError when more than ``cap`` elements appear.
     """
-    gens = rs.reflection_table[rs.simple_ids]
+    gens = rs.simple_reflections
     identity = np.arange(rs.num_roots, dtype=np.int32)[None]
     layers = [rs.simple_ids[None].astype(np.int32)]
     seen = _image_keys(rs, layers[0])   # sorted
@@ -153,7 +153,7 @@ def group_from_simple_images(rs: RootSystem, simple_images: np.ndarray) -> Group
         raise InvalidArgumentError("element 0 must be the identity")
     simple_images = simple_images.astype(np.int32)
     find = _element_index(rs, simple_images)
-    left_mult = find(rs.reflection_table[rs.simple_ids][:, simple_images])
+    left_mult = find(rs.simple_reflections[:, simple_images])
     # the breadth-first pass that finds each w s_j also checks that the
     # simple reflections generate the elements
     labels = _conjugacy_labels(left_mult, _right_mult(left_mult))

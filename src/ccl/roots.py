@@ -4,7 +4,9 @@ Every family goes through one uniform construction: build the Coxeter
 matrix, form the Gram matrix G_ij = -cos(pi / m_ij), take simple roots as
 the rows of its Cholesky factor (so the essential representation has
 ambient dimension equal to the rank), and close the simple roots under the
-simple reflections to obtain the full unit root set.
+simple reflections to obtain the full unit root set.  Each simple
+reflection is also held as the permutation it makes of the root list;
+group enumeration and cache reload apply no other reflection.
 """
 
 from __future__ import annotations
@@ -27,10 +29,6 @@ __all__ = ["GroupType", "RootSystem", "build", "generate_roots",
            "SUPPORTED_TYPES"]
 
 _CLOSURE_CAP = 10_000
-
-# Largest number of float64 entries (rows x roots x coordinates) in one
-# difference array of the reflection table's entry check.
-_DISTANCE_ENTRIES = 1 << 12
 
 # Largest number of float64 entries (images x vectors) in one product of
 # inner products in the root closure: 192 KiB.  Every layer of every
@@ -204,7 +202,8 @@ def gram_matrix(t: GroupType) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Simple roots, full unit root set, and fundamental weights of one group.
+    """Simple roots, full unit root set, fundamental weights and the root
+    permutations of the simple reflections of one group.
 
     All arrays are read-only; rows are vectors.  Weights are normalized so
     that (alpha_j, omega_i) = delta_ij.
@@ -232,52 +231,24 @@ class RootSystem:
         return self._nearest_roots(self.simple_roots)
 
     @functools.cached_property
-    def reflection_table(self) -> np.ndarray:
-        """(num_roots, num_roots) read-only int32 table: entry (b, c) is the
-        index of s_b(c), s_b the reflection in root b; row ``simple_ids[j]``
-        is s_j.
+    def simple_reflections(self) -> np.ndarray:
+        """(n, num_roots) read-only int32 table: entry (j, c) is the index
+        of s_j(c), s_j the reflection in simple root j.
 
-        Only the n simple rows are matched to the root list.  Every other
-        row follows breadth-first from the simple roots by conjugation,
-        s_{s_j(b)} = s_j s_b s_j, and every entry is then checked against
-        the geometry: |s_b(c) - root[table[b, c]]| <= eps_root_match."""
+        Every image is matched to a root within eps_root_match, and each row
+        must permute the roots.  That suffices for every reflection: W is
+        generated by the s_j, so the root set is W-stable, and the
+        reflection in a root w(alpha_j) is w s_j w^-1."""
         R, N = self.all_roots, self.num_roots
-        gens = self._nearest_roots(
+        table = self._nearest_roots(
             (R[None] - 2.0 * (self.simple_roots @ R.T)[:, :, None]
              * self.simple_roots[:, None]).reshape(-1, self.n))
-        gens = gens.reshape(self.n, N).astype(np.int32)
-        table = np.empty((N, N), dtype=np.int32)
-        table[self.simple_ids] = gens
-        known = np.zeros(N, dtype=bool)
-        known[self.simple_ids] = True
-        frontier = self.simple_ids
-        while frontier.size:
-            # the roots s_j(b), generator-major, for frontier roots b
-            reached, first = np.unique(gens[:, frontier], return_index=True)
-            new = ~known[reached]
-            c = reached[new]
-            j, b = np.divmod(first[new], len(frontier))
-            # row c maps x to s_j(s_b(s_j(x)))
-            table[c] = np.take_along_axis(
-                gens[j], np.take_along_axis(table[frontier[b]], gens[j], axis=1),
-                axis=1)
-            known[c] = True
-            frontier = c
-        if not known.all():
+        table = table.reshape(self.n, N).astype(np.int32)
+        bad = (np.sort(table, axis=1) != np.arange(N)).any(axis=1)
+        if bad.any():
             raise NonFiniteSystemError(
-                f"root {np.argmin(known)} is not reached from the simple roots")
-        # err[b, c] = root[table[b, c]] - s_b(c), with s_b(c) = c - 2 (b, c) b,
-        # for as many rows b as fit in _DISTANCE_ENTRIES entries at a time;
-        # einsum squares and sums it without a second temporary
-        gram = R @ R.T
-        rows = max(1, _DISTANCE_ENTRIES // (N * self.n))
-        for a in range(0, N, rows):
-            err = R[table[a:a + rows]] - R
-            err += 2.0 * gram[a:a + rows, :, None] * R[a:a + rows, None]
-            if (np.einsum("bci,bci->bc", err, err)
-                    > self.tol.eps_root_match ** 2).any():
-                raise NonFiniteSystemError(
-                    "a reflected root does not match its reflection table entry")
+                f"reflection in simple root {bad.argmax()} does not permute "
+                "the root set")
         table.setflags(write=False)
         return table
 
@@ -402,13 +373,6 @@ def build(t: GroupType, tol: ToleranceConfig = DEFAULT_TOL) -> RootSystem:
         exponents=exponents,
         tol=tol,
     )
-    _check_closure_bijection(rs)
+    rs.simple_reflections   # each simple reflection permutes the roots
     return rs
 
-
-def _check_closure_bijection(rs: RootSystem) -> None:
-    """Every reflection in a root must permute the root list exactly."""
-    bad = (np.sort(rs.reflection_table, axis=1) != np.arange(rs.num_roots)).any(axis=1)
-    if bad.any():
-        raise NonFiniteSystemError(
-            f"reflection in root {bad.argmax()} does not permute the root set")

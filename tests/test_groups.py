@@ -371,9 +371,17 @@ def test_non_orthogonal_matrices_are_numerical_error(built, monkeypatch):
 
 def geometric_right_mult(rs, g):
     """Oracle (order, n, n) table of the root indices of (w s_j)(alpha_i) =
-    s_{w alpha_j}(w alpha_i), read off the root system's reflection table."""
-    images, N = g.simple_images, rs.num_roots
-    return np.take(rs.reflection_table, images[:, :, None] * N + images[:, None, :])
+    s_{w alpha_j}(w alpha_i), read off a table of the reflection in every
+    root whose entries are matched to roots by explicit distances."""
+    R = rs.all_roots
+    table = []
+    for r in R:
+        images = R - 2.0 * np.outer(R @ r, r)
+        d = np.linalg.norm(images[:, None] - R[None], axis=2)
+        assert d.min(axis=1).max() <= rs.tol.eps_root_match
+        table.append(d.argmin(axis=1))
+    images = g.simple_images
+    return np.array(table)[images[:, :, None], images[:, None, :]]
 
 
 def conjugacy_components(conj):
@@ -402,8 +410,7 @@ def test_right_mult_and_conjugates_match_geometric_oracle(t, built):
     ws = geometric_right_mult(rs, g)
     right = _right_mult(g.left_mult)
     assert np.array_equal(right, find(ws))
-    sj_ws = np.take(rs.reflection_table,
-                    (rs.simple_ids * rs.num_roots)[None, :, None] + ws)
+    sj_ws = rs.simple_reflections[np.arange(rs.n)[None, :, None], ws]
     conj = find(sj_ws).T                  # (n, order): s_j w s_j
     assert np.array_equal(np.take_along_axis(g.left_mult, right.T, axis=1), conj)
     labels = _conjugacy_labels(g.left_mult, right)
@@ -454,11 +461,10 @@ def test_h4_cache_load_makes_one_element_key_search(tmp_path, monkeypatch):
 
 
 def test_enumerate_and_load_make_no_nearest_root_search(tmp_path, monkeypatch):
-    # root indices of reflections come from the root system's reflection
-    # table, not from a nearest-root search per element, and build derives
-    # the table from its n simple rows: the only searches left are each
-    # root system's n * num_roots images in those rows and its n simple
-    # roots, once
+    # root indices of reflections come from the root system's table of
+    # simple reflections, not from a nearest-root search per element: the
+    # only searches left are each root system's n * num_roots images in
+    # that table and its n simple roots, once each, in any order
     from ccl.cache import load_group, save_group
     rows = []
     nearest = ccl.RootSystem._nearest_roots
@@ -469,7 +475,7 @@ def test_enumerate_and_load_make_no_nearest_root_search(tmp_path, monkeypatch):
     g = enumerate_group(rs)
     save_group(g, tmp_path / "h3.json")
     load_group(fresh, tmp_path / "h3.json")
-    assert rows == [rs.n * rs.num_roots, rs.n] * 2
+    assert sorted(rows) == sorted([rs.n * rs.num_roots, rs.n] * 2)
 
 
 # ---------------------------------------------------------------------------

@@ -128,53 +128,35 @@ def test_simple_reflections_permute_roots(t):
         images = rs.all_roots - 2.0 * np.outer(rs.all_roots @ a, a)
         perm = [int(rs._nearest_roots(v[None])[0]) for v in images]
         assert sorted(perm) == list(range(rs.num_roots))
-        assert rs.reflection_table[rs.simple_ids[j]].tolist() == perm
+        assert rs.simple_reflections[j].tolist() == perm
 
 
 @pytest.mark.parametrize("t", SUPPORTED_TYPES, ids=str)
 def test_reflection_table_matches_nearest_root_oracle(t):
-    # entry (b, c) is the root nearest to s_b(c), by explicit distances
+    # entry (j, c) is the root nearest to s_j(c), by explicit distances
     rs = build(t)
     R = rs.all_roots
-    for b, r in enumerate(R):
-        images = R - 2.0 * np.outer(R @ r, r)
+    for j, a in enumerate(rs.simple_roots):
+        images = R - 2.0 * np.outer(R @ a, a)
         d = np.linalg.norm(images[:, None] - R[None], axis=2)
         assert d.min(axis=1).max() <= rs.tol.eps_root_match
-        assert rs.reflection_table[b].tolist() == d.argmin(axis=1).tolist()
-    assert rs.reflection_table.dtype == np.int32
-    assert not rs.reflection_table.flags.writeable
+        assert rs.simple_reflections[j].tolist() == d.argmin(axis=1).tolist()
+    assert rs.simple_reflections.shape == (rs.n, rs.num_roots)
+    assert rs.simple_reflections.dtype == np.int32
+    assert not rs.simple_reflections.flags.writeable
 
 
-def test_reflection_table_needs_every_root_reached():
-    # the 12 unit vectors at multiples of 30 degrees are closed under the
-    # reflections of A2, whose roots are the multiples of 60 degrees: the
-    # simple rows match, but conjugation never reaches the other six
+def test_simple_reflections_must_permute_roots():
+    # an extra unit vector 0.6 eps_root_match off a root of A2: every
+    # reflected image still matches a root, but the images of that root
+    # and of the extra vector match one index
     rs = build(GroupType.parse("A2"))
-    angles = np.arange(12) * np.pi / 6
-    circle = np.column_stack([np.cos(angles), np.sin(angles)])
-    wide = dataclasses.replace(rs, all_roots=circle)
-    with pytest.raises(ccl.NonFiniteSystemError, match="not reached"):
-        wide.reflection_table
-
-
-def test_reflection_table_entries_checked_against_geometry():
-    # turning one non-simple root by 0.8 eps_root_match, orthogonally to
-    # itself and to the simple roots whose reflections fix it, keeps every
-    # simple row within the match distance; but the reflection in the
-    # turned root moves the image of a root at 45 degrees to it by more
-    # than eps_root_match
-    rs = build(GroupType.parse("B3"))
-    eps = rs.tol.eps_root_match
-    k = next(i for i in range(rs.num_roots) if i not in rs.simple_ids)
-    roots = rs.all_roots.copy()
-    fixing = rs.simple_roots[np.abs(rs.simple_roots @ roots[k]) < 1e-12]
-    assert len(fixing) <= rs.n - 2
-    turn = np.linalg.svd(np.vstack([roots[k], fixing]))[2][-1]
-    roots[k] += 0.8 * eps * turn
-    roots[k] /= np.linalg.norm(roots[k])
-    bent = dataclasses.replace(rs, all_roots=roots)
-    with pytest.raises(ccl.NonFiniteSystemError, match="does not match"):
-        bent.reflection_table
+    r = rs.all_roots[0]
+    v = r + 0.6 * rs.tol.eps_root_match * np.array([-r[1], r[0]])
+    v /= np.linalg.norm(v)
+    extra = dataclasses.replace(rs, all_roots=np.vstack([rs.all_roots, v]))
+    with pytest.raises(ccl.NonFiniteSystemError, match="does not permute"):
+        extra.simple_reflections
 
 
 def test_match_root_tolerance_boundary():
