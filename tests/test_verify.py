@@ -1,5 +1,7 @@
+import dataclasses
 import inspect
 import itertools
+import math
 import statistics
 from fractions import Fraction
 
@@ -618,6 +620,28 @@ def test_run_suite_equals_standalone_verifiers(spec, samples, margin, built):
             == [r.to_dict() for r in standalone_suite(rs, g, mc)])
     if margin is not None:
         assert sum(map(resamples, reports)) > 0
+
+
+def test_verdicts_do_not_depend_on_the_frame(built):
+    # every identity is a statement about the geometry up to congruence: a
+    # root system turned by a random orthogonal Q, then enumerated again,
+    # gives the same verdicts, and every exact lhs within 1e-12 relative
+    rng = np.random.default_rng(16)
+    for t in SUPPORTED_TYPES:
+        rs, g = built(str(t))
+        Q = np.linalg.qr(rng.standard_normal((rs.n, rs.n)))[0]
+        turned = dataclasses.replace(
+            rs, simple_roots=rs.simple_roots @ Q, all_roots=rs.all_roots @ Q,
+            fundamental_weights=rs.fundamental_weights @ Q)
+        before = run_suite(rs, g)
+        after = run_suite(turned, ccl.enumerate_group(turned))
+        assert len(after) == len(before)
+        for a, b in zip(before, after):
+            assert ((b.identity_name, b.k, b.passed, b.rhs_numerator,
+                     b.rhs_denominator) == (a.identity_name, a.k, a.passed,
+                                            a.rhs_numerator, a.rhs_denominator))
+            assert math.isclose(b.lhs, a.lhs, rel_tol=1e-12, abs_tol=0.0), (
+                f"{t} {a.identity_name} k={a.k}: {b.lhs!r} against {a.lhs!r}")
 
 
 def test_standalone_counting_checks_repeat_on_one_seed():
