@@ -6,9 +6,11 @@ dimension 5 by default, or by seeded Monte Carlo from dimension 4 when a
 sample count is given), and verifies the chamber-face angle identities
 with exact integer right-hand sides.
 
-Cones come from ``chamber``, ``dual`` and ``face``; the quotient cone C/F_I
-and its dual come from ``ccl.verify.Geometry``, which builds and checks
-each cone once per group.
+Cones come from ``chamber``, ``dual`` and ``face``, and each is its
+generator rows with their Gram matrix, which alone decides its measure.
+``ccl.verify.Geometry`` builds each chamber face F_I and each quotient
+dual (C/F_I)*, the face of the dual chamber on the simple roots outside I,
+once per group.
 """
 
 __version__ = "0.1.0"
@@ -23,7 +25,7 @@ from .groups import (Group, Subgroup, enumerate_group,
                      group_from_simple_images, normalizer_of_span,
                      parabolic_subgroup, regular_count, solomon_check,
                      subspace_orbits)
-from .linalg import DEFAULT_TOL, Subspace, ToleranceConfig
+from .linalg import DEFAULT_TOL, ToleranceConfig
 from .roots import (SUPPORTED_TYPES, GroupType, RootSystem, build,
                     generate_roots)
 from .verify import (SUITE_IDENTITIES, GenericPointSampler,

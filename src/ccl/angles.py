@@ -1,12 +1,14 @@
 """Relative angle measures of simplicial cones.
 
-Every measure is exact by default.  Dimensions 0-3 use the conventions
-and the arc and Girard formulas.  Dimensions 4 and 5 use Plackett's
+A cone's measure depends only on the Gram matrix of its generators, and
+every method reads only that matrix.  Every measure is exact by default.
+Dimensions 0-3 use the conventions and the arc and Girard formulas.  Dimensions 4 and 5 use Plackett's
 reduction of the Gaussian orthant probability (R. L. Plackett, Biometrika
 41, 1954; D. R. Childs, Biometrika 54, 1967).  A point x of the cone's span
 lies in the cone when y = D x >= 0, where the rows of D are the unit inward
 facet normals.  For a standard Gaussian x, y has the correlation matrix R,
-the Gram matrix of those normals, so the measure is the orthant
+the Gram matrix of those normals, which is the cone's Gram matrix
+inverted and normalized to unit diagonal, so the measure is the orthant
 probability P_n(R).  Along R(t) = I + t (R - I), dP_n/drho_ij is
 phi_2(0, 0; t rho_ij) times the orthant probability P_{n-2} of the other
 coordinates given y_i = y_j = 0, and P_{n-2} has the closed arc or Girard
@@ -17,9 +19,8 @@ Seeded Monte Carlo over Gaussian directions inside the cone's span (the
 paper's method) runs for dimensions 4 and above when, and only when,
 ``McConfig.samples`` is given.  A cone of dimension 6 or more, which no
 supported group produces, has no exact method, so measuring one needs a
-sample count.  A cone's measure depends only on its congruence class,
-which the Gram matrix of its unit generators determines.
-``congruence_key`` rounds that matrix and minimizes it over generator
+sample count.  The congruence class of a cone is fixed by the Gram matrix
+of its unit generators.  ``congruence_key`` rounds that matrix and minimizes it over generator
 orderings; Monte Carlo measures the canonical cone the key describes
 (generators: the rows of the Cholesky factor of the key's Gram matrix), so
 congruent cones get one estimate.  Each class draws its own sample stream:
@@ -175,8 +176,8 @@ def congruence_key(c: SimplicialCone) -> bytes:
     """Key of the cone's congruence class: the Gram matrix of its unit
     generators, rounded to GRAM_DECIMALS and minimized lexicographically
     (row-major) over generator orderings, as float64 bytes."""
-    unit = c.generators / np.linalg.norm(c.generators, axis=1, keepdims=True)
-    gram = unit @ unit.T
+    scale = np.sqrt(np.diagonal(c.gram))
+    gram = c.gram / np.outer(scale, scale)
     perms = _permutations(c.dim)
     cands = np.round(gram[perms[:, :, None], perms[:, None, :]], GRAM_DECIMALS)
     cands = cands.reshape(len(perms), -1) + 0.0      # one key for -0.0 and 0.0
@@ -214,20 +215,36 @@ def _measure_mc(c: SimplicialCone, mc: McConfig) -> AngleEstimate:
     return _measure_class(congruence_key(c), mc)
 
 
+def _normal_correlation(c: SimplicialCone) -> np.ndarray:
+    """Gram matrix of the cone's unit inward facet normals: the inverse of
+    the cone's Gram matrix (D D^T = Gram^-1 for the dual basis
+    D = Gram^-1 G), normalized to unit diagonal.
+
+    The inverse is formed as X^T X from the inverse X of the Gram matrix's
+    Cholesky factor.  Over random rotations of the H4 chamber, whose
+    measure 1/14400 is a small difference of Plackett's terms, that keeps
+    the measure within 4e-13 relative; inverting the Gram matrix directly
+    spreads it over 1.4e-12 to 2.9e-12, depending on the BLAS kernel."""
+    X = np.linalg.inv(np.linalg.cholesky(c.gram))
+    inverse = X.T @ X
+    scale = np.sqrt(np.diagonal(inverse))
+    return inverse / np.outer(scale, scale)
+
+
 def _measure_arc(c: SimplicialCone) -> float:
-    g0, g1 = c.generators
-    cosang = g0 @ g1 / (np.linalg.norm(g0) * np.linalg.norm(g1))
+    (g00, g01), (_, g11) = c.gram
+    cosang = g01 / math.sqrt(g00 * g11)
     return math.acos(min(1.0, max(-1.0, cosang))) / (2.0 * math.pi)
 
 
 def _measure_girard(c: SimplicialCone) -> float:
     # Dihedral angle along the edge opposite facets i, j is
     # pi - angle(d_i, d_j) for inward facet normals d.
-    D = c.dual_basis / np.linalg.norm(c.dual_basis, axis=1, keepdims=True)
+    R = _normal_correlation(c)
     excess = -math.pi
     for i in range(3):
         for j in range(i + 1, 3):
-            cosang = min(1.0, max(-1.0, D[i] @ D[j]))
+            cosang = min(1.0, max(-1.0, R[i, j]))
             excess += math.pi - math.acos(cosang)
     return excess / (4.0 * math.pi)
 
@@ -258,8 +275,7 @@ def _measure_plackett(c: SimplicialCone) -> float:
     """Orthant probability P_n(R) of the cone's facet-normal correlation R,
     n = 4 or 5, by Plackett's reduction (see the module docstring)."""
     n = c.dim
-    D = c.dual_basis / np.linalg.norm(c.dual_basis, axis=1, keepdims=True)
-    R = D @ D.T
+    R = _normal_correlation(c)
     i, j, rest = _pairs(n)
     rho = R[i, j]                                        # (pairs,)
     t_lo, w_lo = _gauss_legendre(PLACKETT_NODES)

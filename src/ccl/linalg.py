@@ -1,8 +1,10 @@
-"""Small dense linear algebra with an explicit tolerance policy.
+"""The numerical tolerance policy shared by every module.
 
-Vectors and matrices are plain float64 numpy arrays.  All rank decisions go
-through singular values compared against ``ToleranceConfig.eps_rank``, so
-every downstream module shares one numerical policy.
+Vectors and matrices are plain float64 numpy arrays.  Every rank decision
+compares against ``ToleranceConfig.eps_rank``: the singular values of a
+group element's 1 - w, and the smallest eigenvalue of a cone's Gram matrix
+against its square, which is the same rule for the generators' smallest
+singular value.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ __all__ = [
     "ToleranceConfig",
     "DEFAULT_TOL",
     "SPAN_MATCH_TOL",
-    "Subspace",
 ]
 
 
@@ -54,53 +55,3 @@ DEFAULT_TOL = ToleranceConfig()
 # from both decides the same; it is a property of the float64 arithmetic,
 # not a user-facing tolerance.
 SPAN_MATCH_TOL = 1e-8
-
-# Largest entry of |B B^T - 1| accepted for a row basis B called
-# orthonormal.  The bases ccl builds (SVD rows, identity rows) stay within
-# 1.2e-15 over every supported group's suite, while a basis that is not
-# orthonormal is off by order 1, so the checks do not depend on the value.
-ORTHONORMAL_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """A linear subspace held as an orthonormal basis (rows) of the ambient space."""
-
-    orthonormal_basis: np.ndarray  # shape (dim, n), rows orthonormal
-    dim: int
-
-    @staticmethod
-    def from_basis(basis) -> "Subspace":
-        """Wrap an already-orthonormal row basis; rejects non-orthonormal input."""
-        B = np.asarray(basis, dtype=float)
-        if B.ndim != 2:
-            raise InvalidArgumentError("basis must be a 2-d array of row vectors")
-        if B.shape[0] > 0:
-            gram = B @ B.T
-            if np.abs(gram - np.eye(B.shape[0])).max() > ORTHONORMAL_TOL:
-                raise InvalidArgumentError("basis rows are not orthonormal")
-        B = B.copy()
-        B.setflags(write=False)
-        return Subspace(B, B.shape[0])
-
-    @staticmethod
-    def zero(ambient_dim: int) -> "Subspace":
-        return Subspace.from_basis(np.zeros((0, ambient_dim)))
-
-    @staticmethod
-    def full(ambient_dim: int) -> "Subspace":
-        return Subspace.from_basis(np.eye(ambient_dim))
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.orthonormal_basis.shape[1]
-
-    def projector(self) -> np.ndarray:
-        """Projector onto the subspace: P = sum_i b_i b_i^T over the basis
-        rows.  P is symmetric idempotent."""
-        B = self.orthonormal_basis
-        if B.shape[0] == 0:
-            return np.zeros((self.ambient_dim, self.ambient_dim))
-        if np.abs(B @ B.T - np.eye(B.shape[0])).max() > ORTHONORMAL_TOL:
-            raise InvalidArgumentError("subspace basis is not orthonormal")
-        return B.T @ B

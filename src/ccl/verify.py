@@ -39,8 +39,8 @@ resamples, of drawing one point at a time, whatever the block size.
 Every tolerance comes from ``rs.tol``, the policy the root system was
 built with, and the seed of a run from ``McConfig.seed``.  The verifiers of
 one ``run_suite`` call share one :class:`Geometry`, which builds each
-chamber face, quotient cone, subgroup and measure of the group on first
-use, so each is built and checked once.  ``run_suite`` reads the
+chamber face, quotient dual, subgroup and measure of the group on first
+use, so each is built once.  ``run_suite`` reads the
 identities from one table of (k-indexed?, runner) entries.
 """
 
@@ -55,8 +55,7 @@ from fractions import Fraction
 import numpy as np
 
 from .angles import DEFAULT_MC, MC_SIGMAS, AngleEstimate, McConfig, measure
-from .cones import (SimplicialCone, _checked_quotient_dual, _quotient_from_face,
-                    chamber, dual, face)
+from .cones import SimplicialCone, chamber, dual, face
 from .errors import GenericityError, InvalidArgumentError, NumericalError
 from .groups import (Group, Subgroup, face_carriers, normalizer_of_span,
                      parabolic_subgroup, regular_count, subspace_orbits)
@@ -362,16 +361,19 @@ class Geometry:
     from ``chamber(rs)`` and carries its tolerance policy, ``rs.tol``.
 
     For a face subset I (a sorted tuple of generator indices): ``face(I)``
-    is F_I, ``quotient(I)`` the quotient cone C/F_I and ``quotient_dual(I)``
-    its dual; ``parabolic(I)`` is W_I and ``normalizer(I)`` the elements
-    mapping span(F_I) onto itself; ``pairs(I)`` and ``pieces(I)`` are the
-    ``face_carriers`` tables of the elements carrying a face span onto
-    span(F_I), and of the shortest ones among them, by face type J;
+    is F_I, the face of C on the weights omega_I, and ``quotient_dual(I)``
+    is (C/F_I)*, the face of the dual chamber C* on the simple roots
+    alpha_rest outside I.  Their Gram matrices are the principal
+    submatrices G^-1[I, I] and G[rest, rest] of the simple roots' Gram
+    matrix G and its inverse.  The quotient cone C/F_I is not built: it
+    lies in span(F_I)-perp, the span of (C/F_I)*, and alpha_rest are its
+    facet normals.  ``parabolic(I)`` is W_I and ``normalizer(I)`` the
+    elements mapping span(F_I) onto itself; ``pairs(I)`` and ``pieces(I)``
+    are the ``face_carriers`` tables of the elements carrying a face span
+    onto span(F_I), and of the shortest ones among them, by face type J;
     ``orbits(k)`` are the classes of face spans of dimension k.
-    ``measure(kind, I, mc)`` measures a cone once per
-    (kind, subset, McConfig).  The checks made while building a piece (face
-    span, quotient dual, Steinberg fixator) run once per distinct input;
-    ``quotient_dual(I)`` is checked against this geometry's ``quotient(I)``.
+    ``measure(kind, I, mc)`` measures a cone once per (kind, subset,
+    McConfig).
 
     ``run_suite`` builds one per call and drops it when it returns; a
     verifier called without one builds its own.
@@ -399,13 +401,9 @@ class Geometry:
     def face(self, I) -> SimplicialCone:
         return self._once(("face", I), face, self.chamber, I)
 
-    def quotient(self, I) -> SimplicialCone:
-        return self._once(("quotient", I), _quotient_from_face, self.chamber,
-                          I, self.face(I))
-
     def quotient_dual(self, I) -> SimplicialCone:
-        return self._once(("quotient_dual", I), _checked_quotient_dual,
-                          self.chamber, I, self.quotient(I))
+        rest = [j for j in range(self.rs.n) if j not in I]
+        return self._once(("quotient_dual", I), face, self.dual, rest)
 
     def parabolic(self, I) -> Subgroup:
         return self._once(("parabolic", I), parabolic_subgroup, self.g, I)
@@ -428,16 +426,19 @@ class Geometry:
         return self._once(("orbits", k), subspace_orbits, self.g, k)
 
     def measure(self, kind: str, I, mc: McConfig) -> AngleEstimate:
-        """Measure of the dual chamber (kind "dual", I = ()), of F_I (kind
-        "face") or of (C/F_I)* (kind "quotient_dual").  (C/F_{})* has the
-        generators of the dual chamber, so it is measured as the dual."""
-        if kind == "quotient_dual" and not I:
-            kind, I = "dual", ()
+        """Measure of F_I (kind "face") or of (C/F_I)* (kind
+        "quotient_dual"); the dual chamber is (C/F_{})*."""
         key = ("measure", kind, I, mc)
         if key not in self._memo:
-            cone = self.dual if kind == "dual" else getattr(self, kind)(I)
-            self._memo[key] = measure(cone, mc)
+            self._memo[key] = measure(getattr(self, kind)(I), mc)
         return self._memo[key]
+
+
+def _span_basis(c: SimplicialCone) -> np.ndarray:
+    """Orthonormal rows spanning the span of a cone of dimension >= 1:
+    L^-1 G for the Cholesky factor L of its Gram matrix, as
+    L^-1 G G^T L^-T = 1."""
+    return np.linalg.solve(np.linalg.cholesky(c.gram), c.generators)
 
 
 def _geometry(rs: RootSystem, g: Group, geometry: Geometry | None) -> Geometry:
@@ -457,7 +458,7 @@ def _geometry(rs: RootSystem, g: Group, geometry: Geometry | None) -> Geometry:
 def verify_curious(rs: RootSystem, g: Group, mc: McConfig = DEFAULT_MC, *,
                    geometry: Geometry | None = None) -> VerificationReport:
     """sigma(C*) = (number of fixed-point-free elements) / |W|."""
-    est = _geometry(rs, g, geometry).measure("dual", (), mc)
+    est = _geometry(rs, g, geometry).measure("quotient_dual", (), mc)
     rhs = (g.counts_by_fixed_dim[0], g.order)
     return _measure_report(
         "curious", rs, None, est.value, rhs, est.stderr, mc.seed, est.samples,
@@ -662,7 +663,7 @@ def verify_face_decomposition(rs: RootSystem, g: Group, I,
     normals = _translates(g, [(geo.face(J).dual_basis, ws)
                               for J, ws in pieces.items()])
     containments = _containment_counts(_sampler(rs, mc.seed), trials, normals,
-                                       geo.face(I).span.orthonormal_basis)
+                                       _span_basis(geo.face(I)))
     bad = int(np.count_nonzero(containments != 1))
     breakdown.append(("containment_failures", float(bad), 0.0))
     breakdown.append(("num_pieces", float(len(ests)), 0.0))
@@ -689,10 +690,12 @@ def verify_parabolic_quotient(rs: RootSystem, g: Group, I,
     # (a) the |W_F| translates of C/F tile span(F)-perp
     bad = 0
     if d > 0:
-        q = geo.quotient(I)
-        normals = _translates(g, [(q.dual_basis, list(sub.indices))])
+        # C/F lies in the span of (C/F)*, and the generators of (C/F)*,
+        # the simple roots outside I, are its facet normals
+        qd = geo.quotient_dual(I)
+        normals = _translates(g, [(qd.generators, list(sub.indices))])
         containments = _containment_counts(_sampler(rs, mc.seed), trials,
-                                           normals, q.span.orthonormal_basis)
+                                           normals, _span_basis(qd))
         bad = int(np.count_nonzero(containments != 1))
         breakdown.append(("tiling_trials", float(trials), 0.0))
     breakdown.append(("tiling_failures", float(bad), 0.0))

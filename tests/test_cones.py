@@ -6,19 +6,36 @@ import numpy as np
 import pytest
 
 import ccl
-from ccl.cones import (SimplicialCone, _checked_quotient_dual,
-                       _quotient_from_face, chamber, dual, face)
-from ccl.verify import _count_inside
+from ccl.cones import SimplicialCone, chamber, dual, face
+from ccl.roots import SUPPORTED_TYPES
+from ccl.verify import Geometry, _count_inside, _span_basis
+
+ALL_GROUPS = [str(t) for t in SUPPORTED_TYPES]
+
+
+def svd_basis(A):
+    """Oracle: orthonormal rows spanning the rows of A (independent), from
+    an SVD."""
+    A = np.atleast_2d(A)
+    if A.size == 0:
+        return np.zeros((0, A.shape[1]))
+    return np.linalg.svd(A, full_matrices=False)[2]
+
+
+def projector(B):
+    """Orthogonal projector onto the span of the orthonormal rows B."""
+    return B.T @ B
 
 
 def quotient(c, I):
-    """The quotient cone C/F_I, built as ``Geometry.quotient`` builds it."""
-    return _quotient_from_face(c, I, face(c, I))
-
-
-def quotient_dual(c, I):
-    """(C/F_I)*, checked against C/F_I as ``Geometry.quotient_dual`` is."""
-    return _checked_quotient_dual(c, I, quotient(c, I))
+    """Oracle: the quotient cone C/F_I, the generators outside I projected
+    onto span(F_I)-perp by the projector of an SVD basis of span(F_I)."""
+    n = c.ambient_dim
+    rest = [j for j in range(n) if j not in I]
+    if not rest:
+        return SimplicialCone.from_generators([], ambient_dim=n, tol=c.tol)
+    P = np.eye(n) - projector(svd_basis(c.generators[list(I)]))
+    return SimplicialCone.from_generators(c.generators[rest] @ P.T, tol=c.tol)
 
 
 def rotation2(theta):
@@ -93,6 +110,44 @@ def test_dual_requires_full_dimension(built):
         dual(ray)
 
 
+# ---------------------------------------------------------------------------
+# the stored Gram matrix and dual basis, and the rank rule
+
+def test_cone_stores_its_gram_matrix_and_dual_basis():
+    rng = np.random.default_rng(5)
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            gens = rng.standard_normal((k, n))
+            c = SimplicialCone.from_generators(gens)
+            assert np.abs(c.gram - gens @ gens.T).max() <= 1e-12
+            assert np.abs(c.generators @ c.dual_basis.T - np.eye(k)).max() <= 1e-9
+            # the dual rows lie in the span: the SVD projector fixes them
+            P = projector(svd_basis(gens))
+            assert np.abs(c.dual_basis @ P - c.dual_basis).max() <= 1e-9
+            assert not any(a.flags.writeable
+                           for a in (c.generators, c.gram, c.dual_basis))
+
+
+def test_gram_rank_rule_is_the_singular_value_rule():
+    # lambda_min(Gram) <= eps_rank^2 exactly when sigma_min <= eps_rank: the
+    # rows (1, 0) and (1, t) have sigma_min about t / sqrt(2)
+    tol = ccl.DEFAULT_TOL
+    for scale in (0.5, 0.8, 1.25, 2.0):
+        t = scale * tol.eps_rank * math.sqrt(2.0)
+        gens = np.array([[1.0, 0.0], [1.0, t]])
+        sigma = np.linalg.svd(gens, compute_uv=False)[-1]
+        if sigma <= tol.eps_rank:
+            with pytest.raises(ccl.DegenerateConeError):
+                SimplicialCone.from_generators(gens, tol=tol)
+        else:
+            assert SimplicialCone.from_generators(gens, tol=tol).dim == 2
+
+
+def test_more_generators_than_dimensions_rejected():
+    with pytest.raises(ccl.DegenerateConeError):
+        SimplicialCone.from_generators(np.eye(3)[:, :2])
+
+
 def test_degenerate_generators_rejected():
     with pytest.raises(ccl.DegenerateConeError):
         SimplicialCone.from_generators([[1.0, 0.0], [2.0, 0.0]])
@@ -104,9 +159,8 @@ def test_degenerate_generators_rejected():
 def test_face_empty_is_zero_cone(built):
     rs, _ = built("A2")
     f = face(chamber(rs), ())
-    assert f.dim == 0 and f.span.dim == 0
-    assert f.ambient_dim == 2
-    assert np.abs(f.span.projector()).max() == 0.0
+    assert f.dim == 0 and f.gram.shape == (0, 0)
+    assert f.ambient_dim == 2 and f.generators.shape == (0, 2)
 
 
 def test_face_full_is_chamber(built):
@@ -120,104 +174,114 @@ def test_face_a2_span_is_second_mirror(built):
     rs, _ = built("A2")
     f = face(chamber(rs), (0,))
     # (alpha_1, omega_0) = 0: the ray's span is the mirror of s_1
-    P = f.span.projector()
+    P = projector(_span_basis(f))
     w = rs.fundamental_weights[0]
     mirror = np.outer(w, w) / (w @ w)
     assert np.abs(P - mirror).max() <= 1e-12
     assert abs(rs.simple_roots[1] @ rs.fundamental_weights[0]) <= 1e-12
 
 
-@pytest.mark.parametrize("spec", ["A2", "B2", "A3", "B3", "H3", "F4"])
+def subsets(n):
+    return [I for k in range(n + 1) for I in itertools.combinations(range(n), k)]
+
+
+@pytest.mark.parametrize("spec", ALL_GROUPS)
 def test_face_span_equals_facet_intersection(spec, built):
-    # face() asserts this internally; exercise every subset
-    rs, _ = built(spec)
-    ch = chamber(rs)
-    for k in range(rs.n + 1):
-        for I in itertools.combinations(range(rs.n), k):
-            face(ch, I)
+    # span(F_I) is the intersection of the chamber's facet hyperplanes
+    # outside I: the unit facet normals d_j, j outside I, are orthogonal to
+    # an SVD basis of span(F_I).  F_I's Gram matrix is the principal
+    # submatrix of the chamber's, and the Cholesky basis the counting
+    # checks sample in spans span(F_I) orthonormally
+    rs, g = built(spec)
+    geo = Geometry(rs, g)
+    ch = geo.chamber
+    normals = ch.dual_basis / np.linalg.norm(ch.dual_basis, axis=1, keepdims=True)
+    for I in subsets(rs.n):
+        f = geo.face(I)
+        rest = [j for j in range(rs.n) if j not in I]
+        assert f.dim == len(I)
+        assert np.abs(f.generators - rs.fundamental_weights[list(I)]).max(initial=0.0) == 0.0
+        assert np.abs(f.gram - ch.gram[np.ix_(I, I)]).max(initial=0.0) <= 1e-12
+        if not I:
+            continue
+        B = svd_basis(f.generators)
+        assert np.abs(normals[rest] @ B.T).max(initial=0.0) <= 1e-9
+        cholesky = _span_basis(f)
+        assert np.abs(cholesky @ cholesky.T - np.eye(len(I))).max() <= 1e-12
+        assert np.abs(projector(cholesky) - projector(B)).max() <= 1e-12
 
 
 def test_quotient_extremes(built):
-    rs, _ = built("B3")
-    ch = chamber(rs)
-    q = quotient(ch, ())
-    assert np.abs(q.generators - ch.generators).max() <= 1e-12
-    assert quotient(ch, (0, 1, 2)).dim == 0
+    # the parabolic check samples C/F_I in the span of (C/F_I)*, whose
+    # generators are C/F_I's facet normals: at I = {} the whole space and
+    # the chamber's facet normals, at I = {0..n-1} nothing
+    rs, g = built("B3")
+    geo = Geometry(rs, g)
+    qd = geo.quotient_dual(())
+    assert np.abs(projector(_span_basis(qd)) - np.eye(3)).max() <= 1e-12
+    assert np.abs(qd.generators - geo.chamber.dual_basis).max() <= 1e-12
+    assert geo.quotient_dual((0, 1, 2)).dim == 0
 
 
 def test_quotient_a2_is_ray_in_orthogonal_line(built):
-    rs, _ = built("A2")
-    q = quotient(chamber(rs), (0,))
-    assert q.dim == 1
-    assert abs(q.generators[0] @ rs.fundamental_weights[0]) <= 1e-12
+    rs, g = built("A2")
+    qd = Geometry(rs, g).quotient_dual((0,))
+    basis = _span_basis(qd)
+    assert basis.shape == (1, 2)
+    assert abs(basis[0] @ rs.fundamental_weights[0]) <= 1e-12
 
 
 def test_quotient_dual_extremes(built):
-    rs, _ = built("B3")
-    ch = chamber(rs)
-    qd = quotient_dual(ch, ())
-    d = dual(ch)
+    rs, g = built("B3")
+    geo = Geometry(rs, g)
+    qd = geo.quotient_dual(())
+    d = dual(geo.chamber)
     assert np.abs(np.sort(qd.generators, axis=0)
                   - np.sort(d.generators, axis=0)).max() <= 1e-9
-    assert quotient_dual(ch, (0, 1, 2)).dim == 0
+    assert geo.quotient_dual((0, 1, 2)).dim == 0
 
 
 def test_quotient_dual_a2_is_ray_along_alpha2(built):
-    rs, _ = built("A2")
-    qd = quotient_dual(chamber(rs), (0,))
+    rs, g = built("A2")
+    qd = Geometry(rs, g).quotient_dual((0,))
     assert qd.dim == 1
     assert np.linalg.norm(qd.generators[0] - rs.simple_roots[1]) <= 1e-9
 
 
-@pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "A5", "B2", "B3",
-                                  "B4", "D4", "I2(3)", "I2(6)", "I2(11)",
-                                  "H3", "F4"])
+@pytest.mark.parametrize("spec", ALL_GROUPS)
 def test_quotient_dual_consistency_all_subsets(spec, built):
-    # quotient_dual internally asserts agreement with the dual of the
-    # quotient computed inside the complement span
-    rs, _ = built(spec)
-    ch = chamber(rs)
-    for k in range(rs.n + 1):
-        for I in itertools.combinations(range(rs.n), k):
-            qd = quotient_dual(ch, I)
-            assert qd.dim == rs.n - k
-
-
-def test_face_rejects_a_tilted_facet_normal(built):
-    # tilting the normal of facet 1 towards omega_0 leaves it no longer
-    # orthogonal to F_{0}, so the face-span identity fails
-    rs, _ = built("B3")
-    ch = chamber(rs)
-    face(ch, (0,))
-    D = ch.dual_basis.copy()
-    D[1] += 0.1 * ch.generators[0]
-    tilted = dataclasses.replace(ch, dual_basis=D)
-    with pytest.raises(ccl.NumericalError, match="face span"):
-        face(tilted, (0,))
-    face(tilted, (1,))          # facet 1 is inside I = {1}: nothing to check
-
-
-def test_quotient_dual_rejects_swapped_rows(built):
-    # q's dual rows must equal the facet normals outside I in order; a
-    # greedy match of unit directions accepted the same rows swapped
-    rs, _ = built("B3")
-    ch = chamber(rs)
-    q = quotient(ch, (0,))
-    assert q.dim == 2
-    _checked_quotient_dual(ch, (0,), q)
-    swapped = dataclasses.replace(q, dual_basis=q.dual_basis[::-1])
-    with pytest.raises(ccl.NumericalError, match="quotient dual"):
-        _checked_quotient_dual(ch, (0,), swapped)
+    # (C/F_I)* is the dual of the quotient C/F_I within its span: the dual
+    # basis of the oracle quotient equals, row by row and in order, the
+    # generators of the geometry's (C/F_I)*, the simple roots outside I.
+    # Its Gram matrix is the principal submatrix of the dual chamber's, and
+    # its Cholesky basis spans span(F_I)-perp
+    rs, g = built(spec)
+    geo = Geometry(rs, g)
+    for I in subsets(rs.n):
+        rest = [j for j in range(rs.n) if j not in I]
+        qd, q = geo.quotient_dual(I), quotient(geo.chamber, I)
+        assert qd.dim == q.dim == rs.n - len(I)
+        assert np.abs(qd.gram - geo.dual.gram[np.ix_(rest, rest)]).max(initial=0.0) <= 1e-12
+        if not rest:
+            continue
+        D = qd.generators
+        assert np.abs(D - rs.simple_roots[rest]).max() <= 1e-12
+        gap = np.linalg.norm(q.dual_basis - D, axis=1) / np.linalg.norm(D, axis=1)
+        assert gap.max() <= 1e-8
+        basis = _span_basis(qd)
+        assert np.abs(basis @ basis.T - np.eye(len(rest))).max() <= 1e-12
+        face_span = projector(svd_basis(rs.fundamental_weights[list(I)]))
+        assert np.abs(projector(basis) + face_span - np.eye(rs.n)).max() <= 1e-12
 
 
 def test_derived_cones_carry_the_root_system_tolerances():
     tol = ccl.ToleranceConfig(eps_rank=1e-5, eps_root_match=1e-4)
     rs = ccl.build(ccl.GroupType.parse("B3"), tol)
-    ch = chamber(rs)
-    derived = [ch, dual(ch)]
-    for k in range(rs.n + 1):
-        for I in itertools.combinations(range(rs.n), k):
-            derived += [face(ch, I), quotient(ch, I), quotient_dual(ch, I)]
+    geo = Geometry(rs, ccl.enumerate_group(rs))
+    ch = geo.chamber
+    derived = [ch, dual(ch), geo.dual]
+    for I in subsets(rs.n):
+        derived += [face(ch, I), geo.face(I), geo.quotient_dual(I)]
     assert all(c.tol is rs.tol for c in derived)
     assert SimplicialCone.from_generators(np.eye(2)).tol is ccl.DEFAULT_TOL
 

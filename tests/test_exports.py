@@ -77,7 +77,7 @@ def test_every_exported_function_and_class_has_a_production_use():
     checked = list(exported_definitions(modules))
     # the check would pass vacuously if it found nothing to check
     assert {"verify.run_suite", "groups.enumerate_group", "cones.face",
-            "roots.build", "linalg.Subspace", "errors.CclError"} <= {
+            "roots.build", "linalg.ToleranceConfig", "errors.CclError"} <= {
         f"{module}.{name}" for module, name, _ in checked}
     unused = [f"{module}.{name}" for module, name, node in checked
               if (module, name) not in imported

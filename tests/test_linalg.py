@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ccl
-from ccl.linalg import DEFAULT_TOL, Subspace, ToleranceConfig
+from ccl.linalg import DEFAULT_TOL, ToleranceConfig
 
 
 def kernel_dimension(M, tol=DEFAULT_TOL):
@@ -30,40 +30,6 @@ def test_kernel_dimension_reflection():
 
 def test_kernel_dimension_rotation():
     assert kernel_dimension(np.eye(2) - rotation2(2 * math.pi / 3)) == 0
-
-
-def test_projector_full_space():
-    S = Subspace.full(3)
-    assert np.allclose(S.projector(), np.eye(3), atol=1e-12)
-
-
-def test_projector_zero_space():
-    S = Subspace.zero(3)
-    assert np.allclose(S.projector(), np.zeros((3, 3)), atol=0)
-
-
-def test_projector_coordinate_axis():
-    S = Subspace.from_basis([[1.0, 0.0]])
-    assert np.allclose(S.projector(), np.diag([1.0, 0.0]), atol=1e-12)
-
-
-def test_projector_rejects_non_orthonormal():
-    with pytest.raises(ccl.InvalidArgumentError):
-        Subspace.from_basis([[1.0, 1.0]])
-    with pytest.raises(ccl.InvalidArgumentError, match="not orthonormal"):
-        Subspace(np.array([[1.0, 1.0]]), 1).projector()
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_projector_idempotent_symmetric_random(n):
-    rng = np.random.default_rng(1234 + n)
-    for _ in range(1000):
-        dim = int(rng.integers(0, n + 1))
-        # dim orthonormal rows: the leading columns of a Gaussian Q factor
-        S = Subspace.from_basis(np.linalg.qr(rng.standard_normal((n, n)))[0].T[:dim])
-        P = S.projector()
-        assert np.abs(P @ P - P).max() <= 1e-9
-        assert np.abs(P - P.T).max() <= 1e-9
 
 
 def test_tolerance_config_positive():

@@ -678,9 +678,10 @@ def test_standalone_measure_checks_draw_from_the_mc_seed(built):
 
 
 def test_run_suite_builds_each_piece_of_geometry_once(built, monkeypatch):
-    # default run_suite over the catalog: one chamber per group, and one
-    # face, quotient cone, quotient dual, parabolic subgroup, normalizer,
-    # orbit set, carrier table and exact quadrature per distinct input
+    # default run_suite over the catalog: one chamber and one dual chamber
+    # per group, and one face, quotient dual, parabolic subgroup,
+    # normalizer, orbit set, carrier table and exact quadrature per
+    # distinct input
     # (without the shared geometry: 786 chambers, 752 faces, 622 parabolic
     # subgroups, 81 quadratures)
     import ccl.angles
@@ -696,8 +697,8 @@ def test_run_suite_builds_each_piece_of_geometry_once(built, monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("chamber", "face", "_quotient_from_face", "_checked_quotient_dual",
-                 "parabolic_subgroup", "normalizer_of_span", "subspace_orbits"):
+    for name in ("chamber", "dual", "face", "parabolic_subgroup",
+                 "normalizer_of_span", "subspace_orbits"):
         counted(ccl.verify, name)
     counted(ccl.angles, "_measure_plackett")
     # Geometry.pairs and .pieces call face_carriers from ccl.verify,
@@ -719,8 +720,8 @@ def test_run_suite_builds_each_piece_of_geometry_once(built, monkeypatch):
     for rs, g in groups:
         assert all(r.passed for r in run_suite(rs, g))
     counts = {name: len(args) for name, args in calls.items()}
-    assert counts == {"chamber": 22, "face": 186, "_quotient_from_face": 186,
-                      "_checked_quotient_dual": 164, "parabolic_subgroup": 186,
+    assert counts == {"chamber": 22, "dual": 22, "face": 2 * 186,
+                      "parabolic_subgroup": 186,
                       "normalizer_of_span": 125, "subspace_orbits": 81,
                       "face_carriers": 600, "_measure_plackett": 22}
     # subspace_orbits makes one carrier table per class it returns: 125
@@ -734,15 +735,15 @@ def test_run_suite_builds_each_piece_of_geometry_once(built, monkeypatch):
     pieces = sum(len(args) == 3 for args in calls["face_carriers"])
     assert pieces == 164
     assert counts["face_carriers"] == 186 + pieces + 125 + classes
-    # 186 = the 2^n face subsets of the 22 groups; the quotient dual is
-    # built for the 164 subsets I other than {}, measured as the dual
-    # chamber, and the quotient for the subsets other than {0..n-1}
-    # (parabolic) and for those the quotient dual is checked against, so
-    # for all 186; 81 = the values 0..n of k
+    # 186 = the 2^n face subsets of the 22 groups; face() builds F_I, a
+    # face of the chamber, and (C/F_I)*, a face of the dual chamber, for
+    # each of them: parabolic measures every (C/F_I)* and samples in its
+    # span; 81 = the values 0..n of k
     assert sum(2 ** rs.n for rs, _ in groups) == 186
     assert sum(rs.n + 1 for rs, _ in groups) == 81
-    for name in ("face", "_quotient_from_face", "_checked_quotient_dual"):
-        assert len({(id(c), I) for c, I, *_ in calls[name]}) == counts[name]
+    faces = {(id(c), tuple(I)) for c, I in calls["face"]}
+    assert len(faces) == counts["face"]
+    assert len({id(c) for c, _ in calls["face"]}) == 2 * 22
     for name in ("parabolic_subgroup", "normalizer_of_span", "subspace_orbits"):
         assert len({(id(g), key) for g, key in calls[name]}) == counts[name]
     # the 22 cones of dimension 4 and 5: per rank-4 group the chamber and
@@ -752,23 +753,28 @@ def test_run_suite_builds_each_piece_of_geometry_once(built, monkeypatch):
 
 
 def test_default_run_suite_factors_each_cone_once(built, monkeypatch):
-    # F4's default run_suite makes 46 SVDs (135 when each cone factored its
-    # generators twice and face() built two more subspaces, 60 when each
-    # quotient factored span(F_I) again): one per non-zero cone built --
-    # the chamber, its dual, 15 faces, 15 quotients and 14 quotient duals;
-    # a quotient projects along the span of the face already built
+    # F4's default run_suite builds 34 cones and makes no SVD (46 when
+    # each cone took its span basis from an SVD and a quotient cone was
+    # built for each face): the chamber, its dual, and per subset I the
+    # face F_I and the quotient dual (C/F_I)*, zero cones included; each
+    # reads its Gram matrix, and the counting checks sample in the span
+    # from its Cholesky factor
     rs, g = built("F4")
-    calls = 0
-    svd = np.linalg.svd
+    calls = {"svd": 0, "from_generators": 0}
 
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return svd(*args, **kwargs)
+    def counted(owner, name, wrap=lambda f: f):
+        inner = getattr(owner, name)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrap(wrapper))
+
+    counted(np.linalg, "svd")
+    counted(SimplicialCone, "from_generators", staticmethod)
     assert all(r.passed for r in run_suite(rs, g))
-    assert calls == 1 + 1 + 15 + 15 + 14 == 46
+    assert calls == {"svd": 0, "from_generators": 1 + 1 + 16 + 16}
 
 
 def test_geometry_must_describe_the_verified_group(built):
