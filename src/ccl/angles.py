@@ -2,9 +2,10 @@
 
 A cone's measure depends only on the Gram matrix of its generators, and
 every method reads only that matrix.  Every measure is exact by default.
-Dimensions 0-3 use the conventions and the arc and Girard formulas.  Dimensions 4 and 5 use Plackett's
-reduction of the Gaussian orthant probability (R. L. Plackett, Biometrika
-41, 1954; D. R. Childs, Biometrika 54, 1967).  A point x of the cone's span
+Dimensions 0-3 use the conventions and the arc and Girard formulas.
+Dimensions 4 and 5 use Plackett's reduction of the Gaussian orthant
+probability (R. L. Plackett, Biometrika 41, 1954; D. R. Childs, Biometrika
+54, 1967).  A point x of the cone's span
 lies in the cone when y = D x >= 0, where the rows of D are the unit inward
 facet normals.  For a standard Gaussian x, y has the correlation matrix R,
 the Gram matrix of those normals, which is the cone's Gram matrix
@@ -20,11 +21,11 @@ paper's method) runs for dimensions 4 and above when, and only when,
 ``McConfig.samples`` is given.  A cone of dimension 6 or more, which no
 supported group produces, has no exact method, so measuring one needs a
 sample count.  The congruence class of a cone is fixed by the Gram matrix
-of its unit generators.  ``congruence_key`` rounds that matrix and minimizes it over generator
-orderings; Monte Carlo measures the canonical cone the key describes
-(generators: the rows of the Cholesky factor of the key's Gram matrix), so
-congruent cones get one estimate.  Each class draws its own sample stream:
-chunk j comes from the child seed
+of its unit generators.  ``congruence_key`` rounds that matrix and
+minimizes it over generator orderings; Monte Carlo measures the canonical
+cone the key describes (generators: the rows of the Cholesky factor of the
+key's Gram matrix), so congruent cones get one estimate.  Each class draws
+its own sample stream: chunk j comes from the child seed
 SeedSequence(entropy=seed, spawn_key=(*key words, j)), whose mixing hashes
 every bit of the key, so estimates of distinct classes are independent
 while all cones of one class share one estimate and its error.  A sample
@@ -172,12 +173,17 @@ def _permutations(k: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(k))))
 
 
+def _unit_diagonal(gram: np.ndarray) -> np.ndarray:
+    """The Gram matrix of the same vectors made unit length."""
+    scale = np.sqrt(np.diagonal(gram))
+    return gram / np.outer(scale, scale)
+
+
 def congruence_key(c: SimplicialCone) -> bytes:
     """Key of the cone's congruence class: the Gram matrix of its unit
     generators, rounded to GRAM_DECIMALS and minimized lexicographically
     (row-major) over generator orderings, as float64 bytes."""
-    scale = np.sqrt(np.diagonal(c.gram))
-    gram = c.gram / np.outer(scale, scale)
+    gram = _unit_diagonal(c.gram)
     perms = _permutations(c.dim)
     cands = np.round(gram[perms[:, :, None], perms[:, None, :]], GRAM_DECIMALS)
     cands = cands.reshape(len(perms), -1) + 0.0      # one key for -0.0 and 0.0
@@ -226,9 +232,7 @@ def _normal_correlation(c: SimplicialCone) -> np.ndarray:
     the measure within 4e-13 relative; inverting the Gram matrix directly
     spreads it over 1.4e-12 to 2.9e-12, depending on the BLAS kernel."""
     X = np.linalg.inv(np.linalg.cholesky(c.gram))
-    inverse = X.T @ X
-    scale = np.sqrt(np.diagonal(inverse))
-    return inverse / np.outer(scale, scale)
+    return _unit_diagonal(X.T @ X)
 
 
 def _measure_arc(c: SimplicialCone) -> float:

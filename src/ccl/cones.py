@@ -42,15 +42,16 @@ class SimplicialCone:
         """The cone on the rows of ``gens``.  The rows are independent when
         the smallest eigenvalue of their Gram matrix is above
         ``tol.eps_rank ** 2``, that is, their smallest singular value above
-        ``tol.eps_rank``.  The dual basis is Gram^-1 G, from one k x k
-        solve: its rows lie in the span and (G Gram^-1 G^T) = 1."""
+        ``tol.eps_rank``.  The dual basis D is Gram^-1 G, from one k x k
+        solve: its rows lie in the span, and G D^T = Gram Gram^-1 = 1."""
         G = np.atleast_2d(np.asarray(gens, dtype=float))
         if G.size == 0:
             if ambient_dim is None:
                 raise InvalidArgumentError("zero cone needs an explicit ambient_dim")
-            empty = np.zeros((0, ambient_dim))
-            empty.setflags(write=False)
-            return SimplicialCone(empty, np.zeros((0, 0)), empty, tol)
+            empty, gram = np.zeros((0, ambient_dim)), np.zeros((0, 0))
+            for a in (empty, gram):
+                a.setflags(write=False)
+            return SimplicialCone(empty, gram, empty, tol)
         if not np.isfinite(G).all():
             raise InvalidArgumentError("generators have non-finite entries")
         k, n = G.shape

@@ -1,7 +1,7 @@
 """The numerical tolerance policy shared by every module.
 
-Vectors and matrices are plain float64 numpy arrays.  Every rank decision
-compares against ``ToleranceConfig.eps_rank``: the singular values of a
+Vectors and matrices are plain float64 numpy arrays.  Rank decisions
+compare against ``ToleranceConfig.eps_rank``: the singular values of a
 group element's 1 - w, and the smallest eigenvalue of a cone's Gram matrix
 against its square, which is the same rule for the generators' smallest
 singular value.
@@ -10,8 +10,6 @@ singular value.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from .errors import InvalidArgumentError
 
