@@ -14,7 +14,12 @@ probability P_n(R).  Along R(t) = I + t (R - I), dP_n/drho_ij is
 phi_2(0, 0; t rho_ij) times the orthant probability P_{n-2} of the other
 coordinates given y_i = y_j = 0, and P_{n-2} has the closed arc or Girard
 form.  So P_n(R) = 2^-n plus a 1-D integral over t in [0, 1], taken by
-Gauss-Legendre quadrature.
+Gauss-Legendre quadrature.  The conditional correlations are ratios of
+minors: 3x3 minors of R(t) for n = 4, and 2x2 minors of R(t)^-1 for n = 5,
+so a node costs one batched inverse for n = 5 and none for n = 4.  The
+nodes come from Newton's method on the Legendre recurrence, computed on
+first use and cached.  The quadrature takes a stack of cones; each cone
+doubles its node count until two successive integrals agree.
 
 Seeded Monte Carlo over Gaussian directions inside the cone's span (the
 paper's method) runs for dimensions 4 and above when, and only when,
@@ -72,11 +77,12 @@ MEMO_SIZE = 4096
 # Multiplier of the verifiers' Monte Carlo pass rule |lhs - rhs| <= 4 sigma.
 MC_SIGMAS = 4.0
 
-# Gauss-Legendre nodes N of the exact dimension 4-5 method, which also
-# evaluates the integral with 2N nodes as its own check.  The error falls
-# geometrically with N, at a rate set by how close R(t) comes to singular:
-# the worst case the suite measures, the H4 dual chamber (max |rho| 0.991),
-# needs 48 nodes for 3e-11; A5 needs 16 for 5e-16.
+# Gauss-Legendre nodes N of the first integral of the exact dimension 4-5
+# method, which evaluates it again with 2N nodes as its own check and keeps
+# doubling N until the two agree.  The error falls geometrically with N, at
+# a rate set by how close R(t) comes to singular: the worst case the suite
+# measures, the H4 dual chamber (max |rho| 0.991), needs 48 nodes for
+# 3e-11; A5 needs 16 for 5e-16.  Every suite cone converges at 64/128.
 PLACKETT_NODES = 64
 
 # Largest gap between the N- and 2N-node integrals accepted as converged.
@@ -84,6 +90,16 @@ PLACKETT_NODES = 64
 # 5.9e-14 (the H4 dual chamber), and it is far below the exact pass rule's
 # 1e-9, so a result that passes it cannot decide a verdict by its error.
 PLACKETT_TOL = 1e-12
+
+# Most nodes an integral is taken with: the last check compares 512 with
+# 1024 nodes, and a cone that still misses PLACKETT_TOL raises
+# NumericalError.  Thin cones need many: of 200 cones on standard-normal
+# generators in R^5, 156 converge at 64/128 and 196 by 512/1024.
+PLACKETT_MAX_NODES = 1024
+
+# Most Newton steps per set of Legendre roots; from the cosine guess, no
+# degree up to PLACKETT_MAX_NODES takes more than 4.
+NEWTON_STEPS = 10
 
 
 def count_nonnegative(points: np.ndarray, facet_coords: np.ndarray) -> int:
@@ -174,9 +190,10 @@ def _permutations(k: int) -> np.ndarray:
 
 
 def _unit_diagonal(gram: np.ndarray) -> np.ndarray:
-    """The Gram matrix of the same vectors made unit length."""
-    scale = np.sqrt(np.diagonal(gram))
-    return gram / np.outer(scale, scale)
+    """The Gram matrix of the same vectors made unit length, for a Gram
+    matrix or a stack of them."""
+    scale = np.sqrt(np.diagonal(gram, axis1=-2, axis2=-1))
+    return gram / (scale[..., :, None] * scale[..., None, :])
 
 
 def congruence_key(c: SimplicialCone) -> bytes:
@@ -221,18 +238,19 @@ def _measure_mc(c: SimplicialCone, mc: McConfig) -> AngleEstimate:
     return _measure_class(congruence_key(c), mc)
 
 
-def _normal_correlation(c: SimplicialCone) -> np.ndarray:
-    """Gram matrix of the cone's unit inward facet normals: the inverse of
-    the cone's Gram matrix (D D^T = Gram^-1 for the dual basis
-    D = Gram^-1 G), normalized to unit diagonal.
+def _normal_correlation(gram: np.ndarray) -> np.ndarray:
+    """Gram matrix of a cone's unit inward facet normals, from the Gram
+    matrix of its generators (or a stack of either): the inverse of the
+    Gram matrix (D D^T = Gram^-1 for the dual basis D = Gram^-1 G),
+    normalized to unit diagonal.
 
     The inverse is formed as X^T X from the inverse X of the Gram matrix's
     Cholesky factor.  Over random rotations of the H4 chamber, whose
     measure 1/14400 is a small difference of Plackett's terms, that keeps
     the measure within 4e-13 relative; inverting the Gram matrix directly
     spreads it over 1.4e-12 to 2.9e-12, depending on the BLAS kernel."""
-    X = np.linalg.inv(np.linalg.cholesky(c.gram))
-    return _unit_diagonal(X.T @ X)
+    X = np.linalg.inv(np.linalg.cholesky(gram))
+    return _unit_diagonal(np.swapaxes(X, -1, -2) @ X)
 
 
 def _measure_arc(c: SimplicialCone) -> float:
@@ -244,7 +262,7 @@ def _measure_arc(c: SimplicialCone) -> float:
 def _measure_girard(c: SimplicialCone) -> float:
     # Dihedral angle along the edge opposite facets i, j is
     # pi - angle(d_i, d_j) for inward facet normals d.
-    R = _normal_correlation(c)
+    R = _normal_correlation(c.gram)
     excess = -math.pi
     for i in range(3):
         for j in range(i + 1, 3):
@@ -253,15 +271,43 @@ def _measure_girard(c: SimplicialCone) -> float:
     return excess / (4.0 * math.pi)
 
 
+def _legendre(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Legendre polynomial P_m and its derivative at x, by the
+    three-term recurrence P_{k+1} = x P_k + k/(k+1) (x P_k - P_{k-1})."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(1, m):
+        xp = x * p1
+        p0, p1 = p1, xp + (xp - p0) * (k / (k + 1))
+    return p1, m * (x * p1 - p0) / (x * x - 1.0)
+
+
 @functools.cache
 def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """m-point Gauss-Legendre nodes and weights on [0, 1], by Golub-Welsch:
-    the eigenvalues of the Legendre Jacobi matrix and the squared first
-    components of its eigenvectors."""
-    k = np.arange(1, m)
-    beta = k / np.sqrt(4.0 * k * k - 1.0)
-    nodes, vecs = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
-    nodes, weights = (nodes + 1.0) / 2.0, vecs[0] ** 2
+    """m-point Gauss-Legendre nodes, ascending, and weights on [0, 1].
+
+    The roots x >= 0 of P_m come from Newton's method on the recurrence,
+    started from the cosine guess with Tricomi's first correction; the
+    others are their mirror images.  The iteration stops after a step no
+    larger than the unit roundoff.  The weights are 1 / ((1 - x^2) P_m'^2),
+    where P_m' comes from that step's evaluation, moved to the final roots
+    to first order by Legendre's equation (1 - x^2) P_m'' = 2 x P_m' -
+    m (m + 1) P_m."""
+    k = np.arange(1, (m + 1) // 2 + 1)
+    x = np.cos(math.pi * (k - 0.25) / (m + 0.5)) * (1.0 - (1.0 - 1.0 / m) / (8.0 * m * m))
+    for _ in range(NEWTON_STEPS):
+        p, dp = _legendre(m, x)
+        step = p / dp
+        x = x - step
+        if np.abs(step).max() <= np.finfo(float).eps:
+            break
+    else:
+        raise NumericalError(f"Legendre roots of degree {m} did not converge")
+    one_minus_x2 = (1.0 - x) * (1.0 + x)
+    dp -= step * (2.0 * x * dp - m * (m + 1) * p) / one_minus_x2
+    w = 1.0 / (one_minus_x2 * dp * dp)
+    # x descends from near 1 to the middle root, which odd m has at 0
+    nodes = np.concatenate([(1.0 - x) / 2.0, ((1.0 + x) / 2.0)[::-1][m % 2:]])
+    weights = np.concatenate([w, w[::-1][m % 2:]])
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -275,36 +321,105 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ij[:, 0], ij[:, 1], rest
 
 
-def _measure_plackett(c: SimplicialCone) -> float:
-    """Orthant probability P_n(R) of the cone's facet-normal correlation R,
-    n = 4 or 5, by Plackett's reduction (see the module docstring)."""
-    n = c.dim
-    R = _normal_correlation(c)
-    i, j, rest = _pairs(n)
-    rho = R[i, j]                                        # (pairs,)
-    t_lo, w_lo = _gauss_legendre(PLACKETT_NODES)
-    t_hi, w_hi = _gauss_legendre(2 * PLACKETT_NODES)
-    t = np.concatenate([t_lo, t_hi])                     # (nodes,)
+@functools.cache
+def _cofactors(n: int) -> tuple[np.ndarray, ...]:
+    """Index arrays of the conditional correlations, n = 4 or 5.
+
+    Given y_i = y_j = 0, the other coordinates S have the covariance
+    P_SS^-1, P = R(t)^-1, so their correlations are r_ab = A_ab /
+    sqrt(A_aa A_bb) for the adjugate A of P_SS.  n = 5: A's entries are
+    signed 2x2 minors of P.  n = 4: A_aa = P_bb, A_bb = P_aa and
+    A_ab = -P_ab, and P is the cofactor matrix of R(t) over det R(t) > 0,
+    so signed 3x3 minors of R(t) stand in for P.
+
+    Returns the flat indices into the n x n matrix of each distinct
+    minor's entries, shape (size, size, minors), and per pair i < j and
+    per pair a < b of the others, shape (pairs, C(n - 2, 2)), the minors of
+    A_aa, A_bb and A_ab (up to the swap of A_aa with A_bb for n = 4) and
+    the sign of A_ab."""
+    _, _, rest = _pairs(n)
+    slots: dict[tuple, int] = {}
+
+    def minor(rows, cols):
+        # R(t) and P are symmetric: a minor equals its transpose
+        return slots.setdefault(min((rows, cols), (cols, rows)), len(slots))
+
+    block = tuple(range(n))
+    aa, bb, ab, sign = [], [], [], []
+    for others in rest.tolist():
+        if n == 5:
+            block = tuple(others)
+        without = {r: tuple(x for x in block if x != r) for r in others}
+        for a, b in itertools.combinations(others, 2):
+            aa.append(minor(without[a], without[a]))
+            bb.append(minor(without[b], without[b]))
+            ab.append(minor(without[a], without[b]))
+            # a cofactor's sign, negated once more for n = 4
+            sign.append((-1) ** (block.index(a) + block.index(b) + (n == 4)))
+    index = np.array([[[r * n + c for c in cols] for r in rows] for rows, cols in slots])
+    shape = (len(rest), -1)
+    return (np.moveaxis(index, 0, -1),
+            *(np.reshape(column, shape) for column in (aa, bb, ab, sign)))
+
+
+def _det(m: np.ndarray) -> np.ndarray:
+    """Determinants of 2x2 or 3x3 matrices, elementwise over the trailing
+    axes of m, shape (k, k, ...)."""
+    if len(m) == 2:
+        return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    return (m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
+            - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
+            + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0]))
+
+
+def _quadrature(R: np.ndarray, m: int) -> np.ndarray:
+    """P_n(R) of each correlation matrix of the stack R, shape
+    (cones, n, n), with m Gauss-Legendre nodes."""
+    n = R.shape[-1]
+    i, j, _ = _pairs(n)
+    index, aa, bb, ab, sign = _cofactors(n)
+    t, w = _gauss_legendre(m)
     eye = np.eye(n)
-    precision = np.linalg.inv(eye + t[:, None, None] * (R - eye))
-    # covariance of the other coordinates given y_i = y_j = 0, per node and
-    # pair: the inverse of the rest block of the precision matrix
-    cond = np.linalg.inv(precision[:, rest[:, :, None], rest[:, None, :]])
-    sd = np.sqrt(np.diagonal(cond, axis1=2, axis2=3))
-    a, b = np.triu_indices(n - 2, 1)
-    r = cond[..., a, b] / (sd[..., a] * sd[..., b])
-    # P_m = 2^-m + sum of asin(r_pq) / (2^(m-1) pi): the arc (m = 2) and
+    X = eye + t[:, None, None] * (R - eye)[:, None]      # R(t): (cones, nodes, n, n)
+    if n == 5:
+        X = np.linalg.inv(X)
+    # entry-major, so that each entry of every minor is one contiguous block
+    X = X.reshape(-1, n * n).T
+    minors = _det(np.take(X, index, axis=0))
+    # correlations of the other coordinates given y_i = y_j = 0, per pair
+    # and node: (pairs, C(n - 2, 2), cones x nodes)
+    r = sign[..., None] * minors[ab] / np.sqrt(minors[aa] * minors[bb])
+    # P_m = 2^-m + sum of asin(r_ab) / (2^(m-1) pi): the arc (m = 2) and
     # Girard (m = 3) orthants
-    inner = 2.0 ** (2 - n) + np.arcsin(r).sum(axis=-1) / (2.0 ** (n - 3) * math.pi)
-    density = rho / (2.0 * math.pi * np.sqrt(1.0 - (t[:, None] * rho) ** 2))
-    f = (density * inner).sum(axis=-1)
-    lo = 2.0 ** -n + float(w_lo @ f[:len(t_lo)])
-    hi = 2.0 ** -n + float(w_hi @ f[len(t_lo):])
-    if not (math.isfinite(lo) and math.isfinite(hi)) or abs(lo - hi) > PLACKETT_TOL:
-        raise NumericalError(
-            f"Plackett quadrature did not converge: {lo!r} with "
-            f"{len(t_lo)} nodes, {hi!r} with {len(t_hi)}")
-    return hi
+    inner = 2.0 ** (2 - n) + np.arcsin(r).sum(axis=1) / (2.0 ** (n - 3) * math.pi)
+    rho = R[:, i, j].T[:, :, None]                       # (pairs, cones, 1)
+    density = rho / (2.0 * math.pi * np.sqrt(1.0 - (t * rho) ** 2))
+    f = (density * inner.reshape(density.shape)).sum(axis=0)
+    return 2.0 ** -n + (f * w).sum(axis=-1)
+
+
+def _measure_plackett(R: np.ndarray) -> np.ndarray:
+    """Orthant probabilities P_n(R) of a stack of facet-normal correlation
+    matrices, shape (cones, n, n) with n = 4 or 5, by Plackett's reduction
+    (see the module docstring).  Each cone doubles its node count from
+    PLACKETT_NODES until two successive integrals agree within
+    PLACKETT_TOL; past PLACKETT_MAX_NODES nodes, NumericalError."""
+    todo = np.arange(len(R))
+    values = np.empty(len(R))
+    m = PLACKETT_NODES
+    lo = _quadrature(R, m)
+    while True:
+        hi = _quadrature(R[todo], 2 * m)
+        done = np.abs(lo - hi) <= PLACKETT_TOL           # False when not finite
+        values[todo[done]] = hi[done]
+        if done.all():
+            return values
+        if 4 * m > PLACKETT_MAX_NODES:
+            k = np.flatnonzero(~done)[0]
+            raise NumericalError(
+                f"Plackett quadrature did not converge on cone {todo[k]}: "
+                f"{float(lo[k])!r} with {m} nodes, {float(hi[k])!r} with {2 * m}")
+        todo, lo, m = todo[~done], hi[~done], 2 * m
 
 
 def measure(c: SimplicialCone, mc: McConfig = DEFAULT_MC) -> AngleEstimate:
@@ -333,4 +448,5 @@ def measure(c: SimplicialCone, mc: McConfig = DEFAULT_MC) -> AngleEstimate:
     if k > 5:
         raise InvalidArgumentError(
             f"a cone of dimension {k} has no exact measure: set McConfig.samples")
-    return AngleEstimate(_measure_plackett(c), 0.0, AngleMethod.EXACT_PLACKETT)
+    value = float(_measure_plackett(_normal_correlation(c.gram)[None])[0])
+    return AngleEstimate(value, 0.0, AngleMethod.EXACT_PLACKETT)

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import ccl
-from ccl.angles import (CHUNK_SIZE, AngleEstimate, AngleMethod, McConfig,
-                        _binomial_stderr, _measure_class, _measure_mc,
+from ccl.angles import (CHUNK_SIZE, PLACKETT_MAX_NODES, AngleEstimate,
+                        AngleMethod, McConfig, _binomial_stderr,
+                        _gauss_legendre, _measure_class, _measure_mc,
+                        _measure_plackett, _normal_correlation,
                         congruence_key, count_nonnegative, measure)
 from ccl.cones import SimplicialCone, chamber, dual, face
 
@@ -339,32 +341,44 @@ def test_plackett_agrees_with_mc_on_suite_classes(spec, built, monkeypatch):
         assert abs(est.value - exact.value) <= 4 * est.stderr
 
 
-def cone_on_gram(M):
-    """A cone whose generators have the Gram matrix M: the rows of M's
-    Cholesky factor, or the zero cone when M is empty."""
-    if not len(M):
-        return SimplicialCone.from_generators([], ambient_dim=1)
-    return SimplicialCone.from_generators(np.linalg.cholesky(M))
+def measures(grams):
+    """Measures of the cones whose generators have the Gram matrices of a
+    stack, shape (cones, k, k): the stacked Plackett quadrature for k = 4
+    and 5, and closed forms computed here for k <= 3 (the arc and the
+    Van Oosterom-Strackee solid angle of the unit generators)."""
+    k = grams.shape[-1]
+    if k >= 4:
+        return _measure_plackett(_normal_correlation(grams))
+    if k <= 1:
+        return np.full(len(grams), 0.5 ** k)
+    scale = np.sqrt(np.diagonal(grams, axis1=1, axis2=2))
+    g = grams / (scale[:, :, None] * scale[:, None, :])
+    if k == 2:
+        return np.arccos(g[:, 0, 1]) / (2.0 * math.pi)
+    solid = 2.0 * np.arctan2(np.sqrt(np.linalg.det(g)),
+                             1.0 + g[:, 0, 1] + g[:, 1, 2] + g[:, 0, 2])
+    return solid / (4.0 * math.pi)
 
 
-def intrinsic_volumes(c):
-    """v_k(C) = sum over |I| = k of sigma(F_I) sigma((C/F_I)*), k = 0..dim.
-    With M the cone's Gram matrix, F_I has the Gram matrix M[I, I] and
+def intrinsic_volumes(grams):
+    """v_k(C) = sum over |I| = k of sigma(F_I) sigma((C/F_I)*), k = 0..n,
+    for each cone of a stack given by the Gram matrices M of its
+    generators, shape (cones, n, n): F_I has the Gram matrix M[I, I] and
     (C/F_I)*, the cone on the facet normals outside I, M^-1[rest, rest]."""
-    M, n = c.gram, c.dim
-    inverse = np.linalg.inv(M)
-    v = np.zeros(n + 1)
+    n = grams.shape[-1]
+    inverse = np.linalg.inv(grams)
+    v = np.zeros((len(grams), n + 1))
     for k in range(n + 1):
-        for I in itertools.combinations(range(n), k):
+        for I in map(list, itertools.combinations(range(n), k)):
             rest = [j for j in range(n) if j not in I]
-            v[k] += (measure(cone_on_gram(M[np.ix_(I, I)])).value
-                     * measure(cone_on_gram(inverse[np.ix_(rest, rest)])).value)
+            v[:, k] += (measures(grams[:, I][:, :, I])
+                        * measures(inverse[:, rest][:, :, rest]))
     return v
 
 
 def test_intrinsic_volumes_of_the_orthant():
     # v_k of the orthant in R^n is C(n, k) / 2^n
-    v = intrinsic_volumes(SimplicialCone.from_generators(np.eye(5)))
+    v = intrinsic_volumes(np.eye(5)[None])[0]
     assert np.abs(v - [math.comb(5, k) / 32 for k in range(6)]).max() <= 1e-12
 
 
@@ -389,17 +403,121 @@ def test_conic_gauss_bonnet_on_suite_cones(spec, cones, built, monkeypatch):
     assert all(r.passed for r in ccl.run_suite(rs, g))
     assert len(measured) == cones
     for cone in measured.values():
-        v = intrinsic_volumes(cone)
+        v = intrinsic_volumes(cone.gram[None])[0]
         assert abs(v.sum() - 1.0) <= 1e-12
         assert abs(v @ (-1.0) ** np.arange(len(v))) <= 1e-12
 
 
 def test_plackett_too_few_nodes_raises(built, monkeypatch):
+    # doubling from 2 nodes converges by 512/1024, so the cap comes down too
     rs, _ = built("H4")
     d = dual(chamber(rs))
     monkeypatch.setattr(ccl.angles, "PLACKETT_NODES", 2)
+    monkeypatch.setattr(ccl.angles, "PLACKETT_MAX_NODES", 8)
     with pytest.raises(ccl.NumericalError, match="did not converge"):
         measure(d)
+
+
+def golub_welsch(m):
+    """Gauss-Legendre nodes and weights on [0, 1] from the eigenvalues and
+    eigenvectors of the Legendre Jacobi matrix."""
+    k = np.arange(1, m)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vecs = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    return (nodes + 1.0) / 2.0, vecs[0] ** 2
+
+
+@pytest.mark.parametrize("m", [64, 128, 256])
+def test_gauss_legendre_nodes_match_golub_welsch(m):
+    t, w = _gauss_legendre(m)
+    oracle_t, oracle_w = golub_welsch(m)
+    assert np.abs(t - oracle_t).max() <= 1e-15
+    assert np.abs(w - oracle_w).max() <= 1e-15
+    # the m-point rule integrates t^k exactly for k <= 2m - 1
+    k = np.arange(2 * m)
+    moments = (w * t ** k[:, None]).sum(axis=1)
+    assert np.abs(moments * (k + 1) - 1.0).max() <= 1e-13
+
+
+def test_gauss_legendre_raises_when_newton_does_not_converge(monkeypatch):
+    monkeypatch.setattr(ccl.angles, "NEWTON_STEPS", 1)
+    with pytest.raises(ccl.NumericalError, match="did not converge"):
+        _gauss_legendre.__wrapped__(64)
+
+
+@pytest.fixture(scope="module")
+def random_five_cones():
+    """200 cones on standard-normal generators in R^5, and each one's
+    measure, or None where it raises NumericalError."""
+    cones = [SimplicialCone.from_generators(g)
+             for g in np.random.default_rng(0).standard_normal((200, 5, 5))]
+    values = []
+    for c in cones:
+        try:
+            values.append(measure(c).value)
+        except ccl.NumericalError as exc:
+            assert "did not converge" in str(exc)
+            values.append(None)
+    return cones, values
+
+
+def test_plackett_converges_on_random_cones_by_the_cap(random_five_cones):
+    # 156 of them converge at 64/128 nodes, 183 by 128/256 and 193 by 256/512
+    cones, values = random_five_cones
+    converged = [v for v in values if v is not None]
+    assert len(converged) == 196 and PLACKETT_MAX_NODES == 1024
+    for c, v in zip(cones, values):
+        if v is None:
+            with pytest.raises(ccl.NumericalError, match="did not converge"):
+                measure(c)
+
+
+def test_plackett_stack_equals_a_per_cone_loop(random_five_cones):
+    cones, values = random_five_cones
+    R = _normal_correlation(np.array([c.gram for c in cones]))
+    ok = np.array([v is not None for v in values])
+    stacked = _measure_plackett(R[ok])
+    assert np.abs(stacked - [v for v in values if v is not None]).max() <= 1e-15
+    # one cone that does not converge fails the whole stack, and is named
+    pair = [int(np.flatnonzero(ok)[0]), int(np.flatnonzero(~ok)[0])]
+    with pytest.raises(ccl.NumericalError, match="on cone 1:"):
+        _measure_plackett(R[pair])
+
+
+def test_conic_gauss_bonnet_on_random_cones(random_five_cones):
+    cones, values = random_five_cones
+    grams = np.array([c.gram for c, v in zip(cones, values) if v is not None])
+    v = intrinsic_volumes(grams)
+    assert np.abs(v.sum(axis=1) - 1.0).max() <= 1e-12
+    assert np.abs(v @ (-1.0) ** np.arange(6)).max() <= 1e-12
+
+
+def orthant_2(rho):
+    return 0.25 + math.asin(rho) / (2.0 * math.pi)
+
+
+def orthant_3(R):
+    return 0.125 + (math.asin(R[0, 1]) + math.asin(R[0, 2])
+                    + math.asin(R[1, 2])) / (4.0 * math.pi)
+
+
+@pytest.mark.parametrize("rho,nodes", [(-0.999, 512), (0.9999, 1024)])
+def test_plackett_on_thin_product_cones(rho, nodes, monkeypatch):
+    # a cone whose facet-normal correlation is block diagonal is a product
+    # of cones, and its orthant probability is the product of theirs.  A
+    # block close to singular needs more nodes: nodes / 2 against nodes
+    R3 = np.array([[1.0, 0.3, -0.4], [0.3, 1.0, 0.2], [-0.4, 0.2, 1.0]])
+    R5, R4 = np.eye(5), np.eye(4)
+    R5[:2, :2] = R4[:2, :2] = [[1.0, rho], [rho, 1.0]]
+    R5[2:, 2:] = R3
+    R4[2:, 2:] = [[1.0, 0.5], [0.5, 1.0]]
+    five = _measure_plackett(R5[None])[0]
+    assert abs(five - orthant_2(rho) * orthant_3(R3)) <= 1e-15
+    four = _measure_plackett(R4[None])[0]
+    assert abs(four - orthant_2(rho) * orthant_2(0.5)) <= 1e-15
+    monkeypatch.setattr(ccl.angles, "PLACKETT_MAX_NODES", nodes // 2)
+    with pytest.raises(ccl.NumericalError, match="did not converge"):
+        _measure_plackett(R5[None])
 
 
 @pytest.mark.parametrize("spec", ["A5", "F4"])
