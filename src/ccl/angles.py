@@ -93,9 +93,18 @@ PLACKETT_TOL = 1e-12
 
 # Most nodes an integral is taken with: the last check compares 512 with
 # 1024 nodes, and a cone that still misses PLACKETT_TOL raises
-# NumericalError.  Thin cones need many: of 200 cones on standard-normal
-# generators in R^5, 156 converge at 64/128 and 196 by 512/1024.
+# NumericalError.  Thin cones need many: H4's 6 061 Waldspurger pieces
+# (1 - w)C all converge by 512/1024, 98 of them only there, and of 200
+# cones on standard-normal generators in R^5, 156 converge at 64/128 and
+# 196 by 512/1024.
 PLACKETT_MAX_NODES = 1024
+
+# (cone, node) pairs the quadrature evaluates at once.  Each holds up to
+# 160 minor entries (n = 5) of 8 bytes, so a chunk's temporaries stay near
+# 10 MB however large the stack.  On H4's 6 061 Waldspurger pieces, 2^12
+# to 2^16 pairs take 0.8-1.3 s (2^13 the least) and a single chunk 3.2 s
+# with a peak of 1 GB.
+QUADRATURE_ROWS = 2 ** 13
 
 # Most Newton steps per set of Legendre roots; from the cosine guess, no
 # degree up to PLACKETT_MAX_NODES takes more than 4.
@@ -375,6 +384,10 @@ def _det(m: np.ndarray) -> np.ndarray:
 def _quadrature(R: np.ndarray, m: int) -> np.ndarray:
     """P_n(R) of each correlation matrix of the stack R, shape
     (cones, n, n), with m Gauss-Legendre nodes."""
+    chunk = max(1, QUADRATURE_ROWS // m)
+    if len(R) > chunk:
+        return np.concatenate([_quadrature(R[k:k + chunk], m)
+                               for k in range(0, len(R), chunk)])
     n = R.shape[-1]
     i, j, _ = _pairs(n)
     index, aa, bb, ab, sign = _cofactors(n)

@@ -476,6 +476,8 @@ def test_plackett_stack_equals_a_per_cone_loop(random_five_cones):
     cones, values = random_five_cones
     R = _normal_correlation(np.array([c.gram for c in cones]))
     ok = np.array([v is not None for v in values])
+    # the stack spans several of the quadrature's chunks of cones
+    assert ok.sum() > ccl.angles.QUADRATURE_ROWS // (2 * ccl.angles.PLACKETT_NODES)
     stacked = _measure_plackett(R[ok])
     assert np.abs(stacked - [v for v in values if v is not None]).max() <= 1e-15
     # one cone that does not converge fails the whole stack, and is named
