@@ -341,7 +341,7 @@ def test_plackett_agrees_with_mc_on_suite_classes(spec, built, monkeypatch):
         assert abs(est.value - exact.value) <= 4 * est.stderr
 
 
-def measures(grams):
+def measure_stack(grams):
     """Measures of the cones whose generators have the Gram matrices of a
     stack, shape (cones, k, k): the stacked Plackett quadrature for k = 4
     and 5, and closed forms computed here for k <= 3 (the arc and the
@@ -371,8 +371,8 @@ def intrinsic_volumes(grams):
     for k in range(n + 1):
         for I in map(list, itertools.combinations(range(n), k)):
             rest = [j for j in range(n) if j not in I]
-            v[:, k] += (measures(grams[:, I][:, :, I])
-                        * measures(inverse[:, rest][:, :, rest]))
+            v[:, k] += (measure_stack(grams[:, I][:, :, I])
+                        * measure_stack(inverse[:, rest][:, :, rest]))
     return v
 
 
