@@ -16,7 +16,8 @@ coordinates given y_i = y_j = 0, and P_{n-2} has the closed arc or Girard
 form.  So P_n(R) = 2^-n plus a 1-D integral over t in [0, 1], taken by
 Gauss-Legendre quadrature.  The conditional correlations are ratios of
 minors: 3x3 minors of R(t) for n = 4, and 2x2 minors of R(t)^-1 for n = 5,
-so a node costs one batched inverse for n = 5 and none for n = 4.  The
+so the nodes of one integral cost one batched inverse for n = 5 and none
+for n = 4.  The
 nodes come from Newton's method on the Legendre recurrence, computed on
 first use and cached.  The quadrature takes a stack of cones; each cone
 doubles its node count until two successive integrals agree.
@@ -103,7 +104,7 @@ PLACKETT_MAX_NODES = 1024
 # 160 minor entries (n = 5) of 8 bytes, so a chunk's temporaries stay near
 # 10 MB however large the stack.  On H4's 6 061 Waldspurger pieces, 2^12
 # to 2^16 pairs take 0.8-1.3 s (2^13 the least) and a single chunk 3.2 s
-# with a peak of 1 GB.
+# with a peak of 1 GB (one BLAS thread on a 2-core shared guest).
 QUADRATURE_ROWS = 2 ** 13
 
 # Most Newton steps per set of Legendre roots; from the cosine guess, no
