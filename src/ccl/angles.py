@@ -2,25 +2,30 @@
 
 A cone's measure depends only on the Gram matrix of its generators, and
 every method reads only that matrix.  Every measure is exact by default.
-Dimensions 0-3 use the conventions and the arc and Girard formulas.
-Dimensions 4 and 5 use Plackett's reduction of the Gaussian orthant
-probability (R. L. Plackett, Biometrika 41, 1954; D. R. Childs, Biometrika
-54, 1967).  A point x of the cone's span
-lies in the cone when y = D x >= 0, where the rows of D are the unit inward
-facet normals.  For a standard Gaussian x, y has the correlation matrix R,
-the Gram matrix of those normals, which is the cone's Gram matrix
-inverted and normalized to unit diagonal, so the measure is the orthant
-probability P_n(R).  Along R(t) = I + t (R - I), dP_n/drho_ij is
-phi_2(0, 0; t rho_ij) times the orthant probability P_{n-2} of the other
-coordinates given y_i = y_j = 0, and P_{n-2} has the closed arc or Girard
-form.  So P_n(R) = 2^-n plus a 1-D integral over t in [0, 1], taken by
-Gauss-Legendre quadrature.  The conditional correlations are ratios of
-minors: 3x3 minors of R(t) for n = 4, and 2x2 minors of R(t)^-1 for n = 5,
-so the nodes of one integral cost one batched inverse for n = 5 and none
-for n = 4.  The
-nodes come from Newton's method on the Legendre recurrence, computed on
-first use and cached.  The quadrature takes a stack of cones; each cone
-doubles its node count until two successive integrals agree.
+A point x of the cone's span lies in the cone when y = D x >= 0, where the
+rows of D are the unit inward facet normals.  For a standard Gaussian x, y
+has the correlation matrix R, the Gram matrix of those normals, which is
+the cone's Gram matrix inverted and normalized to unit diagonal, so the
+measure is the orthant probability P_n(R).  Dimensions 0 and 1 use the
+conventions.  Up to n = 3, P_n = 2^-n + sum over i < j of
+asin(r_ij) / (2^(n-1) pi): the arc for n = 2 and Girard's spherical excess
+for n = 3.  Dimension 4 uses Plackett's reduction (R. L. Plackett,
+Biometrika 41, 1954; D. R. Childs, Biometrika 54, 1967).  Along
+R(t) = I + t (R - I), dP_4/drho_ij is phi_2(0, 0; t rho_ij) times the
+orthant probability P_2 of the other two coordinates given y_i = y_j = 0,
+whose correlation is a ratio of 3x3 minors of R(t).  So P_4(R) = 2^-4 plus
+a 1-D integral over t in [0, 1], taken by Gauss-Legendre quadrature with
+no matrix inverse.  Dimension 5 needs no integral of its own: for odd n,
+P(y >= 0) = P(y <= 0), and inclusion-exclusion over the coordinates turns
+that into 2 P_n = sum over S != {1..n} of (-1)^|S| P_|S|(R_SS), the conic
+Gauss-Bonnet relation (P. McMullen 1975; Amelunxen, Lotz, McCoy and Tropp
+2014).  With the closed forms up to |S| = 3 it reads
+P_5 = -1/8 - sum over i < j of asin(r_ij) / (8 pi) + 1/2 sum over |Q| = 4
+of P_4(R_QQ), and the five principal 4x4 blocks of a cone go through one
+stacked quadrature.  The nodes come from Newton's method on the Legendre
+recurrence, computed on first use and cached.  The quadrature takes a
+stack of cones; each cone doubles its node count until two successive
+values agree.
 
 Seeded Monte Carlo over Gaussian directions inside the cone's span (the
 paper's method) runs for dimensions 4 and above when, and only when,
@@ -79,8 +84,9 @@ MEMO_SIZE = 4096
 MC_SIGMAS = 4.0
 
 # Gauss-Legendre nodes N of the first integral of the exact dimension 4-5
-# method, which evaluates it again with 2N nodes as its own check and keeps
-# doubling N until the two agree.  The error falls geometrically with N, at
+# method (a 5-cone's five 4-dimensional integrals all take N), which
+# evaluates it again with 2N nodes as its own check and keeps doubling N
+# until the two values agree.  The error falls geometrically with N, at
 # a rate set by how close R(t) comes to singular: the worst case the suite
 # measures, the H4 dual chamber (max |rho| 0.991), needs 48 nodes for
 # 3e-11; A5 needs 16 for 5e-16.  Every suite cone converges at 64/128.
@@ -97,14 +103,16 @@ PLACKETT_TOL = 1e-12
 # NumericalError.  Thin cones need many: H4's 6 061 Waldspurger pieces
 # (1 - w)C all converge by 512/1024, 98 of them only there, and of 200
 # cones on standard-normal generators in R^5, 156 converge at 64/128 and
-# 196 by 512/1024.
+# 196 by 512/1024.  A 5-cone is judged by its combined value, so its
+# slowest 4-dimensional block sets its node count.
 PLACKETT_MAX_NODES = 1024
 
-# (cone, node) pairs the quadrature evaluates at once.  Each holds up to
-# 160 minor entries (n = 5) of 8 bytes, so a chunk's temporaries stay near
-# 10 MB however large the stack.  On H4's 6 061 Waldspurger pieces, 2^12
-# to 2^16 pairs take 0.8-1.3 s (2^13 the least) and a single chunk 3.2 s
-# with a peak of 1 GB (one BLAS thread on a 2-core shared guest).
+# (4-cone, node) pairs the quadrature evaluates at once; a 5-cone counts
+# as its five 4-dimensional blocks.  Each pair holds 90 minor entries of 8
+# bytes, so a chunk's temporaries stay near 10 MB however large the stack.
+# On H4's 6 061 Waldspurger pieces, 2^12 to 2^16 pairs take 0.8-1.3 s (2^13
+# the least) and a single chunk 3.2 s with a peak of 1 GB (one BLAS thread
+# on a 2-core shared guest).
 QUADRATURE_ROWS = 2 ** 13
 
 # Most Newton steps per set of Legendre roots; from the cosine guess, no
@@ -263,22 +271,11 @@ def _normal_correlation(gram: np.ndarray) -> np.ndarray:
     return _unit_diagonal(np.swapaxes(X, -1, -2) @ X)
 
 
-def _measure_arc(c: SimplicialCone) -> float:
-    (g00, g01), (_, g11) = c.gram
-    cosang = g01 / math.sqrt(g00 * g11)
-    return math.acos(min(1.0, max(-1.0, cosang))) / (2.0 * math.pi)
-
-
-def _measure_girard(c: SimplicialCone) -> float:
-    # Dihedral angle along the edge opposite facets i, j is
-    # pi - angle(d_i, d_j) for inward facet normals d.
-    R = _normal_correlation(c.gram)
-    excess = -math.pi
-    for i in range(3):
-        for j in range(i + 1, 3):
-            cosang = min(1.0, max(-1.0, R[i, j]))
-            excess += math.pi - math.acos(cosang)
-    return excess / (4.0 * math.pi)
+def _orthant(r: np.ndarray, n: int) -> np.ndarray:
+    """Orthant probability P_n, n <= 3, from the correlations r_ij, i < j,
+    along the last axis of r: 2^-n + sum of asin(r_ij) / (2^(n-1) pi), the
+    arc for n = 2 and Girard's spherical excess for n = 3."""
+    return 2.0 ** -n + np.arcsin(r).sum(axis=-1) / (2.0 ** (n - 1) * math.pi)
 
 
 def _legendre(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -332,51 +329,32 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _cofactors(n: int) -> tuple[np.ndarray, ...]:
-    """Index arrays of the conditional correlations, n = 4 or 5.
+def _cofactors() -> tuple[np.ndarray, ...]:
+    """Index arrays of the conditional correlations for n = 4.
 
-    Given y_i = y_j = 0, the other coordinates S have the covariance
-    P_SS^-1, P = R(t)^-1, so their correlations are r_ab = A_ab /
-    sqrt(A_aa A_bb) for the adjugate A of P_SS.  n = 5: A's entries are
-    signed 2x2 minors of P.  n = 4: A_aa = P_bb, A_bb = P_aa and
-    A_ab = -P_ab, and P is the cofactor matrix of R(t) over det R(t) > 0,
-    so signed 3x3 minors of R(t) stand in for P.
+    Given y_i = y_j = 0, the other two coordinates a < b have the
+    covariance P_SS^-1, P = R(t)^-1, so their correlation is
+    -P_ab / sqrt(P_aa P_bb).  P is the cofactor matrix of R(t) over
+    det R(t) > 0, so the 3x3 minors M of R(t) stand in for it:
+    r_ab = (-1)^(a + b + 1) M_ab / sqrt(M_aa M_bb), where M_xy leaves out
+    row x and column y.
 
-    Returns the flat indices into the n x n matrix of each distinct
-    minor's entries, shape (size, size, minors), and per pair i < j and
-    per pair a < b of the others, shape (pairs, C(n - 2, 2)), the minors of
-    A_aa, A_bb and A_ab (up to the swap of A_aa with A_bb for n = 4) and
-    the sign of A_ab."""
-    _, _, rest = _pairs(n)
-    slots: dict[tuple, int] = {}
-
-    def minor(rows, cols):
-        # R(t) and P are symmetric: a minor equals its transpose
-        return slots.setdefault(min((rows, cols), (cols, rows)), len(slots))
-
-    block = tuple(range(n))
-    aa, bb, ab, sign = [], [], [], []
-    for others in rest.tolist():
-        if n == 5:
-            block = tuple(others)
-        without = {r: tuple(x for x in block if x != r) for r in others}
-        for a, b in itertools.combinations(others, 2):
-            aa.append(minor(without[a], without[a]))
-            bb.append(minor(without[b], without[b]))
-            ab.append(minor(without[a], without[b]))
-            # a cofactor's sign, negated once more for n = 4
-            sign.append((-1) ** (block.index(a) + block.index(b) + (n == 4)))
-    index = np.array([[[r * n + c for c in cols] for r in rows] for rows, cols in slots])
-    shape = (len(rest), -1)
-    return (np.moveaxis(index, 0, -1),
-            *(np.reshape(column, shape) for column in (aa, bb, ab, sign)))
+    Returns the flat indices into the 4 x 4 matrix of each distinct
+    minor's entries, shape (3, 3, minors), and per pair i < j the minors
+    M_aa, M_bb and M_ab and the sign."""
+    _, _, rest = _pairs(4)
+    # M_xx at index x, then M_xy = M_yx for x < y, taken as M_yx
+    minors = [(x, x) for x in range(4)] + list(itertools.combinations(range(4), 2))
+    index = np.array([[[r * 4 + c for c in range(4) if c != x]
+                       for r in range(4) if r != y] for x, y in minors])
+    a, b = rest.T
+    ab = np.array([minors.index(p) for p in map(tuple, rest.tolist())])
+    return np.moveaxis(index, 0, -1), a, b, ab, (-1.0) ** (a + b + 1)
 
 
 def _det(m: np.ndarray) -> np.ndarray:
-    """Determinants of 2x2 or 3x3 matrices, elementwise over the trailing
-    axes of m, shape (k, k, ...)."""
-    if len(m) == 2:
-        return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    """Determinants of 3x3 matrices, elementwise over the trailing axes of
+    m, shape (3, 3, ...)."""
     return (m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
             - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
             + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0]))
@@ -384,32 +362,36 @@ def _det(m: np.ndarray) -> np.ndarray:
 
 def _quadrature(R: np.ndarray, m: int) -> np.ndarray:
     """P_n(R) of each correlation matrix of the stack R, shape
-    (cones, n, n), with m Gauss-Legendre nodes."""
+    (cones, n, n) with n = 4 or 5, with m Gauss-Legendre nodes."""
+    n = R.shape[-1]
+    i, j, _ = _pairs(n)
+    if n == 5:
+        # P_5 from the five principal 4 x 4 blocks R_QQ of each cone, in
+        # one stack (see the module docstring)
+        Q = np.array(list(itertools.combinations(range(5), 4)))
+        blocks = R[:, Q[:, :, None], Q[:, None, :]].reshape(-1, 4, 4)
+        sub = _quadrature(blocks, m).reshape(len(R), 5).sum(axis=1)
+        asin = np.arcsin(R[:, i, j]).sum(axis=1)
+        return -0.125 - asin / (8.0 * math.pi) + 0.5 * sub
     chunk = max(1, QUADRATURE_ROWS // m)
     if len(R) > chunk:
         return np.concatenate([_quadrature(R[k:k + chunk], m)
                                for k in range(0, len(R), chunk)])
-    n = R.shape[-1]
-    i, j, _ = _pairs(n)
-    index, aa, bb, ab, sign = _cofactors(n)
+    index, aa, bb, ab, sign = _cofactors()
     t, w = _gauss_legendre(m)
-    eye = np.eye(n)
-    X = eye + t[:, None, None] * (R - eye)[:, None]      # R(t): (cones, nodes, n, n)
-    if n == 5:
-        X = np.linalg.inv(X)
+    eye = np.eye(4)
+    X = eye + t[:, None, None] * (R - eye)[:, None]      # R(t): (cones, nodes, 4, 4)
     # entry-major, so that each entry of every minor is one contiguous block
-    X = X.reshape(-1, n * n).T
+    X = X.reshape(-1, 16).T
     minors = _det(np.take(X, index, axis=0))
-    # correlations of the other coordinates given y_i = y_j = 0, per pair
-    # and node: (pairs, C(n - 2, 2), cones x nodes)
-    r = sign[..., None] * minors[ab] / np.sqrt(minors[aa] * minors[bb])
-    # P_m = 2^-m + sum of asin(r_ab) / (2^(m-1) pi): the arc (m = 2) and
-    # Girard (m = 3) orthants
-    inner = 2.0 ** (2 - n) + np.arcsin(r).sum(axis=1) / (2.0 ** (n - 3) * math.pi)
+    # correlation of the other two coordinates given y_i = y_j = 0, per
+    # pair and node: (pairs, cones x nodes)
+    r = sign[:, None] * minors[ab] / np.sqrt(minors[aa] * minors[bb])
+    inner = _orthant(r[..., None], 2)
     rho = R[:, i, j].T[:, :, None]                       # (pairs, cones, 1)
     density = rho / (2.0 * math.pi * np.sqrt(1.0 - (t * rho) ** 2))
     f = (density * inner.reshape(density.shape)).sum(axis=0)
-    return 2.0 ** -n + (f * w).sum(axis=-1)
+    return 2.0 ** -4 + (f * w).sum(axis=-1)
 
 
 def _measure_plackett(R: np.ndarray) -> np.ndarray:
@@ -442,7 +424,8 @@ def measure(c: SimplicialCone, mc: McConfig = DEFAULT_MC) -> AngleEstimate:
     The zero cone has measure 1 by convention (it occupies all of its
     zero-dimensional span); rays are exactly 1/2; dimensions 2 and 3 use
     the arc and spherical-excess formulas.  Dimensions 4 and 5 use Plackett's
-    reduction when ``mc.samples`` is None, its default, and are estimated
+    reduction (dimension 5 through its four-dimensional blocks) when
+    ``mc.samples`` is None, its default, and are estimated
     by Monte Carlo on the cone's congruence class with ``mc.samples``
     samples otherwise.  Higher dimensions have no exact method: they are
     estimated when ``mc.samples`` is a count and raise InvalidArgumentError
@@ -453,10 +436,11 @@ def measure(c: SimplicialCone, mc: McConfig = DEFAULT_MC) -> AngleEstimate:
         return AngleEstimate(1.0, 0.0, AngleMethod.EXACT0)
     if k == 1:
         return AngleEstimate(0.5, 0.0, AngleMethod.EXACT1)
-    if k == 2:
-        return AngleEstimate(_measure_arc(c), 0.0, AngleMethod.EXACT2_ARC)
-    if k == 3:
-        return AngleEstimate(_measure_girard(c), 0.0, AngleMethod.EXACT3_GIRARD)
+    if k <= 3:
+        i, j, _ = _pairs(k)
+        value = float(_orthant(_normal_correlation(c.gram)[i, j], k))
+        method = AngleMethod.EXACT2_ARC if k == 2 else AngleMethod.EXACT3_GIRARD
+        return AngleEstimate(value, 0.0, method)
     if mc.samples is not None:
         return _measure_mc(c, mc)
     if k > 5:

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 import ccl
-from ccl.angles import (CHUNK_SIZE, PLACKETT_MAX_NODES, AngleEstimate,
-                        AngleMethod, McConfig, _binomial_stderr,
-                        _gauss_legendre, _measure_class, _measure_mc,
-                        _measure_plackett, _normal_correlation,
-                        congruence_key, count_nonnegative, measure)
+from ccl.angles import (CHUNK_SIZE, PLACKETT_MAX_NODES, PLACKETT_NODES,
+                        AngleEstimate, AngleMethod, McConfig,
+                        _binomial_stderr, _gauss_legendre, _measure_class,
+                        _measure_mc, _measure_plackett, _normal_correlation,
+                        _quadrature, congruence_key, count_nonnegative,
+                        measure)
 from ccl.cones import SimplicialCone, chamber, dual, face
 
 MC = McConfig(samples=200_000, seed=42)
@@ -55,6 +56,22 @@ def triangle_solid_angle(a, b, c):
     return 2.0 * math.atan2(abs(det), d)
 
 
+def test_arc_matches_atan2_formula():
+    # the angle atan2(|det|, a . b) between the generators a, b; the two
+    # thin cones, at angles 2e-7 and pi - 2e-7, have a facet-normal
+    # correlation within 2e-14 of -1 or 1, where asin loses about 1e-10
+    rng = np.random.default_rng(17)
+    gens = [(g, 1e-12) for g in rng.standard_normal((50, 2, 2))
+            if abs(np.linalg.det(g)) >= 0.1]
+    gens += [(np.array([[1.0, 0.0], [math.cos(a), math.sin(a)]]), 1e-9)
+             for a in (2e-7, math.pi - 2e-7)]
+    for g, tol in gens:
+        est = measure(SimplicialCone.from_generators(g))
+        assert est.method is AngleMethod.EXACT2_ARC
+        expected = math.atan2(abs(np.linalg.det(g)), g[0] @ g[1]) / (2.0 * math.pi)
+        assert abs(est.value - expected) <= tol
+
+
 def test_girard_matches_determinant_formula(built):
     rng = np.random.default_rng(17)
     cones = []
@@ -62,15 +79,20 @@ def test_girard_matches_determinant_formula(built):
         g = rng.standard_normal((3, 3))
         if abs(np.linalg.det(g)) < 0.1:
             continue
-        cones.append(SimplicialCone.from_generators(g))
+        cones.append((SimplicialCone.from_generators(g), 1e-12))
     rs, _ = built("B3")
-    cones.append(dual(chamber(rs)))
+    cones.append((dual(chamber(rs)), 1e-12))
     rs, _ = built("H3")
-    cones.append(dual(chamber(rs)))
-    for c in cones:
+    cones.append((dual(chamber(rs)), 1e-12))
+    # height 1e-7 over a plane: nearly a half-space, with facet-normal
+    # correlations near 1, where asin is ill-conditioned
+    h, s = 1e-7, math.sqrt(3.0) / 2.0
+    cones.append((SimplicialCone.from_generators(
+        [[1.0, 0.0, h], [-0.5, s, h], [-0.5, -s, h]]), 1e-9))
+    for c, tol in cones:
         unit = c.generators / np.linalg.norm(c.generators, axis=1, keepdims=True)
         expected = triangle_solid_angle(*unit) / (4.0 * math.pi)
-        assert abs(measure(c).value - expected) <= 1e-12
+        assert abs(measure(c).value - expected) <= tol
 
 
 @pytest.mark.parametrize("spec", ["A1", "A2", "A3", "B2", "B3", "I2(5)",
@@ -484,6 +506,21 @@ def test_plackett_stack_equals_a_per_cone_loop(random_five_cones):
     pair = [int(np.flatnonzero(ok)[0]), int(np.flatnonzero(~ok)[0])]
     with pytest.raises(ccl.NumericalError, match="on cone 1:"):
         _measure_plackett(R[pair])
+
+
+def test_quadrature_makes_no_linalg_call(random_five_cones, monkeypatch):
+    # the quadrature is elementwise: 3x3 minors and closed forms, with no
+    # LAPACK call whose last bits depend on the BLAS kernel
+    cones, values = random_five_cones
+    R = _normal_correlation(np.array([c.gram for c in cones]))
+    calls = []
+    for name in np.linalg.__all__:
+        f = getattr(np.linalg, name)
+        if callable(f) and not isinstance(f, type):
+            monkeypatch.setattr(np.linalg, name, lambda *a, _f=f, _name=name,
+                                **kw: calls.append(_name) or _f(*a, **kw))
+    assert len(_quadrature(R, PLACKETT_NODES)) == len(cones)
+    assert calls == []
 
 
 def test_conic_gauss_bonnet_on_random_cones(random_five_cones):

@@ -644,6 +644,41 @@ def test_verdicts_do_not_depend_on_the_frame(built):
                 f"{t} {a.identity_name} k={a.k}: {b.lhs!r} against {a.lhs!r}")
 
 
+def test_verdicts_do_not_depend_on_the_diagram_labelling(built):
+    # an automorphism s of the Coxeter diagram comes from an isometry that
+    # maps the chamber to itself and each face F_I to F_s(I), so the simple
+    # roots relabelled by s, enumerated again, give every verdict in its
+    # place: the same identity, k, pass flag and rhs, and lhs within 1e-12
+    # relative.  The automorphisms are the permutations that keep the
+    # cosines -cos(pi / m_ij) between the unit simple roots
+    checked = 0
+    for t in SUPPORTED_TYPES:
+        rs, g = built(str(t))
+        unit = rs.simple_roots / np.linalg.norm(rs.simple_roots, axis=1,
+                                                keepdims=True)
+        cos = unit @ unit.T
+        before = None
+        for s in map(list, itertools.permutations(range(rs.n))):
+            if s == sorted(s) or np.abs(cos[np.ix_(s, s)] - cos).max() > 1e-12:
+                continue
+            if before is None:
+                before = run_suite(rs, g)
+            relabelled = dataclasses.replace(
+                rs, simple_roots=rs.simple_roots[s],
+                fundamental_weights=rs.fundamental_weights[s])
+            after = run_suite(relabelled, ccl.enumerate_group(relabelled))
+            assert len(after) == len(before)
+            for a, b in zip(before, after):
+                assert ((b.identity_name, b.k, b.passed, b.rhs_numerator,
+                         b.rhs_denominator) == (a.identity_name, a.k, a.passed,
+                                                a.rhs_numerator, a.rhs_denominator))
+                assert math.isclose(b.lhs, a.lhs, rel_tol=1e-12, abs_tol=0.0), (
+                    f"{t} {s} {a.identity_name} k={a.k}: {b.lhs!r} against {a.lhs!r}")
+            checked += 1
+    # A2-A5, B2, F4 and the ten I2(m) have one each, D4 five
+    assert checked == 21
+
+
 def test_standalone_counting_checks_repeat_on_one_seed():
     # each call draws from a fresh stream on its seed: a second call with
     # the same seed reports the same counts and resamples (at margin 0.01
