@@ -398,7 +398,7 @@ def _measure_plackett(R: np.ndarray) -> np.ndarray:
     """Orthant probabilities P_n(R) of a stack of facet-normal correlation
     matrices, shape (cones, n, n) with n = 4 or 5, by Plackett's reduction
     (see the module docstring).  Each cone doubles its node count from
-    PLACKETT_NODES until two successive integrals agree within
+    PLACKETT_NODES until two successive values agree within
     PLACKETT_TOL; past PLACKETT_MAX_NODES nodes, NumericalError."""
     todo = np.arange(len(R))
     values = np.empty(len(R))
