@@ -21,10 +21,9 @@ from .errors import (CacheError, CclError, DegenerateConeError,
                      GenericityError, GroupTooLargeError,
                      InvalidArgumentError, NonFiniteSystemError,
                      NumericalError, UnsupportedGroupError)
-from .groups import (Group, Subgroup, enumerate_group,
-                     group_from_simple_images, normalizer_of_span,
-                     parabolic_subgroup, regular_count, solomon_check,
-                     subspace_orbits)
+from .groups import (Group, enumerate_group, group_from_simple_images,
+                     normalizer_of_span, parabolic_subgroup, regular_count,
+                     solomon_check, subspace_orbits)
 from .linalg import DEFAULT_TOL, ToleranceConfig
 from .roots import (SUPPORTED_TYPES, GroupType, RootSystem, build,
                     generate_roots)

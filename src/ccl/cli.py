@@ -178,8 +178,7 @@ def _run(args, tol, specs, names) -> int:
         else:
             docs.extend(_report_dict(r) for r in reports)
     if args.format != "text":
-        json.dump(docs, sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(docs, sort_keys=True, indent=2) + "\n")
     return 0 if all_ok else 1
 
 

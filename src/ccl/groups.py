@@ -16,12 +16,14 @@ is computed by one SVD per conjugacy class.  The classes come from
 ``left_mult`` alone: one breadth-first pass from the identity, which is
 also the check that the simple reflections generate the elements, builds
 the table of w s_j = s_i (u s_j) for w = s_i u, and s_j w s_j is entry
-w s_j of row j of ``left_mult``.  Parabolic subgroups are array closures
-over the rows of ``left_mult``, checked against one per-group table of the
+w s_j of row j of ``left_mult``.  A subgroup is a read-only ascending
+array of element indices.  Parabolic subgroups are array closures over
+the rows of ``left_mult``, checked against one per-group table of the
 elements fixing each fundamental weight.  Face spans are matched, by
 ``face_carriers`` alone, as root subsets on the images: w carries span(F_J)
 onto span(F_I) when it sends the simple roots outside J into
-span(F_I)-perp.
+span(F_I)-perp.  One such table per face subset I answers every face type
+J at once, and the normalizer of span(F_I) is its entry J = I.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .errors import GroupTooLargeError, InvalidArgumentError, NumericalError
 from .linalg import SPAN_MATCH_TOL
 from .roots import RootSystem
 
-__all__ = ["Group", "Subgroup", "enumerate_group", "group_from_simple_images",
+__all__ = ["Group", "enumerate_group", "group_from_simple_images",
            "solomon_check", "parabolic_subgroup", "regular_count",
            "normalizer_of_span", "subspace_orbits", "face_carriers"]
 
@@ -79,20 +81,6 @@ class Group:
         fixes = np.abs(moved, out=moved).max(axis=1) <= SPAN_MATCH_TOL
         fixes.setflags(write=False)
         return fixes
-
-
-@dataclass(frozen=True)
-class Subgroup:
-    """A subset of a Group closed under composition, held as element indices."""
-
-    parent: Group
-    indices: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(self.indices)
 
 
 def enumerate_group(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
@@ -328,8 +316,9 @@ def _face_subset(g: Group, I) -> frozenset[int]:
     return I
 
 
-def parabolic_subgroup(g: Group, I) -> Subgroup:
-    """Subgroup generated by the simple reflections {s_j : j not in I}.
+def parabolic_subgroup(g: Group, I) -> np.ndarray:
+    """The elements of the subgroup generated by the simple reflections
+    {s_j : j not in I}, as a read-only ascending index array.
 
     This is exactly the pointwise stabilizer of span{omega_i : i in I}
     (Steinberg fixator property); the equality is asserted.
@@ -343,24 +332,22 @@ def parabolic_subgroup(g: Group, I) -> Subgroup:
     if not np.array_equal(fixator, indices):
         raise NumericalError(
             "parabolic subgroup does not match the pointwise fixator")
-    return Subgroup(g, tuple(indices.tolist()))
+    indices.setflags(write=False)
+    return indices
 
 
-def regular_count(sub: Subgroup, ambient_subspace_dim: int) -> int:
-    """Number of subgroup elements acting fixed-point-freely on a subspace
-    of the stated dimension (their global fixed space is exactly the
-    orthogonal complement)."""
-    g = sub.parent
+def regular_count(g: Group, elements: np.ndarray, ambient_subspace_dim: int) -> int:
+    """Number of the elements of ``g`` at indices ``elements`` that act
+    fixed-point-freely on a subspace of the stated dimension (their global
+    fixed space is exactly the orthogonal complement)."""
     target = g.n - ambient_subspace_dim
-    return int(np.sum(g.fixed_dims[list(sub.indices)] == target))
+    return int(np.count_nonzero(g.fixed_dims[elements] == target))
 
 
-def face_carriers(g: Group, I, within: np.ndarray | bool = True
-                  ) -> dict[tuple[int, ...], np.ndarray]:
-    """The elements w with w . span(F_J) = span(F_I), as ascending index
-    arrays by face type J (|J| = |I|, in lexicographic order), for every J
-    that has one; with a root mask ``within``, only those that also send
-    the simple roots outside J into it.
+def face_carriers(g: Group, I) -> dict[tuple[int, ...], np.ndarray]:
+    """The elements w with w . span(F_J) = span(F_I), as read-only ascending
+    index arrays by face type J (|J| = |I|, in lexicographic order), for
+    every J that has one.
 
     w carries span(F_J) onto span(F_I) when it sends the simple roots
     outside J, which span span(F_J)-perp, into span(F_I)-perp (equal
@@ -368,21 +355,23 @@ def face_carriers(g: Group, I, within: np.ndarray | bool = True
     at most n - |I| of them fit there: w carries F_J exactly when the simple
     roots it sends there are those outside J."""
     I = _face_subset(g, I)
-    targets = g.root_system.orthogonal_roots(I) & within
+    targets = g.root_system.orthogonal_roots(I)
     # bit j of masks[w]: w alpha_j is a target root
     masks = np.take(targets, g.simple_images) @ (1 << np.arange(g.n))
     carriers = {}
     for J in itertools.combinations(range(g.n), len(I)):
         ws = np.flatnonzero(masks == sum(1 << j for j in range(g.n) if j not in J))
         if ws.size:
+            ws.setflags(write=False)
             carriers[J] = ws
     return carriers
 
 
-def normalizer_of_span(g: Group, I) -> Subgroup:
-    """Elements mapping span{omega_i : i in I} onto itself."""
+def normalizer_of_span(g: Group, I) -> np.ndarray:
+    """The elements mapping span{omega_i : i in I} onto itself, as a
+    read-only ascending index array."""
     I = tuple(sorted(_face_subset(g, I)))
-    return Subgroup(g, tuple(face_carriers(g, I)[I].tolist()))
+    return face_carriers(g, I)[I]
 
 
 def subspace_orbits(g: Group, k: int) -> list[list[tuple[int, ...]]]:

@@ -14,17 +14,20 @@ The five counting checks (waldspurger, covering, oplus, decomposition,
 parabolic) ask one question: how many of a set of cones contain a point.
 Each builds the unit inward facet normals of its cones as one (cones,
 facets, n) stack, draws its points in one subspace, and classifies them
-with ``_cone_classifier``.  Classification is facet-major, as in the Monte
-Carlo kernel, and runs one tile of ``TILE_CONES`` cones at a time: a
-block's coordinates on a tile are a (points, facets, tile) array, so
+with ``_cone_classifier``.  The four whose cones are translates w K make
+one call of ``_translate_counts``, which builds the stack, the sampler and
+the Gaussian draw; waldspurger draws in the unit cube itself.
+Classification is facet-major, as in the Monte Carlo kernel, and runs one
+tile of ``TILE_CONES`` cones at a time: a block's coordinates on a tile
+are a (points, facets, tile) array, so
 ``_count_inside`` reduces over whole rows of cones, and a point's count is
 the sum over the tiles.  ``_translates`` stores its stacks as (n, facets,
 cones), so every tile the classifier multiplies by is a view of them.
 
 Genericity is enforced by margin-and-resample: a trial point that lands
 within the root system's relative margin (``rs.tol.generic_margin``) of
-any reflection hyperplane or any facet of a cone under test is discarded
-and redrawn deterministically.  Each call of a counting check draws from a
+any facet of a cone under test or, for a point drawn in all of V, of any
+reflection hyperplane is discarded and redrawn deterministically.  Each call of a counting check draws from a
 fresh :class:`GenericPointSampler` on its own seed, so its report's
 ``seed`` and ``resamples`` describe the stream its points came from.
 Points are drawn and classified in blocks.  A block asks the sampler's
@@ -57,7 +60,7 @@ import numpy as np
 from .angles import DEFAULT_MC, MC_SIGMAS, AngleEstimate, McConfig, measure
 from .cones import SimplicialCone, chamber, dual, face
 from .errors import GenericityError, InvalidArgumentError, NumericalError
-from .groups import (Group, Subgroup, face_carriers, normalizer_of_span,
+from .groups import (Group, face_carriers, normalizer_of_span,
                      parabolic_subgroup, regular_count, subspace_orbits)
 from .linalg import DEFAULT_TOL
 from .roots import RootSystem
@@ -261,29 +264,37 @@ def _translates(g: Group, blocks) -> np.ndarray:
     return stack.transpose(2, 1, 0)
 
 
-def _sampler(rs: RootSystem, seed: int) -> GenericPointSampler:
-    """A fresh sampler on ``seed`` with the root system's genericity margin."""
-    return GenericPointSampler(seed=seed, generic_margin=rs.tol.generic_margin)
+def _span_basis(c: SimplicialCone) -> np.ndarray:
+    """Orthonormal rows spanning the span of a cone of dimension >= 1:
+    L^-1 G for the Cholesky factor L of its Gram matrix, as
+    L^-1 G G^T L^-T = 1."""
+    return np.linalg.solve(np.linalg.cholesky(c.gram), c.generators)
 
 
-def _containment_counts(sampler: GenericPointSampler, trials: int,
-                        normals: np.ndarray, basis: np.ndarray | None = None,
-                        roots: np.ndarray | None = None) -> np.ndarray:
-    """For each of ``trials`` generic Gaussian points, the number of cones
-    with unit facet normals ``normals`` (cones, facets, n) containing it.
-    The points are drawn in the span of the orthonormal rows of ``basis``,
-    or in all of V when it is None; with ``roots``, points near a
-    reflection hyperplane are resampled too."""
+def _translate_counts(rs: RootSystem, g: Group, seed: int, trials: int,
+                      blocks, span: SimplicialCone | None = None
+                      ) -> tuple[np.ndarray, int]:
+    """For each of ``trials`` generic Gaussian points, the number of the
+    cones w K of ``_translates(g, blocks)`` containing it, and the number
+    of points resampled, drawn from a fresh sampler on ``seed``.  The
+    points are drawn in the span of the cone ``span``, or in all of V when
+    it is None, where points near a reflection hyperplane are resampled
+    too."""
+    sampler = GenericPointSampler(seed=seed, generic_margin=rs.tol.generic_margin)
+    normals = _translates(g, blocks)
     cones, facets, n = normals.shape
+    basis = None if span is None else _span_basis(span)
+    roots = rs.all_roots if span is None else None
     d = n if basis is None else len(basis)
 
     def draw(rng, m):
         points = rng.standard_normal((m, d))
         return points if basis is None else points @ basis
 
-    return sampler.sample(
+    counts = sampler.sample(
         draw, _cone_classifier(normals, sampler.generic_margin, roots),
         trials, _tile_entries(cones, facets))
+    return counts, sampler.resamples
 
 
 def _pass_rule(abs_error: float, stderr: float,
@@ -368,9 +379,10 @@ class Geometry:
     matrix G and its inverse.  The quotient cone C/F_I is not built: it
     lies in span(F_I)-perp, the span of (C/F_I)*, and alpha_rest are its
     facet normals.  ``parabolic(I)`` is W_I and ``normalizer(I)`` the
-    elements mapping span(F_I) onto itself; ``pairs(I)`` and ``pieces(I)``
-    are the ``face_carriers`` tables of the elements carrying a face span
-    onto span(F_I), and of the shortest ones among them, by face type J;
+    elements mapping span(F_I) onto itself, as index arrays;
+    ``pairs(I)`` is the ``face_carriers`` table of the elements carrying a
+    face span onto span(F_I), by face type J, and ``pieces(I)`` is that
+    table filtered by positivity to the shortest element of each coset;
     ``orbits(k)`` are the classes of face spans of dimension k.
     ``measure(kind, I, mc)`` measures a cone once per (kind, subset,
     McConfig).
@@ -405,10 +417,10 @@ class Geometry:
         rest = [j for j in range(self.rs.n) if j not in I]
         return self._once(("quotient_dual", I), face, self.dual, rest)
 
-    def parabolic(self, I) -> Subgroup:
+    def parabolic(self, I) -> np.ndarray:
         return self._once(("parabolic", I), parabolic_subgroup, self.g, I)
 
-    def normalizer(self, I) -> Subgroup:
+    def normalizer(self, I) -> np.ndarray:
         return self._once(("normalizer", I), normalizer_of_span, self.g, I)
 
     def pairs(self, I) -> dict[tuple[int, ...], np.ndarray]:
@@ -417,10 +429,17 @@ class Geometry:
     def pieces(self, I) -> dict[tuple[int, ...], np.ndarray]:
         """The distinct chamber faces w . F_J spanning span(F_I), as indices
         w by face type J.  A face is a coset w W_J (W_J fixes F_J); its
-        shortest element keeps every simple root outside J positive and, as
-        enumeration is by word length, has the smallest index in the
-        coset."""
-        return self._once(("pieces", I), face_carriers, self.g, I, self._positive)
+        shortest element sends every simple root outside J to a positive
+        root and, as enumeration is by word length, has the smallest index
+        in the coset.  So the pieces of type J are the entries of
+        ``pairs(I)[J]`` that do so."""
+        def shortest(J, ws):
+            rest = [j for j in range(self.rs.n) if j not in J]
+            images = self.g.simple_images[np.ix_(ws, rest)]
+            return ws[self._positive[images].all(axis=1)]
+
+        return self._once(("pieces", I), lambda: {
+            J: shortest(J, ws) for J, ws in self.pairs(I).items()})
 
     def orbits(self, k: int) -> list[list[tuple[int, ...]]]:
         return self._once(("orbits", k), subspace_orbits, self.g, k)
@@ -432,13 +451,6 @@ class Geometry:
         if key not in self._memo:
             self._memo[key] = measure(getattr(self, kind)(I), mc)
         return self._memo[key]
-
-
-def _span_basis(c: SimplicialCone) -> np.ndarray:
-    """Orthonormal rows spanning the span of a cone of dimension >= 1:
-    L^-1 G for the Cholesky factor L of its Gram matrix, as
-    L^-1 G G^T L^-T = 1."""
-    return np.linalg.solve(np.linalg.cholesky(c.gram), c.generators)
 
 
 def _geometry(rs: RootSystem, g: Group, geometry: Geometry | None) -> Geometry:
@@ -524,8 +536,8 @@ def verify_class_sum(rs: RootSystem, g: Group, k: int, seed: int = 42, *,
     breakdown = []
     for cls in geo.orbits(k):
         rep = cls[0]
-        sub = geo.parabolic(rep)
-        term = Fraction(regular_count(sub, n - k), len(geo.normalizer(rep)))
+        term = Fraction(regular_count(g, geo.parabolic(rep), n - k),
+                        len(geo.normalizer(rep)))
         total += term
         breakdown.append((f"class rep {_fmt_subset(rep)}", float(term), 0.0))
     rhs = Fraction(g.counts_by_fixed_dim[k], g.order)
@@ -556,7 +568,7 @@ def verify_waldspurger_partition(rs: RootSystem, g: Group,
     ``geometry`` is only checked to describe rs and g.
     """
     _geometry(rs, g, geometry)
-    sampler = _sampler(rs, seed)
+    sampler = GenericPointSampler(seed=seed, generic_margin=rs.tol.generic_margin)
     n, margin = rs.n, sampler.generic_margin
     alpha = rs.simple_roots
     regular = np.flatnonzero(g.fixed_dims == 0)
@@ -591,13 +603,12 @@ def verify_covering_count(rs: RootSystem, g: Group,
                           geometry: Geometry | None = None) -> VerificationReport:
     """A generic point of V is covered by exactly |W^0| of the |W| dual
     chamber copies w C*.  The points are drawn from ``seed``."""
-    sampler = _sampler(rs, seed)
     dc = _geometry(rs, g, geometry).dual
-    normals = _translates(g, [(dc.dual_basis, np.arange(g.order))])
-    counts = _containment_counts(sampler, trials, normals, roots=rs.all_roots)
+    counts, resamples = _translate_counts(
+        rs, g, seed, trials, [(dc.dual_basis, np.arange(g.order))])
     return _count_report(
-        "covering", rs, None, g.counts_by_fixed_dim[0], counts, sampler.seed,
-        trials, [("resamples", float(sampler.resamples), 0.0)])
+        "covering", rs, None, g.counts_by_fixed_dim[0], counts, seed,
+        trials, [("resamples", float(resamples), 0.0)])
 
 
 def verify_face_oplus_covering(rs: RootSystem, g: Group, I,
@@ -606,26 +617,22 @@ def verify_face_oplus_covering(rs: RootSystem, g: Group, I,
     """A generic point of V is covered by |W^reg_U| of the full-dimensional
     cones w(F_J + orthogonal dual quotient) whose face part spans U.  The
     points are drawn from ``seed``."""
-    sampler = _sampler(rs, seed)
-    n = rs.n
     I = _subset(I)
     k = len(I)
     geo = _geometry(rs, g, geometry)
-    weights, alpha = rs.fundamental_weights, geo.chamber.dual_basis
+    pairs = geo.pairs(I)
 
-    # the generator matrix of F_J + (C/F_J)* has the rows weights[J] and
-    # alpha[not J]; its facet normals are the rows of its inverse transpose,
-    # mapped by the elements w carrying span(F_J) onto U
-    normals = _translates(g, [
-        (np.linalg.inv(np.vstack(
-            [weights[list(J)], alpha[[j for j in range(n) if j not in J]]]).T), ws)
-        for J, ws in geo.pairs(I).items()])
-    counts = _containment_counts(sampler, trials, normals, roots=rs.all_roots)
+    # F_J + (C/F_J)* is an orthogonal sum, so its facet normals are those
+    # of F_J and of (C/F_J)*, mapped by the elements w carrying span(F_J)
+    # onto U
+    counts, resamples = _translate_counts(rs, g, seed, trials, [
+        (np.vstack([geo.face(J).dual_basis, geo.quotient_dual(J).dual_basis]), ws)
+        for J, ws in pairs.items()])
     return _count_report(
-        "oplus", rs, k, regular_count(geo.parabolic(I), n - k), counts,
-        sampler.seed, trials,
-        [(f"I={_fmt_subset(I)} pairs", float(len(normals)), 0.0),
-         ("resamples", float(sampler.resamples), 0.0)])
+        "oplus", rs, k, regular_count(g, geo.parabolic(I), rs.n - k), counts,
+        seed, trials,
+        [(f"I={_fmt_subset(I)} pairs", float(sum(map(len, pairs.values()))), 0.0),
+         ("resamples", float(resamples), 0.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -660,10 +667,9 @@ def verify_face_decomposition(rs: RootSystem, g: Group, I,
                   for i, est in enumerate(ests)]
 
     # the identity is a piece of type I, so F_I is built and spans U
-    normals = _translates(g, [(geo.face(J).dual_basis, ws)
-                              for J, ws in pieces.items()])
-    containments = _containment_counts(_sampler(rs, mc.seed), trials, normals,
-                                       _span_basis(geo.face(I)))
+    containments, _ = _translate_counts(
+        rs, g, mc.seed, trials,
+        [(geo.face(J).dual_basis, ws) for J, ws in pieces.items()], geo.face(I))
     bad = int(np.count_nonzero(containments != 1))
     breakdown.append(("containment_failures", float(bad), 0.0))
     breakdown.append(("num_pieces", float(len(ests)), 0.0))
@@ -693,16 +699,15 @@ def verify_parabolic_quotient(rs: RootSystem, g: Group, I,
         # C/F lies in the span of (C/F)*, and the generators of (C/F)*,
         # the simple roots outside I, are its facet normals
         qd = geo.quotient_dual(I)
-        normals = _translates(g, [(qd.generators, list(sub.indices))])
-        containments = _containment_counts(_sampler(rs, mc.seed), trials,
-                                           normals, _span_basis(qd))
+        containments, _ = _translate_counts(rs, g, mc.seed, trials,
+                                            [(qd.generators, sub)], qd)
         bad = int(np.count_nonzero(containments != 1))
         breakdown.append(("tiling_trials", float(trials), 0.0))
     breakdown.append(("tiling_failures", float(bad), 0.0))
 
     # (b) sigma((C/F)*) equals the fixed-point-free fraction of W_F
     est = geo.measure("quotient_dual", I, mc)
-    rhs = (regular_count(sub, d), len(sub))
+    rhs = (regular_count(g, sub, d), len(sub))
     breakdown.append(("sigma(quotient dual)", est.value, est.stderr))
     return _measure_report(
         "parabolic", rs, len(I), est.value, rhs, est.stderr, mc.seed,

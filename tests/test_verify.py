@@ -10,9 +10,9 @@ import pytest
 
 import ccl
 import ccl.verify
-from ccl.angles import McConfig, _measure_class
+from ccl.angles import McConfig, _measure_class, measure
 from ccl.cones import SimplicialCone, chamber
-from ccl.groups import normalizer_of_span
+from ccl.groups import normalizer_of_span, regular_count
 from ccl.linalg import DEFAULT_TOL, ToleranceConfig
 from ccl.roots import SUPPORTED_TYPES
 from ccl.verify import (GenericPointSampler, Geometry, run_suite,
@@ -278,8 +278,8 @@ def test_classifier_frame_is_a_view_of_the_translates_stack(built,
 @pytest.mark.parametrize("spec", ["A3", "H4"])
 def test_counting_checks_invert_per_group_and_per_face_type(spec, built,
                                                             monkeypatch):
-    # waldspurger inverts its stack of 1 - w once; oplus inverts one n x n
-    # generator matrix per face type J, not one per translate
+    # waldspurger inverts its stack of 1 - w once; oplus inverts nothing:
+    # its facet normals are those of the faces and quotient duals
     rs, g = built(spec)
     geo = Geometry(rs, g)
     pairs = geo.pairs((0,))
@@ -293,7 +293,7 @@ def test_counting_checks_invert_per_group_and_per_face_type(spec, built,
     shapes.clear()
     r = verify_face_oplus_covering(rs, g, (0,), trials=10, geometry=geo)
     assert r.passed
-    assert shapes == [(rs.n, rs.n)] * len(pairs)
+    assert shapes == []
     assert r.per_term_breakdown[0][1] == sum(map(len, pairs.values())) > len(pairs)
 
 
@@ -393,8 +393,8 @@ def test_span_pairs_and_normalizers_match_projector_oracle(spec, built):
                 np.abs(images[J] - target).max(axis=(1, 2)) <= 1e-8)]
             assert [(int(w), J) for J, ws in geo.pairs(I).items()
                     for w in ws] == expected
-            assert normalizer_of_span(g, I).indices == tuple(
-                w for w, J in expected if J == I)
+            assert normalizer_of_span(g, I).tolist() == [
+                w for w, J in expected if J == I]
 
 
 @pytest.mark.parametrize("spec", ["F4", "A5", "H4"])
@@ -428,6 +428,67 @@ def test_decomposition_pieces_per_type_are_cosets(spec, built):
             assert {J: len(ws) for J, ws in pieces.items()} == expected
             if k == n:
                 assert sum(expected.values()) == g.order
+
+
+@pytest.mark.parametrize("spec", ["F4", "A5"])
+def test_decomposition_pieces_are_least_in_their_cosets(spec, built):
+    # each piece w of type J is the least index in its coset {w u : u in
+    # W_J}, the products matched to elements through the matrix stack;
+    # enumeration is by word length, so the least index is the shortest
+    # element.  The cosets of the pieces partition pairs(I)[J].
+    rs, g = built(spec)
+    geo = Geometry(rs, g)
+    stack = g.matrix_stack
+    flat = stack.reshape(g.order, -1)
+    for k in range(1, rs.n + 1):
+        for I in itertools.combinations(range(rs.n), k):
+            for J, ws in geo.pieces(I).items():
+                u = geo.parabolic(J)
+                products = (stack[ws, None] @ stack[None, u]).reshape(
+                    len(ws) * len(u), -1)
+                # orthogonal matrices have squared norm n, so the element a
+                # product equals is the one whose inner product with it is n
+                inner = products @ flat.T
+                assert np.abs(inner.max(axis=1) - rs.n).max() <= 1e-9
+                cosets = inner.argmax(axis=1).reshape(len(ws), len(u))
+                assert np.array_equal(cosets.min(axis=1), ws)
+                assert np.array_equal(np.sort(cosets, axis=None),
+                                      geo.pairs(I)[J])
+
+
+@pytest.mark.parametrize("spec", [str(t) for t in SUPPORTED_TYPES])
+def test_oplus_and_parabolic_counts_integrate_to_exact_sums(spec, built,
+                                                            monkeypatch):
+    # the counts the sampled checks assert, integrated over the sphere
+    # with exact measures and judged by the 1e-9 rule:
+    # sum_J |pairs(I)[J]| sigma(F_J) sigma((C/F_J)*) = |W^reg_U| over the
+    # cones oplus classifies, and |W_F| sigma(C/F_I) = 1 over the cones
+    # parabolic classifies, where C/F_I is the cone on the facet normals
+    # of (C/F_I)*
+    rs, g = built(spec)
+    geo = Geometry(rs, g)
+    tol, mc = ccl.verify.EXACT_TOL, McConfig()
+    recorded = record_classifiers(monkeypatch)
+    for k in range(rs.n + 1):
+        for I in itertools.combinations(range(rs.n), k):
+            pairs, sub = geo.pairs(I), geo.parabolic(I)
+            lhs = sum(len(ws) * geo.measure("face", J, mc).value
+                      * geo.measure("quotient_dual", J, mc).value
+                      for J, ws in pairs.items())
+            assert abs(lhs - regular_count(g, sub, rs.n - k)) <= tol
+            verify_face_oplus_covering(rs, g, I, trials=1, geometry=geo)
+            [(normals, *_)] = recorded
+            assert len(normals) == sum(map(len, pairs.values()))
+            recorded.clear()
+            if k == rs.n:
+                continue
+            quotient = SimplicialCone.from_generators(
+                geo.quotient_dual(I).dual_basis, tol=rs.tol)
+            assert abs(len(sub) * measure(quotient).value - 1) <= tol
+            verify_parabolic_quotient(rs, g, I, trials=1, geometry=geo)
+            [(normals, *_)] = recorded
+            assert len(normals) == len(sub)
+            recorded.clear()
 
 
 def test_parabolic_quotient_extremes(built):
@@ -736,7 +797,7 @@ def test_run_suite_builds_each_piece_of_geometry_once(built, monkeypatch):
                  "normalizer_of_span", "subspace_orbits"):
         counted(ccl.verify, name)
     counted(ccl.angles, "_measure_plackett")
-    # Geometry.pairs and .pieces call face_carriers from ccl.verify,
+    # Geometry.pairs calls face_carriers from ccl.verify,
     # normalizer_of_span and subspace_orbits from ccl.groups
     counted(ccl.verify, "face_carriers")
     counted(ccl.groups, "face_carriers")
@@ -758,18 +819,15 @@ def test_run_suite_builds_each_piece_of_geometry_once(built, monkeypatch):
     assert counts == {"chamber": 22, "dual": 22, "face": 2 * 186,
                       "parabolic_subgroup": 186,
                       "normalizer_of_span": 125, "subspace_orbits": 81,
-                      "face_carriers": 600, "_measure_plackett": 22}
+                      "face_carriers": 436, "_measure_plackett": 22}
     # subspace_orbits makes one carrier table per class it returns: 125
     # classes over the 81 values of k
     assert all(made == classes for made, classes in per_orbits)
     classes = sum(c for _, c in per_orbits)
     assert len(per_orbits) == 81 and classes == 125
-    # the 600 tables: pairs(I) for the 186 subsets, pieces(I) for the 164
-    # subsets I other than {} (decomposition), one per normalizer and one
-    # per class
-    pieces = sum(len(args) == 3 for args in calls["face_carriers"])
-    assert pieces == 164
-    assert counts["face_carriers"] == 186 + pieces + 125 + classes
+    # the 436 tables: pairs(I) for the 186 subsets, which pieces(I)
+    # filters, one per normalizer and one per class
+    assert counts["face_carriers"] == 186 + 125 + classes
     # 186 = the 2^n face subsets of the 22 groups; face() builds F_I, a
     # face of the chamber, and (C/F_I)*, a face of the dual chamber, for
     # each of them: parabolic measures every (C/F_I)* and samples in its
