@@ -30,6 +30,13 @@ __all__ = ["GroupType", "RootSystem", "build", "generate_roots",
 
 _CLOSURE_CAP = 10_000
 
+# Largest number of float64 entries (images x vectors) in one product of
+# inner products in the root closure: 192 KiB.  Every layer of every
+# supported group fits in one product (2 712 entries at most, for H4), and
+# the closure's temporaries peak at 50 KiB over them; a pool of 10 000
+# vectors, near _CLOSURE_CAP, still compares two images per product.
+_CLOSURE_ENTRIES = 24_576
+
 # Threshold on |c| that tells a zero coefficient c = (beta, omega_i) of a
 # root beta on a unit simple root alpha_i from a nonzero one.  Over every
 # supported group the nonzero coefficients have |c| >= 1 - 4e-16 and the
@@ -305,24 +312,28 @@ def _first_within(pool: np.ndarray, start: int, eps: float) -> np.ndarray:
     """Mask of the rows of ``pool`` from ``start`` on whose first row within
     ``eps`` is the row itself.
 
-    |v - r|^2 = |v|^2 + |r|^2 - 2 (v, r), from one product of inner
-    products of the rows from ``start`` on with all rows, is off by a few
-    roundings of |v|^2 + |r|^2.  It decides every pair but those within
-    that rounding of eps^2; these, which for an eps below about 1e-7
-    include v itself, are decided by the norm of v - r.  Every layer of
-    every supported group makes a product of at most 2 712 entries (H4)."""
+    |v - r|^2 = |v|^2 + |r|^2 - 2 (v, r), one product of inner products per
+    chunk of at most _CLOSURE_ENTRIES entries, is off by a few roundings of
+    |v|^2 + |r|^2.  It decides every pair but those within that rounding
+    of eps^2; these, which for an eps below about 1e-7 include v itself,
+    are decided by the norm of v - r."""
     sq = np.einsum("ij,ij->i", pool, pool)
     rounding = 4 * (pool.shape[1] + 4) * np.finfo(float).eps
-    d2 = pool[start:] @ pool.T
-    d2 *= -2.0
-    d2 += sq[start:, None]
-    d2 += sq - eps ** 2
-    margin = rounding * (2.0 * sq.max() + eps ** 2)
-    within = d2 < -margin
-    v, r = np.nonzero(np.abs(d2, out=d2) <= margin)
-    if len(v):
-        within[v, r] = np.linalg.norm(pool[start + v] - pool[r], axis=1) <= eps
-    return within.argmax(axis=1) == np.arange(start, len(pool))
+    rows = max(1, _CLOSURE_ENTRIES // len(pool))
+    first = np.empty(len(pool) - start, dtype=np.intp)
+    for a in range(start, len(pool), rows):
+        b = min(a + rows, len(pool))
+        d2 = pool[a:b] @ pool[:b].T
+        d2 *= -2.0
+        d2 += sq[a:b, None]
+        d2 += sq[:b] - eps ** 2
+        margin = rounding * (2.0 * sq[:b].max() + eps ** 2)
+        within = d2 < -margin
+        v, r = np.nonzero(np.abs(d2, out=d2) <= margin)
+        if len(v):
+            within[v, r] = np.linalg.norm(pool[a + v] - pool[r], axis=1) <= eps
+        first[a - start:b - start] = within.argmax(axis=1)
+    return first == np.arange(start, len(pool))
 
 
 def build(t: GroupType, tol: ToleranceConfig = DEFAULT_TOL) -> RootSystem:

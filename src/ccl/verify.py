@@ -394,8 +394,6 @@ class Geometry:
     def __init__(self, rs: RootSystem, g: Group):
         self.rs, self.g = rs, g
         self._memo: dict[tuple, object] = {}
-        # every root has |(beta, omega_1 + ... + omega_n)| >= 1: no sign is close to 0
-        self._positive = rs.all_roots @ rs.fundamental_weights.sum(axis=0) > 0
 
     def _once(self, key: tuple, build, *args):
         if key not in self._memo:
@@ -434,12 +432,20 @@ class Geometry:
         in the coset.  So the pieces of type J are the entries of
         ``pairs(I)[J]`` that do so."""
         def shortest(J, ws):
-            rest = [j for j in range(self.rs.n) if j not in J]
-            images = self.g.simple_images[np.ix_(ws, rest)]
-            return ws[self._positive[images].all(axis=1)]
+            rest = sum(1 << j for j in range(self.rs.n) if j not in J)
+            ws = ws[(self._positive_images[ws] & rest) == rest]
+            ws.setflags(write=False)
+            return ws
 
         return self._once(("pieces", I), lambda: {
             J: shortest(J, ws) for J, ws in self.pairs(I).items()})
+
+    @functools.cached_property
+    def _positive_images(self) -> np.ndarray:
+        # every root has |(beta, omega_1 + ... + omega_n)| >= 1: no sign is
+        # close to 0.  Bit j of _positive_images[w]: w alpha_j is positive.
+        positive = self.rs.all_roots @ self.rs.fundamental_weights.sum(axis=0) > 0
+        return np.take(positive, self.g.simple_images) @ (1 << np.arange(self.rs.n))
 
     def orbits(self, k: int) -> list[list[tuple[int, ...]]]:
         return self._once(("orbits", k), subspace_orbits, self.g, k)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,6 +243,23 @@ def test_generate_roots_rejects_bad_gram():
     simple = np.array([[1.0, 0.0], [math.cos(1.8), math.sin(1.8)]])
     with pytest.raises(ccl.NonFiniteSystemError):
         generate_roots(simple)
+
+
+def test_generate_roots_rejects_dense_orbit_in_bounded_memory():
+    # three roots at pairwise angle 1.8 rad: the orbit is dense on the
+    # sphere and each layer about doubles, so the layer that crosses the cap
+    # compares 13 824 images with 23 034 vectors, 2.9 GB in one product of
+    # inner products.  Chunked, the closure stays within a few MiB.
+    c = math.cos(1.8)
+    simple = np.linalg.cholesky(np.array([[1.0, c, c], [c, 1.0, c], [c, c, 1.0]]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ccl.NonFiniteSystemError):
+            generate_roots(simple)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_fundamental_weights_orthogonal_simple_roots():

@@ -443,6 +443,8 @@ def test_decomposition_pieces_are_least_in_their_cosets(spec, built):
     for k in range(1, rs.n + 1):
         for I in itertools.combinations(range(rs.n), k):
             for J, ws in geo.pieces(I).items():
+                # memoized and shared between checks, so read-only
+                assert not ws.flags.writeable
                 u = geo.parabolic(J)
                 products = (stack[ws, None] @ stack[None, u]).reshape(
                     len(ws) * len(u), -1)
