@@ -126,7 +126,8 @@ def count_nonnegative(points: np.ndarray, facet_coords: np.ndarray) -> int:
     # (k, d) @ (d, m) then reduce over axis 0: several times faster than
     # (m, d) @ (d, k) reduced over axis 1 for the tall point arrays used here.
     # The counting checks' ``verify._count_inside`` shares this layout: it
-    # reduces over the facet axis of (points, facets, cones) coordinates.
+    # reduces over the leading facet axis of (facets, points, cones)
+    # coordinates.
     return int(np.count_nonzero((facet_coords @ points.T >= 0).all(axis=0)))
 
 

@@ -8,22 +8,29 @@ lexicographic order of its permutation rows (kept for the frontier only),
 so element indices are stable across runs.
 
 A Group holds its elements as stacked arrays (simple-root images, matrices,
-fixed-space dimensions) and the table ``left_mult`` of the index of s_j w,
-looked up by sorting on the images, the one search of element keys;
+fixed-space dimensions) and the table ``left_mult`` of the index of s_j w;
 enumeration and a cache reload both build it, with the same checks, by
-``group_from_simple_images``.  dim ker(1 - w) is a class function, so it
-is computed by one SVD per conjugacy class.  The classes come from
-``left_mult`` alone: one breadth-first pass from the identity, which is
-also the check that the simple reflections generate the elements, builds
-the table of w s_j = s_i (u s_j) for w = s_i u, and s_j w s_j is entry
-w s_j of row j of ``left_mult``.  A subgroup is a read-only ascending
-array of element indices.  Parabolic subgroups are array closures over
-the rows of ``left_mult``, checked against one per-group table of the
-elements fixing each fundamental weight.  Face spans are matched, by
-``face_carriers`` alone, as root subsets on the images: w carries span(F_J)
-onto span(F_I) when it sends the simple roots outside J into
-span(F_I)-perp.  One such table per face subset I answers every face type
-J at once, and the normalizer of span(F_I) is its entry J = I.
+``group_from_simple_images``.  The keys of the s_j w are summed digit by
+digit from per-digit tables of the simple reflections.  s_j permutes W, so
+each row of them, sorted, must equal the elements' sorted keys: that
+equality is the closure check, and the two sorts give ``left_mult`` with no
+key search.  The matrices are rebuilt from the images in chunks of
+elements, and each chunk's orthogonality is checked row by row of w^T w
+over its contiguous (n, n, chunk) columns.  dim ker(1 - w) is a class
+function, so it is computed by one SVD per conjugacy class.  The classes
+come from ``left_mult`` alone: one breadth-first pass from the identity,
+which is also the check that the simple reflections generate the elements,
+gives the word-length layers, and each layer takes its w s_j = s_i (u s_j),
+for w = s_i u one layer above u, from the layer below in one gather;
+s_j w s_j is entry w s_j of row j of ``left_mult``.  A subgroup is a
+read-only ascending array of element indices.  Parabolic subgroups are the
+same breadth-first pass over some rows of ``left_mult``, checked against
+one per-group table of the elements fixing each fundamental weight.  Face
+spans are matched, by ``face_carriers`` alone, as root subsets on the
+images: w carries span(F_J) onto span(F_I) when it sends the simple roots
+outside J into span(F_I)-perp.  One such table per face subset I answers
+every face type J at once, and the normalizer of span(F_I) is its entry
+J = I.
 """
 
 from __future__ import annotations
@@ -45,10 +52,18 @@ __all__ = ["Group", "enumerate_group", "group_from_simple_images",
 DEFAULT_ELEMENT_CAP = 20_000
 
 # Largest entry of |w^T w - 1| accepted for a matrix rebuilt from its
-# simple-root images.  Over every supported group it stays below 1.5e-13,
-# while a wrong image moves an entry by order 1, so the check
-# does not depend on the value.
+# simple-root images, each entry summed over one pair of the contiguous
+# columns of a chunk of the stack.  Over every supported group it stays
+# below 1.5e-13, while a wrong image moves an entry by order 1, so the
+# check does not depend on the value.
 ORTHOGONALITY_TOL = 1e-9
+
+# Elements per chunk of the matrix reconstruction: its temporaries are two
+# (chunk, n, n) arrays, 0.25 MiB each for n = 4, beside the stack itself.
+# H4's set-up then peaks at 2.89 MiB (tracemalloc), and takes 1.9-2.0 ms
+# to rebuild and check its matrices, against 1.7-1.8 ms and 3.25 MiB in
+# chunks of 4 096 and 2.0-2.3 ms and 2.75 MiB in chunks of 1 024.
+_STACK_CHUNK = 1 << 11
 
 
 @dataclass
@@ -140,24 +155,13 @@ def group_from_simple_images(rs: RootSystem, simple_images: np.ndarray) -> Group
     if not len(simple_images) or (simple_images[0] != rs.simple_ids).any():
         raise InvalidArgumentError("element 0 must be the identity")
     simple_images = simple_images.astype(np.int32)
-    find = _element_index(rs, simple_images)
-    left_mult = find(rs.simple_reflections[:, simple_images])
+    left_mult = _left_mult(rs, simple_images)
     # the breadth-first pass that finds each w s_j also checks that the
     # simple reflections generate the elements
     labels = _conjugacy_labels(left_mult, _right_mult(left_mult))
     n, order = rs.n, simple_images.shape[0]
     simple_images.setflags(write=False)
-
-    # Reconstruct matrices from the images of the simple roots.
-    A_inv = np.linalg.inv(rs.simple_roots)            # rows alpha_i
-    # mats[k] = images[k].T @ A_inv.T  ==  (A_inv @ images[k]).T, where the
-    # rows of images[k] = all_roots[simple_images[k]] are the images
-    mats = np.transpose(rs.all_roots[simple_images], (0, 2, 1)) @ A_inv.T
-
-    ortho_err = _orthogonality_error(mats)
-    if ortho_err > ORTHOGONALITY_TOL:
-        raise NumericalError(
-            f"reconstructed matrices not orthogonal (err {ortho_err:.2e})")
+    mats = _matrix_stack(rs, simple_images)
     mats.setflags(write=False)
 
     # dim ker(1 - w) is a class function: one SVD per conjugacy class,
@@ -181,20 +185,23 @@ def group_from_simple_images(rs: RootSystem, simple_images: np.ndarray) -> Group
     )
 
 
-def _closure(table: np.ndarray) -> np.ndarray:
-    """Mask of the elements reachable from the identity (index 0) through
-    the generators whose rows of ``left_mult`` make up ``table``."""
+def _word_layers(table: np.ndarray) -> list[np.ndarray]:
+    """The elements reached from the identity (index 0) through the
+    generators whose rows of ``left_mult`` make up ``table``, as one
+    ascending index array per word length, shortest first."""
     order = table.shape[1]
-    reached = np.zeros(order, dtype=bool)
-    reached[0] = True
-    frontier = np.zeros(1, dtype=np.intp)
-    while frontier.size:
+    unreached = np.ones(order, dtype=bool)
+    unreached[0] = False
+    layers = [np.zeros(1, dtype=np.intp)]
+    while True:
         new = np.zeros(order, dtype=bool)
-        new[table[:, frontier]] = True
-        new &= ~reached
-        reached |= new
-        frontier = np.flatnonzero(new)
-    return reached
+        new[table[:, layers[-1]]] = True
+        new &= unreached
+        layer = new.nonzero()[0]
+        if not layer.size:
+            return layers
+        unreached ^= new
+        layers.append(layer)
 
 
 def _image_keys(rs: RootSystem, images: np.ndarray) -> np.ndarray:
@@ -204,6 +211,24 @@ def _image_keys(rs: RootSystem, images: np.ndarray) -> np.ndarray:
     return images.astype(np.int64) @ digits
 
 
+def _reflected_keys(rs: RootSystem, images: np.ndarray) -> np.ndarray:
+    """(n, rows) keys of s_j w for every generator j and every row of
+    simple-root images of a w, summed digit by digit: digit i of the key
+    of s_j w is entry (w alpha_i) of a per-digit table of
+    ``rs.simple_reflections``, so the (n, rows, n) images of the s_j w are
+    never formed, only one (n, rows) gather of digits per generator."""
+    n, num_roots = rs.n, rs.num_roots
+    digits = num_roots ** np.arange(n, dtype=np.int64)
+    # tables[j, i, r]: digit i of the key of an element sending alpha_i to
+    # s_j(root r); entry i * num_roots + r of tables[j] flattened
+    tables = rs.simple_reflections[:, None, :] * digits[:, None]
+    at = np.ascontiguousarray(images.T) + (np.arange(n) * num_roots)[:, None]
+    keys = np.empty((n, len(images)), dtype=np.int64)
+    for j, key in enumerate(keys):
+        np.add.reduce(np.take(tables[j], at), axis=0, out=key)
+    return keys
+
+
 def _row_bytes(rows: np.ndarray) -> np.ndarray:
     """Each row of root indices as one big-endian uint16 byte string, so
     that the strings sort like the rows (root lists stay far below 2**16
@@ -211,63 +236,57 @@ def _row_bytes(rows: np.ndarray) -> np.ndarray:
     return rows.astype(">u2").view(np.dtype((np.void, 2 * rows.shape[1])))[:, 0]
 
 
-def _element_index(rs: RootSystem, simple_images: np.ndarray):
-    """Function mapping tables of simple-root images (..., n) to the indices
-    of the elements with those images, by one sort of the elements' keys.
-    Raises InvalidArgumentError on duplicate elements, and the function
-    raises it on images of no element."""
+def _left_mult(rs: RootSystem, simple_images: np.ndarray) -> np.ndarray:
+    """(n, order) table of the index of s_j w, by one sort of the elements'
+    keys and one sort of each row of the keys of the s_j w.
+
+    s_j permutes W, so on a closed element list row j of the s_j w keys,
+    sorted, equals the elements' sorted keys exactly; that equality is the
+    closure check.  The element at position m of row j's sort is then the
+    one at position m of the elements' sort.  Raises InvalidArgumentError
+    on duplicate elements and on an element list that is not closed under
+    the generators."""
     keys = _image_keys(rs, simple_images)
     by_key = np.argsort(keys)
     sorted_keys = keys[by_key]
     if (sorted_keys[1:] == sorted_keys[:-1]).any():
         raise InvalidArgumentError("duplicate elements in element list")
-
-    def find(images: np.ndarray) -> np.ndarray:
-        wanted = _image_keys(rs, images)
-        # sorted queries make the binary searches cache-friendly
-        order = np.argsort(wanted, axis=None)
-        queries = wanted.ravel()[order]
-        pos = np.minimum(np.searchsorted(sorted_keys, queries), len(keys) - 1)
-        if (sorted_keys[pos] != queries).any():
-            raise InvalidArgumentError(
-                "element list is not closed under the generators")
-        found = np.empty_like(order)
-        found[order] = by_key[pos]
-        return found.reshape(wanted.shape)
-
-    return find
+    reflected = _reflected_keys(rs, simple_images)
+    at = np.argsort(reflected, axis=1)
+    if (np.take_along_axis(reflected, at, axis=1) != sorted_keys).any():
+        raise InvalidArgumentError(
+            "element list is not closed under the generators")
+    left_mult = np.empty_like(at)
+    np.put_along_axis(left_mult, at, by_key[None], axis=1)
+    return left_mult
 
 
 def _right_mult(left_mult: np.ndarray) -> np.ndarray:
-    """(order, n) table of the index of w s_j, from ``left_mult`` alone by
-    one breadth-first pass from the identity (index 0).
+    """(order, n) table of the index of w s_j, from ``left_mult`` alone.
 
-    Row 0 holds the s_j.  An element w = s_i u first reached from u, one
-    layer earlier, has w s_j = s_i (u s_j): entry u s_j of row i of
-    ``left_mult``.  Which of w's parents is taken does not matter.  Raises
+    Row 0 holds the s_j.  An element w = s_i u one word length above u has
+    w s_j = s_i (u s_j): entry u s_j of row i of ``left_mult``.  So one
+    breadth-first pass gives the word-length layers, one such i is picked
+    for every w at once, and each layer then takes its rows from the layer
+    below in one gather.  Which i is taken does not matter.  Raises
     InvalidArgumentError when an element is never reached, that is, when
     the elements are not generated by the simple reflections."""
     n, order = left_mult.shape
-    right = np.empty((order, n), dtype=left_mult.dtype)
-    right[0] = left_mult[:, 0]
-    # slot[w]: the position among its layer's children that reached w
-    slot = np.full(order, -1, dtype=np.intp)
-    slot[0] = 0
-    frontier = np.zeros(1, dtype=np.intp)
-    while frontier.size:
-        # children s_i u of the frontier elements u, generator-major
-        children = left_mult[:, frontier].ravel()
-        fresh = np.flatnonzero(slot[children] < 0)
-        w = children[fresh]
-        slot[w] = fresh
-        first = slot[w] == fresh        # one of the positions of each w
-        w, fresh = w[first], fresh[first]
-        i, u = np.divmod(fresh, frontier.size)
-        right[w] = np.take(left_mult, (i * order)[:, None] + right[frontier[u]])
-        frontier = w
-    if (slot < 0).any():
+    layers = _word_layers(left_mult)
+    sizes = [len(layer) for layer in layers]
+    if sum(sizes) < order:
         raise InvalidArgumentError("element list is not generated by the "
                                    "simple reflections")
+    depth = np.empty(order, dtype=np.intp)
+    depth[np.concatenate(layers)] = np.repeat(np.arange(len(layers)), sizes)
+    # a generator i with s_i w one layer down, as the offset of row i
+    base = (depth[left_mult] < depth).argmax(axis=0) * order
+    below = np.take(left_mult, base + np.arange(order))
+    right = np.empty((order, n), dtype=left_mult.dtype)
+    right[0] = left_mult[:, 0]
+    for layer in layers[1:]:
+        right[layer] = np.take(left_mult,
+                               base[layer, None] + right[below[layer]])
     return right
 
 
@@ -287,13 +306,38 @@ def _conjugacy_labels(left_mult: np.ndarray, right_mult: np.ndarray) -> np.ndarr
         labels = new
 
 
+def _matrix_stack(rs: RootSystem, simple_images: np.ndarray) -> np.ndarray:
+    """(order, n, n) matrices of the elements, rebuilt from their
+    simple-root images ``_STACK_CHUNK`` elements at a time.  Raises
+    NumericalError when the largest entry of |w^T w - 1| over the stack
+    exceeds ORTHOGONALITY_TOL."""
+    A_inv = np.linalg.inv(rs.simple_roots)            # rows alpha_i
+    mats = np.empty(simple_images.shape + (rs.n,))
+    err = 0.0
+    for a in range(0, len(mats), _STACK_CHUNK):
+        chunk = mats[a:a + _STACK_CHUNK]
+        # chunk[k] = images[k].T @ A_inv.T  ==  (A_inv @ images[k]).T, where
+        # the rows of images[k] = all_roots[simple_images[k]] are the images
+        np.matmul(np.transpose(rs.all_roots[simple_images[a:a + _STACK_CHUNK]],
+                               (0, 2, 1)), A_inv.T, out=chunk)
+        err = max(err, _orthogonality_error(chunk))
+    if err > ORTHOGONALITY_TOL:
+        raise NumericalError(
+            f"reconstructed matrices not orthogonal (err {err:.2e})")
+    return mats
+
+
 def _orthogonality_error(mats: np.ndarray) -> float:
-    """Largest entry of |w^T w - 1| over a (order, n, n) stack, computed in
-    one temporary: the product, less the identity and made absolute in
-    place."""
-    gram = np.swapaxes(mats, 1, 2) @ mats
-    gram -= np.eye(mats.shape[1])
-    return float(np.abs(gram, out=gram).max())
+    """Largest entry of |w^T w - 1| over a (m, n, n) stack, row by row
+    over its contiguous (n, n, m) columns: entries (b, c >= b) of every
+    w^T w are one sum over a of column (a, b) times columns (a, c)."""
+    cols = np.ascontiguousarray(mats.transpose(1, 2, 0))
+    err = 0.0
+    for b in range(len(cols)):
+        entries = np.einsum("ak,ack->ck", cols[:, b], cols[:, b:])
+        entries[0] -= 1.0
+        err = max(err, float(np.abs(entries, out=entries).max()))
+    return err
 
 
 def solomon_check(g: Group, exps) -> bool:
@@ -325,7 +369,7 @@ def parabolic_subgroup(g: Group, I) -> np.ndarray:
     """
     I = _face_subset(g, I)
     gens = [j for j in range(g.n) if j not in I]
-    indices = np.flatnonzero(_closure(g.left_mult[gens]))
+    indices = np.sort(np.concatenate(_word_layers(g.left_mult[gens])))
 
     # Steinberg: generated subgroup == pointwise fixator of the face span.
     fixator = np.flatnonzero(g.fixes_weight[:, sorted(I)].all(axis=1))

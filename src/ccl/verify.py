@@ -19,17 +19,24 @@ one call of ``_translate_counts``, which builds the stack, the sampler and
 the Gaussian draw; waldspurger draws in the unit cube itself.
 Classification is facet-major, as in the Monte Carlo kernel, and runs one
 tile of ``TILE_CONES`` cones at a time: a block's coordinates on a tile
-are a (points, facets, tile) array, so
-``_count_inside`` reduces over whole rows of cones, and a point's count is
-the sum over the tiles.  ``_translates`` stores its stacks as (n, facets,
-cones), so every tile the classifier multiplies by is a view of them.
+are a (facets, points, tile) array, written into one array per block,
+which ``_count_inside`` reduces over its facets only.  The hits and the
+closest coordinate accumulate elementwise in (points, tile) arrays, whose
+rows are reduced once per block, so a point's count is its hits summed
+over the tiles.
+``_translates`` stores its stacks as (n, facets, cones), so every tile the
+classifier multiplies by is a view of them.
 
 Genericity is enforced by margin-and-resample: a trial point that lands
 within the root system's relative margin (``rs.tol.generic_margin``) of
 any facet of a cone under test or, for a point drawn in all of V, of any
-reflection hyperplane is discarded and redrawn deterministically.  Each call of a counting check draws from a
-fresh :class:`GenericPointSampler` on its own seed, so its report's
-``seed`` and ``resamples`` describe the stream its points came from.
+reflection hyperplane is discarded and redrawn deterministically.  Each
+call of a counting check draws from a fresh :class:`GenericPointSampler`
+on its own stream: the child SeedSequence(seed, spawn_key=(identity,
+*subset)) of the run's seed, where identity is the check's position in
+``SUITE_IDENTITIES``, as Monte Carlo classes key theirs.  So no two checks
+of a run share points, its report's ``seed`` names the run's seed, and
+its ``resamples`` describe the stream its points came from.
 Points are drawn and classified in blocks.  A block asks the sampler's
 PCG64 stream for exactly the trials still missing (at most
 ``BLOCK_ENTRIES`` float entries of one tile's classification), as one
@@ -101,12 +108,12 @@ class VerificationReport:
 
 
 # Largest number of float64 entries (points x facets x tile cones) one
-# block's classification may hold in a temporary: 512 KiB.  A block is
-# classified one tile of cones at a time, so it holds at least
-# BLOCK_ENTRIES // (facets * TILE_CONES) points, even when a stack has
-# 14 400 cones (H4 covering and oplus).  It bounds the peak memory of the checks and decides
-# nothing else: the stream definition makes results independent of the
-# block size.
+# block's classification may hold in a temporary: 512 KiB, beside its two
+# (points, tile) accumulators.  A block is classified one tile of cones at
+# a time, so it holds at least BLOCK_ENTRIES // (facets * TILE_CONES)
+# points, even when a stack has 14 400 cones (H4 covering and oplus).  It
+# bounds the peak memory of the checks and decides nothing else: the
+# stream definition makes results independent of the block size.
 BLOCK_ENTRIES = 1 << 16
 
 # Cones per tile: square tiles for 4 facets, so a block of a rank-4 check
@@ -132,7 +139,8 @@ SOLVE_RESIDUAL_TOL = 1e-8
 class GenericPointSampler:
     """Deterministic margin-and-resample point source.
 
-    :meth:`sample` draws points in blocks from one PCG64 stream and keeps
+    ``seed`` is an int or a ``np.random.SeedSequence``.  :meth:`sample`
+    draws points in blocks from one PCG64 stream on it and keeps
     the classifications of the generic ones; a run of more than
     ``RESAMPLE_LIMIT`` consecutive rejected points raises
     :class:`GenericityError`.  Each call of a counting check builds its
@@ -144,8 +152,7 @@ class GenericPointSampler:
     resamples: int = field(default=0, init=False)
 
     def __post_init__(self):
-        self._rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(self.seed)))
+        self._rng = np.random.Generator(np.random.PCG64(self.seed))
 
     def sample(self, draw, classify, trials: int,
                entries_per_point: int = 1) -> np.ndarray:
@@ -183,27 +190,45 @@ class GenericPointSampler:
         return np.concatenate(kept)
 
 
-def _count_inside(coords: np.ndarray, band) -> np.ndarray:
-    """Number of cones containing each point, from its facet coordinates.
+def _count_inside(points: np.ndarray, tiles, band) -> np.ndarray:
+    """Number of cones containing each point, or -1 (resample) for a point
+    whose smallest facet coordinate in absolute value lies within ``band``
+    of zero.  ``band`` is a scalar or one value per point.
 
-    ``coords`` has shape (points, facets, cones), facet-major: a point's
-    inner products with facet f of every cone are one contiguous row, so
-    each reduction runs over whole rows, as ``count_nonnegative``'s does.
-    A cone counts when its smallest facet coordinate exceeds ``band``.  A
-    point gets -1 (resample) when its smallest entry in absolute value lies
-    within ``band`` of zero.  ``band`` is a scalar or one value per point.
-
-    Consumes ``coords``: once the cones are counted it is made absolute in
-    place, so callers pass a temporary.
-    """
-    band = np.reshape(band, (-1, 1))
-    inside = np.count_nonzero(coords.min(axis=1) > band, axis=1)
-    near = np.abs(coords, out=coords).min(axis=(1, 2)) <= band[:, 0]
-    return np.where(near, -1, inside)
+    ``tiles`` are (facets, n, tile) stacks of facet normals: ``points @
+    tile`` is a (facets, points, tile) array, facet-major, as in
+    ``count_nonnegative``, and is reduced over its facets only, slab by
+    slab.  A cone counts when its smallest facet coordinate exceeds
+    ``band``.  The hits and the closest coordinate in absolute value
+    accumulate elementwise in (points, tile) arrays, whose rows are reduced
+    once, after the last tile."""
+    band = np.asarray(band).reshape(-1, 1)
+    facets, _, width = tiles[0].shape
+    m = len(points)
+    # One coordinate buffer for every tile, whose leading entries hold each
+    # tile's coordinates contiguously (the last, partial tile too), and
+    # int16 hits (an entry gains at most one per tile): with a fresh array
+    # per tile and intp hits, B4, F4 and A5 covering classifications
+    # re-faulted 170-290 pages a call and took 0.62, 1.8 and 1.8 ms, against
+    # 0.32, 1.0 and 0.9 ms.
+    buffer = np.empty(facets * m * width)
+    hits = np.zeros((m, width), dtype=np.int16)
+    closest = np.empty((m, width))
+    closest.fill(np.inf)
+    for tile in tiles:
+        cones = tile.shape[2]
+        x = np.matmul(points, tile,
+                      out=buffer[:facets * m * cones].reshape(facets, m, cones))
+        hits[:, :cones] += np.minimum.reduce(x, axis=0) > band
+        np.minimum(closest[:, :cones],
+                   np.minimum.reduce(np.abs(x, out=x), axis=0),
+                   out=closest[:, :cones])
+    near = np.minimum.reduce(closest, axis=1) <= band[:, 0]
+    return np.where(near, -1, np.add.reduce(hits, axis=1))
 
 
 def _tile_entries(cones: int, facets: int) -> int:
-    """Float entries ``_cone_classifier`` holds per point: one tile's
+    """Float entries ``_count_inside`` holds per point: one tile's
     (facets, tile) coordinates.  It sizes the sampler's blocks."""
     return facets * min(cones, TILE_CONES)
 
@@ -217,9 +242,8 @@ def _cone_classifier(normals: np.ndarray, margin: float, roots=None):
     The stack is read as one (n, facets, cones) frame, a view of a stack
     stored facet-major, as ``_translates`` stores it, and a copy of any
     other.  Its tiles are slices of ``TILE_CONES`` cones, each a view of
-    the frame: a block of points gets one (points, facets, tile) array per
-    tile, counted by ``_count_inside``; a point's count is the sum over the
-    tiles, or -1 when any tile puts it near a facet."""
+    the frame, and ``_count_inside`` classifies a block of points against
+    all of them."""
     cones, facets, n = normals.shape
     frame = np.ascontiguousarray(normals.transpose(2, 1, 0))
     # (facets, n, tile) views: points @ tile is (facets, points, tile)
@@ -228,15 +252,9 @@ def _cone_classifier(normals: np.ndarray, margin: float, roots=None):
 
     def classify(points):
         band = margin * np.linalg.norm(points, axis=1)
-        counts = np.zeros(len(points), dtype=np.intp)
-        near = np.zeros(len(points), dtype=bool)
-        for tile in tiles:
-            inside = _count_inside((points @ tile).transpose(1, 0, 2), band)
-            near |= inside < 0
-            counts += inside
+        counts = _count_inside(points, tiles, band)
         if roots is not None:
-            near |= np.abs(points @ roots.T).min(axis=1) <= band
-        counts[near] = -1
+            counts[np.abs(points @ roots.T).min(axis=1) <= band] = -1
         return counts
 
     return classify
@@ -271,16 +289,25 @@ def _span_basis(c: SimplicialCone) -> np.ndarray:
     return np.linalg.solve(np.linalg.cholesky(c.gram), c.generators)
 
 
-def _translate_counts(rs: RootSystem, g: Group, seed: int, trials: int,
+def _check_stream(identity: str, seed: int, I=()) -> np.random.SeedSequence:
+    """The stream a counting check draws its points from: the child of
+    ``seed`` keyed by the identity's position in SUITE_IDENTITIES and the
+    face subset, as Monte Carlo classes key theirs."""
+    return np.random.SeedSequence(
+        seed, spawn_key=(SUITE_IDENTITIES.index(identity), *I))
+
+
+def _translate_counts(rs: RootSystem, g: Group,
+                      stream: np.random.SeedSequence, trials: int,
                       blocks, span: SimplicialCone | None = None
                       ) -> tuple[np.ndarray, int]:
     """For each of ``trials`` generic Gaussian points, the number of the
     cones w K of ``_translates(g, blocks)`` containing it, and the number
-    of points resampled, drawn from a fresh sampler on ``seed``.  The
+    of points resampled, drawn from a fresh sampler on ``stream``.  The
     points are drawn in the span of the cone ``span``, or in all of V when
     it is None, where points near a reflection hyperplane are resampled
     too."""
-    sampler = GenericPointSampler(seed=seed, generic_margin=rs.tol.generic_margin)
+    sampler = GenericPointSampler(seed=stream, generic_margin=rs.tol.generic_margin)
     normals = _translates(g, blocks)
     cones, facets, n = normals.shape
     basis = None if span is None else _span_basis(span)
@@ -574,7 +601,8 @@ def verify_waldspurger_partition(rs: RootSystem, g: Group,
     ``geometry`` is only checked to describe rs and g.
     """
     _geometry(rs, g, geometry)
-    sampler = GenericPointSampler(seed=seed, generic_margin=rs.tol.generic_margin)
+    sampler = GenericPointSampler(seed=_check_stream("waldspurger", seed),
+                                  generic_margin=rs.tol.generic_margin)
     n, margin = rs.n, sampler.generic_margin
     alpha = rs.simple_roots
     regular = np.flatnonzero(g.fixed_dims == 0)
@@ -599,7 +627,7 @@ def verify_waldspurger_partition(rs: RootSystem, g: Group,
     counts = sampler.sample(draw, classify, trials,
                             _tile_entries(len(regular), n))
     return _count_report(
-        "waldspurger", rs, None, 1, counts, sampler.seed, trials,
+        "waldspurger", rs, None, 1, counts, seed, trials,
         [("regular_elements", float(len(regular)), 0.0),
          ("resamples", float(sampler.resamples), 0.0)])
 
@@ -611,7 +639,8 @@ def verify_covering_count(rs: RootSystem, g: Group,
     chamber copies w C*.  The points are drawn from ``seed``."""
     dc = _geometry(rs, g, geometry).dual
     counts, resamples = _translate_counts(
-        rs, g, seed, trials, [(dc.dual_basis, np.arange(g.order))])
+        rs, g, _check_stream("covering", seed), trials,
+        [(dc.dual_basis, np.arange(g.order))])
     return _count_report(
         "covering", rs, None, g.counts_by_fixed_dim[0], counts, seed,
         trials, [("resamples", float(resamples), 0.0)])
@@ -631,9 +660,10 @@ def verify_face_oplus_covering(rs: RootSystem, g: Group, I,
     # F_J + (C/F_J)* is an orthogonal sum, so its facet normals are those
     # of F_J and of (C/F_J)*, mapped by the elements w carrying span(F_J)
     # onto U
-    counts, resamples = _translate_counts(rs, g, seed, trials, [
-        (np.vstack([geo.face(J).dual_basis, geo.quotient_dual(J).dual_basis]), ws)
-        for J, ws in pairs.items()])
+    counts, resamples = _translate_counts(
+        rs, g, _check_stream("oplus", seed, I), trials, [
+            (np.vstack([geo.face(J).dual_basis, geo.quotient_dual(J).dual_basis]), ws)
+            for J, ws in pairs.items()])
     return _count_report(
         "oplus", rs, k, regular_count(g, geo.parabolic(I), rs.n - k), counts,
         seed, trials,
@@ -674,7 +704,7 @@ def verify_face_decomposition(rs: RootSystem, g: Group, I,
 
     # the identity is a piece of type I, so F_I is built and spans U
     containments, _ = _translate_counts(
-        rs, g, mc.seed, trials,
+        rs, g, _check_stream("decomposition", mc.seed, I), trials,
         [(geo.face(J).dual_basis, ws) for J, ws in pieces.items()], geo.face(I))
     bad = int(np.count_nonzero(containments != 1))
     breakdown.append(("containment_failures", float(bad), 0.0))
@@ -705,8 +735,9 @@ def verify_parabolic_quotient(rs: RootSystem, g: Group, I,
         # C/F lies in the span of (C/F)*, and the generators of (C/F)*,
         # the simple roots outside I, are its facet normals
         qd = geo.quotient_dual(I)
-        containments, _ = _translate_counts(rs, g, mc.seed, trials,
-                                            [(qd.generators, sub)], qd)
+        containments, _ = _translate_counts(
+            rs, g, _check_stream("parabolic", mc.seed, I), trials,
+            [(qd.generators, sub)], qd)
         bad = int(np.count_nonzero(containments != 1))
         breakdown.append(("tiling_trials", float(trials), 0.0))
     breakdown.append(("tiling_failures", float(bad), 0.0))
@@ -745,8 +776,9 @@ class _SuiteRun:
 # The identities in report order: name -> (k-indexed?, runner).  A runner
 # returns the reports of one k (None when not k-indexed).  It looks its
 # verify_* function up when it runs, so a name wrapped after import is the
-# one called.  Every counting check draws from its own fresh stream on
-# mc.seed, as a standalone call with that seed does.
+# one called.  Every counting check draws from its own fresh stream,
+# keyed by mc.seed, the identity and the subset, as a standalone call with
+# that seed does.
 _SUITE = {
     "curious": (False, lambda r, k: [r.call(verify_curious, r.mc)]),
     "main": (True, lambda r, k: [r.call(verify_main, k, r.mc)]),
@@ -780,9 +812,10 @@ def run_suite(rs: RootSystem, g: Group, identities=SUITE_IDENTITIES,
     ``k`` restricts the k-indexed identities to a single value in 0..n when
     given.  ``trials`` must be at least 1, even for identities that draw
     no point.  Tolerances come from ``rs.tol`` and every seed from
-    ``mc.seed``.  Every counting check draws from a fresh stream on that
-    seed, so the output is independent of which identities run together
-    and equals the standalone verifiers' reports.  The verifiers share one
+    ``mc.seed``.  Every counting check draws from a fresh stream keyed by
+    that seed, its identity and its subset, so the output is independent of
+    which identities run together and equals the standalone verifiers'
+    reports.  The verifiers share one
     Geometry, so each cone, subgroup and measure is built once per call.
     """
     n = rs.n

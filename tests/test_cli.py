@@ -590,10 +590,10 @@ def test_default_mc_config_is_exact():
 
 HEADLINE_PINS = {
     (): (2_361_375,
-         "34699ed40d73a645c9add178dcf2d8589916956b8cb6c15f0e9a2c73d70f251e"),
+         "de560c4c647b9967c6b5befa17a15e0d14b765d9bfa4bfa796202d22d10b14d8"),
     ("--samples", "20000", "--seed", "42"): (
         2_433_220,
-        "49166635aff07acf32c7877ff45408a7096c264b4ae2d7292d7414f7290b3909"),
+        "8e602cebea4c955e85f03659b431a3f5620251803b6fb23509f5e85e114e9269"),
 }
 
 

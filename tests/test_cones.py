@@ -302,7 +302,7 @@ def test_cone_rank_check_reads_the_cone_tolerance():
 
 def chambers_containing(ch, v, band):
     """1 inside, 0 outside, -1 within band of a facet (a resample)."""
-    return int(_count_inside((ch.dual_basis @ v)[None, :, None], band)[0])
+    return int(_count_inside(v[None], [ch.dual_basis[:, :, None]], band)[0])
 
 
 def test_membership_classifications(built):

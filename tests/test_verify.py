@@ -3,6 +3,7 @@ import inspect
 import itertools
 import math
 import statistics
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -685,6 +686,43 @@ def test_run_suite_equals_standalone_verifiers(spec, samples, margin, built):
         assert sum(map(resamples, reports)) > 0
 
 
+def record_draws(monkeypatch):
+    """Wrap ``GenericPointSampler.sample`` so that each call appends the
+    list of the point blocks its draw returns to the returned list."""
+    calls = []
+    inner = GenericPointSampler.sample
+
+    def sample(self, draw, classify, trials, entries_per_point=1):
+        drawn = []
+        calls.append(drawn)
+
+        def recorded(rng, m):
+            drawn.append(draw(rng, m))
+            return drawn[-1]
+
+        return inner(self, recorded, classify, trials, entries_per_point)
+
+    monkeypatch.setattr(GenericPointSampler, "sample", sample)
+    return calls
+
+
+@pytest.mark.parametrize("spec", ["A3", "B4", "A5"])
+def test_covering_and_oplus_checks_draw_distinct_points(spec, built,
+                                                        monkeypatch):
+    # covering and every oplus(I) draw Gaussian points in all of V, each
+    # from its own stream keyed by the identity and the subset, so no two
+    # of them share a point; every report still names the run's seed
+    rs, g = built(spec)
+    calls = record_draws(monkeypatch)
+    reports = run_suite(rs, g, ["covering", "oplus"], mc=McConfig(seed=9),
+                        trials=20)
+    assert len(calls) == len(reports) == 1 + 2 ** rs.n
+    assert {r.seed for r in reports} == {9}
+    points = np.concatenate([block for drawn in calls for block in drawn])
+    assert len(points) >= 20 * len(calls)
+    assert len(np.unique(points, axis=0)) == len(points)
+
+
 def test_verdicts_do_not_depend_on_the_frame(built):
     # every identity is a statement about the geometry up to congruence: a
     # root system turned by a random orthogonal Q, then enumerated again,
@@ -1020,6 +1058,19 @@ def check_block_sampling(spec, margin, monkeypatch):
     sampling and with ``per_point_sample``, and compare their counts and
     resamples."""
     rs, g = built_with_margin(spec, margin)
+    blocked, reference = block_and_per_point(
+        lambda: counting_checks(rs, g), monkeypatch)
+    # waldspurger and covering, oplus on all 2^n subsets, decomposition
+    # and parabolic on the 2^n - 1 subsets that leave a space to sample
+    assert len(blocked) == 3 * 2 ** rs.n
+    assert blocked == reference
+    resamples = sum(r for _, r in blocked)
+    assert resamples > 0 if margin == 0.01 else resamples == 0
+
+
+def block_and_per_point(checks, monkeypatch):
+    """The (counts, resamples) of every sample call ``checks()`` makes,
+    once with block sampling and once with ``per_point_sample``."""
     runs = []
     for sample in (GenericPointSampler.sample, per_point_sample):
         calls = []
@@ -1030,15 +1081,36 @@ def check_block_sampling(spec, margin, monkeypatch):
             return counts
 
         monkeypatch.setattr(GenericPointSampler, "sample", recorded)
-        counting_checks(rs, g)
+        checks()
         runs.append(calls)
-    blocked, reference = runs
-    # waldspurger and covering, oplus on all 2^n subsets, decomposition
-    # and parabolic on the 2^n - 1 subsets that leave a space to sample
-    assert len(blocked) == 3 * 2 ** rs.n
+    return runs
+
+
+def test_h4_tiled_classification_matches_per_point_reference(built,
+                                                             monkeypatch):
+    # at the default tile size each of these stacks has 14 400 cones in
+    # 113 tiles, the last of them partial: blocks of 20 points and single
+    # points get the same counts and resamples
+    rs, g = built("H4")
+    geo = Geometry(rs, g)
+    classifiers = record_classifiers(monkeypatch)
+    mc = McConfig(seed=5)
+
+    def checks():
+        verify_covering_count(rs, g, 20, 5, geometry=geo)
+        verify_face_oplus_covering(rs, g, (), 20, 5, geometry=geo)
+        verify_face_oplus_covering(rs, g, (0, 1, 2, 3), 20, 5, geometry=geo)
+        verify_parabolic_quotient(rs, g, (), mc, 20, geometry=geo)
+
+    blocked, reference = block_and_per_point(checks, monkeypatch)
+    assert len(blocked) == 4
     assert blocked == reference
-    resamples = sum(r for _, r in blocked)
-    assert resamples > 0 if margin == 0.01 else resamples == 0
+    assert all(len(counts) == 20 for counts, _ in blocked)
+    assert len(classifiers) == 8
+    for normals, *_, classify in classifiers:
+        tiles = inspect.getclosurevars(classify).nonlocals["tiles"]
+        assert len(normals) == g.order == 14_400
+        assert len(tiles) == 113 and tiles[-1].shape[2] == 14_400 - 112 * 128
 
 
 def test_h4_covering_classifies_in_tiles_within_block_entries(built,
@@ -1054,18 +1126,40 @@ def test_h4_covering_classifies_in_tiles_within_block_entries(built,
         classify = inner_classifier(normals, margin, roots)
         return lambda points: blocks.append(len(points)) or classify(points)
 
-    def count_inside(coords, band):
-        inputs.append(coords.shape)
-        return inner_count(coords, band)
+    def count_inside(points, tiles, band):
+        # the (facets, points, tile) shape of each tile's coordinates
+        inputs.append([(t.shape[0], len(points), t.shape[2]) for t in tiles])
+        return inner_count(points, tiles, band)
 
     monkeypatch.setattr(ccl.verify, "_cone_classifier", classifier)
     monkeypatch.setattr(ccl.verify, "_count_inside", count_inside)
     report = verify_covering_count(rs, g, trials=100)
     assert report.passed
     assert 1 <= len(blocks) <= 2 and sum(blocks) >= 100
-    assert all(np.prod(shape) <= ccl.verify.BLOCK_ENTRIES for shape in inputs)
+    shapes = [shape for block in inputs for shape in block]
+    assert all(np.prod(shape) <= ccl.verify.BLOCK_ENTRIES for shape in shapes)
     # every block's tiles cover the whole stack once
-    assert sum(shape[2] for shape in inputs) == len(blocks) * g.order
+    assert len(inputs) == len(blocks)
+    assert sum(shape[2] for shape in shapes) == len(blocks) * g.order
+
+
+def test_h4_covering_peak_memory_is_bounded(built):
+    # the translates' stack and the gathered matrices it is built from
+    # hold 1.76 MiB each, and one tile of 128 points, 4 facets and 128
+    # cones 0.5 MiB; the measured peak is 3.63 MiB, so the bound leaves
+    # 24 % headroom.  Coordinates over all 14 400 cones at once would hold
+    # 56 MiB, and (points, cones) accumulators 14 MiB each.
+    rs, g = built("H4")
+    geo = Geometry(rs, g)
+    verify_covering_count(rs, g, trials=1, geometry=geo)   # first-use imports
+    tracemalloc.start()
+    try:
+        report = verify_covering_count(rs, g, geometry=geo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 4.5 * 2 ** 20
 
 
 @pytest.mark.parametrize("cap", [1, 2, 5, None])
