@@ -2,10 +2,11 @@
 
 An element w is identified by its simple-root images, the root indices of
 w alpha_1, ..., w alpha_n, which is exact even though the matrices are
-floating point.  Enumeration is a breadth-first closure of the simple
-reflections, one whole word-length layer per array pass, with each layer in
-lexicographic order of its permutation rows (kept for the frontier only),
-so element indices are stable across runs.
+floating point, and keyed by them read as base-num_roots digits.
+Enumeration is a breadth-first closure of the simple reflections on images
+and keys alone, one whole word-length layer per array pass, with each layer
+in key order (lexicographic on w alpha_n, ..., w alpha_1), so element
+indices are stable across runs.
 
 A Group holds its elements as stacked arrays (simple-root images, matrices,
 fixed-space dimensions) and the table ``left_mult`` of the index of s_j w;
@@ -100,39 +101,29 @@ class Group:
 
 def enumerate_group(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
     """Breadth-first closure of the simple reflections, one word-length
-    layer at a time.
+    layer at a time, on the elements' int64 keys.
 
-    Every generator is applied to the whole frontier at once; a child is
-    keyed on its simple-root images, and the keys of earlier layers and
-    repeats within the layer are dropped.  Each layer is ordered
-    lexicographically on its full permutation rows.  Raises
-    GroupTooLargeError when more than ``cap`` elements appear.
+    The keys of the s_j w for the whole last layer come from its simple-root
+    images alone.  In a Coxeter group l(s_j w) = l(w) +- 1, so those that
+    are not in the layer below make up the next layer, sorted and without
+    repeats; it is decoded back to images, and each layer is in key order.
+    Raises GroupTooLargeError when more than ``cap`` elements appear.
     """
-    gens = rs.simple_reflections
-    identity = np.arange(rs.num_roots, dtype=np.int32)[None]
+    digits = rs.num_roots ** np.arange(rs.n, dtype=np.int64)
     layers = [rs.simple_ids[None].astype(np.int32)]
-    seen = _image_keys(rs, layers[0])   # sorted
+    below, keys = np.empty(0, dtype=np.int64), _image_keys(rs, layers[0])
     size = 1
-    frontier = identity
-    while len(frontier):
-        # keys of s_j w for every generator j and frontier element w
-        keys = _image_keys(rs, gens[:, frontier[:, rs.simple_ids]]).ravel()
-        by_key = np.argsort(keys)
-        keys = keys[by_key]
-        first = np.ones(len(keys), dtype=bool)
-        first[1:] = keys[1:] != keys[:-1]
-        by_key, keys = by_key[first], keys[first]
-        at = np.searchsorted(seen, keys)
-        new = seen[np.minimum(at, len(seen) - 1)] != keys
-        size += np.count_nonzero(new)
+    while True:
+        children = np.sort(_reflected_keys(rs, layers[-1]), axis=None)
+        children = children[np.diff(children, prepend=-1) != 0]
+        below, keys = keys, children[np.isin(children, below, assume_unique=True,
+                                             invert=True, kind="sort")]
+        if not len(keys):
+            return group_from_simple_images(rs, np.concatenate(layers))
+        size += len(keys)
         if size > cap:
             raise GroupTooLargeError(f"group exceeds element cap {cap}")
-        seen = np.insert(seen, at[new], keys[new])
-        j, w = np.divmod(by_key[new], len(frontier))
-        frontier = np.take(gens, (j * rs.num_roots)[:, None] + frontier[w])
-        frontier = frontier[np.argsort(_row_bytes(frontier))]
-        layers.append(frontier[:, rs.simple_ids])
-    return group_from_simple_images(rs, np.concatenate(layers))
+        layers.append((keys[:, None] // digits % rs.num_roots).astype(np.int32))
 
 
 def group_from_simple_images(rs: RootSystem, simple_images: np.ndarray) -> Group:
@@ -227,13 +218,6 @@ def _reflected_keys(rs: RootSystem, images: np.ndarray) -> np.ndarray:
     for j, key in enumerate(keys):
         np.add.reduce(np.take(tables[j], at), axis=0, out=key)
     return keys
-
-
-def _row_bytes(rows: np.ndarray) -> np.ndarray:
-    """Each row of root indices as one big-endian uint16 byte string, so
-    that the strings sort like the rows (root lists stay far below 2**16
-    entries)."""
-    return rows.astype(">u2").view(np.dtype((np.void, 2 * rows.shape[1])))[:, 0]
 
 
 def _left_mult(rs: RootSystem, simple_images: np.ndarray) -> np.ndarray:

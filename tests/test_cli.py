@@ -106,6 +106,26 @@ def test_report_group_reproducible_and_worker_independent(tmp_path):
     assert all(doc["passed"] for doc in docs)
 
 
+def test_report_does_not_import_numpy_ma(tmp_path):
+    # numpy 2.4 imports numpy.ma on the first np.unique (and on np.isin
+    # without assume_unique, once its arguments are large enough to be
+    # sorted, as F4's layers are and A3's are not), which costs a fresh
+    # process about 11 ms of set-up and 1.2 MiB of peak RSS; no report
+    # needs it
+    script = ("import contextlib, io, sys\n"
+              "from ccl.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    rc = main(['report', '--group', 'F4', '--no-cache',"
+              " '--format', 'json'])\n"
+              "print(rc, 'numpy.ma' in sys.modules)\n")
+    import os
+    env = dict(os.environ, CCL_CACHE_DIR=str(tmp_path / "cache"))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0", "False"]
+
+
 def test_report_needs_group(tmp_path):
     out = run_cli(["report"], tmp_path)
     assert out.returncode == 2

@@ -9,13 +9,15 @@ import numpy as np
 import pytest
 
 import ccl
+from ccl.angles import DEFAULT_MC, McConfig
 from ccl.cache import load_group
 from ccl.cones import chamber
-from ccl.groups import (Group, _conjugacy_labels, _right_mult,
-                        enumerate_group, group_from_simple_images,
+from ccl.groups import (Group, _conjugacy_labels, _image_keys, _right_mult,
+                        _word_layers, enumerate_group, group_from_simple_images,
                         normalizer_of_span, parabolic_subgroup, regular_count,
                         solomon_check, subspace_orbits)
 from ccl.roots import SUPPORTED_TYPES
+from ccl.verify import run_suite
 
 ORDERS = {
     "A1": 2, "A2": 6, "A3": 24, "A4": 120, "A5": 720,
@@ -128,7 +130,8 @@ def dihedral_counts(m):
 def sequential_bfs(rs):
     """Reference enumeration: apply one generator to one element at a time,
     keep each permutation row not met before and order each word-length
-    layer lexicographically on its rows."""
+    layer as the element keys order it: lexicographically on the reversed
+    simple-root images (w alpha_n, ..., w alpha_1)."""
     gens = [p.astype(np.int32) for p in simple_reflection_perms(rs)]
     perms = [np.arange(rs.num_roots, dtype=np.int32)]
     index = {perms[0].tobytes()}
@@ -140,7 +143,8 @@ def sequential_bfs(rs):
                 new = gen[base]
                 if new.tobytes() not in index:
                     discovered[new.tobytes()] = new
-        layer = sorted(discovered.values(), key=lambda p: p.tolist())
+        layer = sorted(discovered.values(),
+                       key=lambda p: p[rs.simple_ids[::-1]].tolist())
         index.update(discovered)
         perms.extend(layer)
     return np.array(perms, dtype=np.int32)
@@ -288,13 +292,33 @@ def test_element_cap():
 
 @pytest.mark.parametrize("t", SUPPORTED_TYPES, ids=str)
 def test_enumeration_matches_sequential_bfs(t, built):
-    # element order: breadth-first by word length, each layer sorted on the
-    # full permutation rows; cache files and reports depend on it.  The
-    # simple-root images determine an element, so they pin the order
+    # element order: breadth-first by word length, each layer in key order;
+    # cache files depend on it, reports do not
+    # (test_reports_do_not_depend_on_element_order).  The simple-root images
+    # determine an element, so they pin the order
     rs, g = built(str(t))
     expected = sequential_bfs(rs)[:, rs.simple_ids]
     assert g.simple_images.dtype == expected.dtype
     assert g.simple_images.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("t", SUPPORTED_TYPES, ids=str)
+def test_word_length_layers_follow_the_poincare_polynomial(t, built):
+    # enumeration takes the next layer as the children of the last one that
+    # are not in the layer below, which holds because l(s_j w) = l(w) +- 1.
+    # The layer sizes are the coefficients of prod_i (1 + q + ... + q^m_i)
+    # over the exponents m_i, and the elements come layer by layer
+    rs, g = built(str(t))
+    poincare = [1]
+    for m in rs.exponents:
+        poincare = np.convolve(poincare, np.ones(m + 1, dtype=np.int64))
+    layers = _word_layers(g.left_mult)
+    assert [len(layer) for layer in layers] == list(poincare)
+    depth = np.empty(g.order, dtype=np.intp)
+    for length, layer in enumerate(layers):
+        depth[layer] = length
+    assert (np.abs(depth[g.left_mult] - depth) == 1).all()
+    assert (np.diff(depth) >= 0).all()
 
 
 @pytest.mark.parametrize("t", SUPPORTED_TYPES, ids=str)
@@ -310,14 +334,43 @@ def test_no_group_array_is_indexed_by_root(t, built):
 
 
 def test_h4_schema3_file_written_before_loads_as_enumerated(tmp_path, built):
+    # the file stores the elements in an older order (each layer sorted on
+    # full permutation rows), so the groups agree up to element order: the
+    # same keys, the per-element arrays equal once both are sorted by key,
+    # and left_mult equal once relabelled
     rs, g = built("H4")
     loaded = load_group(rs, h4_schema3_file(tmp_path))
-    for f in dataclasses.fields(Group):
-        a, b = getattr(loaded, f.name), getattr(g, f.name)
-        if isinstance(b, np.ndarray):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
-        else:
-            assert a == b, f.name
+    keys = [_image_keys(rs, x.simple_images) for x in (loaded, g)]
+    by_key = [np.argsort(k) for k in keys]
+    assert np.array_equal(keys[0][by_key[0]], keys[1][by_key[1]])
+    for name in ("simple_images", "matrix_stack", "fixed_dims"):
+        a, b = getattr(loaded, name), getattr(g, name)
+        assert a.dtype == b.dtype, name
+        assert a[by_key[0]].tobytes() == b[by_key[1]].tobytes(), name
+    # index in g of each element of loaded
+    to_g = np.empty(g.order, dtype=np.intp)
+    to_g[by_key[0]] = by_key[1]
+    assert loaded.left_mult.dtype == g.left_mult.dtype
+    assert np.array_equal(to_g[loaded.left_mult], g.left_mult[:, to_g])
+    assert loaded.counts_by_fixed_dim == g.counts_by_fixed_dim
+    assert loaded.order == g.order
+
+
+def test_reports_do_not_depend_on_element_order(tmp_path, built):
+    # element order reaches cache files but no report: F4 rebuilt from its
+    # elements shuffled (the identity kept first), and H4 loaded from a file
+    # written in an older order, give run_suite reports equal to those of
+    # the enumerated groups, at default settings and on a short seeded run
+    rs, g = built("F4")
+    shuffled = np.r_[0, 1 + np.random.default_rng(31).permutation(g.order - 1)]
+    pairs = [(rs, g, group_from_simple_images(rs, g.simple_images[shuffled]))]
+    rs, g = built("H4")
+    pairs.append((rs, g, load_group(rs, h4_schema3_file(tmp_path))))
+    for rs, g, other in pairs:
+        assert not np.array_equal(other.simple_images, g.simple_images)
+        for mc in (DEFAULT_MC, McConfig(samples=20_000, seed=3)):
+            expected = [r.to_dict() for r in run_suite(rs, g, mc=mc)]
+            assert [r.to_dict() for r in run_suite(rs, other, mc=mc)] == expected
 
 
 def test_group_from_simple_images_round_trip(built):
@@ -461,14 +514,14 @@ def wrap_key_searches(monkeypatch):
 
 @pytest.mark.parametrize("t", SUPPORTED_TYPES, ids=str)
 def test_enumeration_makes_one_element_key_search(t, monkeypatch):
-    # the layers search their new keys among the keys seen so far (fewer
-    # than n * order queries each); the Group's set-up searches no key: it
+    # the layers search no key: each drops the keys of the layer below from
+    # its sorted children.  The Group's set-up searches no key either: it
     # sorts the elements' keys once and the n rows of the keys of s_j w in
     # one (n, order) argsort, and makes no search or sort for s_j w s_j
     rs = ccl.build(t)
     sizes, shapes = wrap_key_searches(monkeypatch)
     g = enumerate_group(rs)
-    assert max(sizes) < rs.n * g.order
+    assert sizes == []
     assert shapes.count((g.order,)) == 1
     assert shapes.count((rs.n, g.order)) == 1
 
