@@ -106,7 +106,7 @@ def _get_group(args, tol: ToleranceConfig, spec: str):
     return rs, load_or_enumerate(rs)
 
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 def _report_dict(r) -> dict:

@@ -6,7 +6,9 @@ cone involved was measured exactly, and 4 * combined standard error when
 Monte Carlo was involved.  The combined standard error follows how the
 estimates were sampled: estimates of one congruence class are one draw, so
 their coefficients add before their stderr is applied, and only distinct
-classes, which draw independent streams, add variances.  Count-valued
+classes, which draw independent streams, add variances.  Congruent
+cones enter a sum once, with their count as coefficient: decomposition
+sums and reports its pieces w . F_J by face type J.  Count-valued
 identities must hit their expected integer on every generic trial, with no
 tolerance.
 
@@ -681,37 +683,33 @@ def verify_face_decomposition(rs: RootSystem, g: Group, I,
                               geometry: Geometry | None = None) -> VerificationReport:
     """The distinct chamber faces lying in U = span(F_I) tile U: their
     measures sum to 1 and a generic point of U sits inside exactly one.
-    Each piece w . F_J is congruent to F_J, which is measured once.  The
-    points are drawn from ``mc.seed``."""
+    Each piece w . F_J is congruent to F_J, which is measured once, so the
+    sum and its stderr run over (count, sigma(F_J)) pairs, one breakdown
+    row "count x sigma(F_J)" per face type J.  At k = 0 the one piece is
+    the zero cone, of measure 1, and no point is drawn.  The points are
+    drawn from ``mc.seed``."""
     I = _subset(I)
     k = len(I)
     geo = _geometry(rs, g, geometry)
-
-    if k == 0:
-        # U = {0}: the single face is the zero cone, measure 1 by convention
-        return _measure_report(
-            "decomposition", rs, 0, 1.0, (1, 1), 0.0, mc.seed, 0,
-            [("zero cone", 1.0, 0.0)], rule_suffix="; unique containment trivial")
-
     pieces = geo.pieces(I)
-    by_type = {J: geo.measure("face", J, mc) for J in pieces}
-    ests = [by_type[J] for J, ws in pieces.items() for _ in ws]
-    lhs = sum(est.value for est in ests)
-    samples = max(est.samples for est in by_type.values())
-    breakdown = [(f"I={_fmt_subset(I)}", float(len(I)), 0.0)]
-    breakdown += [(f"piece {i}", est.value, est.stderr)
-                  for i, est in enumerate(ests)]
+    terms = [(len(ws), geo.measure("face", J, mc)) for J, ws in pieces.items()]
+    lhs = sum(count * est.value for count, est in terms)
+    samples = max(est.samples for _, est in terms)
+    breakdown = [(f"I={_fmt_subset(I)}", float(k), 0.0)]
+    breakdown += [(f"{count} x sigma(F_{_fmt_subset(J)})", count * est.value,
+                   count * est.stderr) for J, (count, est) in zip(pieces, terms)]
 
-    # the identity is a piece of type I, so F_I is built and spans U
-    containments, _ = _translate_counts(
-        rs, g, _check_stream("decomposition", mc.seed, I), trials,
-        [(geo.face(J).dual_basis, ws) for J, ws in pieces.items()], geo.face(I))
-    bad = int(np.count_nonzero(containments != 1))
+    bad = 0
+    if k > 0:
+        # the identity is a piece of type I, so F_I is built and spans U
+        containments, _ = _translate_counts(
+            rs, g, _check_stream("decomposition", mc.seed, I), trials,
+            [(geo.face(J).dual_basis, ws) for J, ws in pieces.items()], geo.face(I))
+        bad = int(np.count_nonzero(containments != 1))
     breakdown.append(("containment_failures", float(bad), 0.0))
-    breakdown.append(("num_pieces", float(len(ests)), 0.0))
+    breakdown.append(("num_pieces", float(sum(count for count, _ in terms)), 0.0))
     return _measure_report(
-        "decomposition", rs, k, lhs, (1, 1),
-        _combined_stderr((1.0, est) for est in ests),
+        "decomposition", rs, k, lhs, (1, 1), _combined_stderr(terms),
         mc.seed, samples, breakdown, extra_ok=(bad == 0),
         rule_suffix="; and every generic point of U in exactly one piece")
 

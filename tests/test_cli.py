@@ -37,7 +37,7 @@ def test_verify_curious_json_exit_zero(tmp_path):
     assert doc["rhs_numerator"] == 2 and doc["rhs_denominator"] == 6
     assert abs(doc["lhs"] - 1 / 3) < 1e-9
     assert doc["tool_version"] == ccl.__version__
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     # keys are sorted in the emitted JSON
     raw = out.stdout[out.stdout.index("{"):out.stdout.rindex("}") + 1]
     keys = [line.split('"')[1] for line in raw.splitlines()
@@ -609,11 +609,11 @@ def test_default_mc_config_is_exact():
 # headline outputs, pinned byte for byte
 
 HEADLINE_PINS = {
-    (): (2_361_375,
-         "de560c4c647b9967c6b5befa17a15e0d14b765d9bfa4bfa796202d22d10b14d8"),
+    (): (652_984,
+         "08b1e4079765909eec0cc078554d21f51099c021fc9c8ae007583a22c8d41609"),
     ("--samples", "20000", "--seed", "42"): (
-        2_433_220,
-        "8e602cebea4c955e85f03659b431a3f5620251803b6fb23509f5e85e114e9269"),
+        654_459,
+        "0b555d1a9af7891bf9db5d2373db19e90299b6e83ebc6df2d063c6fa5366cf62"),
 }
 
 
@@ -670,3 +670,32 @@ def test_all_groups_verdict_table_is_pinned(extra, headline_report):
             row[-1], pin[-1], rel_tol=1e-12, abs_tol=0.0), (
             f"verdict {i} differs: {row} against pinned {pin}")
     assert len(rows) == len(pinned)
+
+
+@pytest.mark.parametrize("extra", sorted(HEADLINE_PINS), ids=" ".join)
+def test_all_groups_decomposition_reports_one_row_per_face_type(extra,
+                                                                headline_report,
+                                                                built):
+    # the shape of every decomposition verdict, which holds under any BLAS
+    # kernel: at most C(n, k) rows "count x sigma(F_J)", whose counts sum to
+    # num_pieces and whose values sum to lhs; |W| pieces at k = n, and at
+    # k = 0 the zero cone alone
+    import math
+    _, out = headline_report(extra)
+    docs = [doc for doc in json.loads(out) if doc["identity"] == "decomposition"]
+    full = set()
+    for doc in docs:
+        rows = doc["per_term_breakdown"]
+        typed = [(int(label.split(" x ")[0]), value) for label, value, _ in rows
+                 if " x sigma(F_" in label]
+        num_pieces = dict((label, value) for label, value, _ in rows)["num_pieces"]
+        n, k = ccl.GroupType.parse(doc["group"]).rank, doc["k"]
+        assert 1 <= len(typed) <= math.comb(n, k)
+        assert sum(count for count, _ in typed) == num_pieces
+        assert abs(sum(value for _, value in typed) - doc["lhs"]) <= 1e-15 * num_pieces
+        if k == n:
+            assert num_pieces == built(doc["group"])[1].order
+            full.add(doc["group"])
+        if k == 0:
+            assert doc["passed"] and num_pieces == 1
+    assert len(full) == len(ccl.SUPPORTED_TYPES) == 22

@@ -345,12 +345,20 @@ def test_oplus_a2_single(built):
 # ---------------------------------------------------------------------------
 # decomposition and parabolic quotient
 
+def decomposition_piece_counts(r):
+    """(num_pieces, the sum of the per-type counts) of a decomposition
+    report, whose per-type rows are labelled "count x sigma(F_J)"."""
+    rows = dict((label, value) for label, value, _ in r.per_term_breakdown)
+    counts = [int(label.split(" x ")[0]) for label, _, _ in r.per_term_breakdown
+              if " x sigma(F_" in label]
+    return rows["num_pieces"], sum(counts)
+
+
 def test_decomposition_mirror_line_a2(built):
     rs, g = built("A2")
     r = verify_face_decomposition(rs, g, (0,), MC, trials=50)
     assert r.passed
-    pieces = [row for row in r.per_term_breakdown if row[0].startswith("piece")]
-    assert len(pieces) == 2  # two opposite rays
+    assert decomposition_piece_counts(r) == (2, 2)  # two opposite rays
     assert abs(r.lhs - 1.0) <= 1e-12
 
 
@@ -360,16 +368,38 @@ def test_decomposition_full_set_tiles_space(built):
         r = verify_face_decomposition(rs, g, tuple(range(rs.n)), MC,
                                       trials=50)
         assert r.passed
-        pieces = [row for row in r.per_term_breakdown if row[0].startswith("piece")]
-        assert len(pieces) == g.order
+        assert decomposition_piece_counts(r) == (g.order, g.order)
 
 
 def test_decomposition_b2_axis_line(built):
     rs, g = built("B2")
     r = verify_face_decomposition(rs, g, (1,), MC, trials=50)
     assert r.passed
-    pieces = [row for row in r.per_term_breakdown if row[0].startswith("piece")]
-    assert len(pieces) == 2
+    assert decomposition_piece_counts(r) == (2, 2)
+
+
+@pytest.mark.parametrize("spec, I", [("F4", (0, 1, 2, 3)), ("H4", (0, 1, 2, 3)),
+                                     ("A5", (0, 1, 2, 3)), ("F4", (0, 1)),
+                                     ("B3", (1,))])
+@pytest.mark.parametrize("defect", ["dropped", "duplicated"])
+def test_decomposition_fails_on_one_piece_dropped_or_duplicated(spec, I, defect,
+                                                                built):
+    # negative control: one piece of the most numerous face type J removed
+    # from, or repeated in, the memoized pieces.  The exact sum misses 1 by
+    # sigma(F_J) and the verdict fails, whether or not a sampled point
+    # lands in that piece.
+    rs, g = built(spec)
+    geo = Geometry(rs, g)
+    pieces = dict(geo.pieces(I))
+    J = max(pieces, key=lambda J: len(pieces[J]))
+    ws = pieces[J]
+    pieces[J] = ws[1:] if defect == "dropped" else np.append(ws, ws[-1])
+    geo._memo[("pieces", I)] = pieces
+    r = verify_face_decomposition(rs, g, I, geometry=geo)
+    assert not r.passed
+    assert r.samples == 0
+    sigma = geo.measure("face", J, ccl.McConfig()).value
+    assert abs(abs(r.lhs - 1.0) - sigma) <= 1e-12
 
 
 @pytest.mark.parametrize("spec", [str(t) for t in SUPPORTED_TYPES])
